@@ -8,18 +8,12 @@ Two families:
   zones pile up per discrete state — exactly the shape the stacked
   kernel batches (one guard/reset/invariant/delay pipeline per group,
   one broadcast subsumption matrix per wave).  The per-zone reference
-  path is selected by ``REPRO_ESTIMATE_SCALAR=1``, which is how the
-  committed ``BENCH_pre_pr5`` baseline was recorded.
+  path (``StateEstimate(batch=False)``) is what the ``estimate`` fuzz
+  check holds these kernels to.
 * **session** — end-to-end estimated-monitor conformance sessions on
   generated composed plants (the unit price the sharded differential
   campaign pays per instance), plus the campaign sharding overhead
   itself at ``jobs`` 1 vs 2 on a small instance window.
-
-Benchmarks use the *default* estimate mode so one command measures
-whatever the environment selects — record a scalar baseline with::
-
-    REPRO_ESTIMATE_SCALAR=1 python -m pytest benchmarks/test_bench_estimate.py \
-        --benchmark-json pre.json
 """
 
 from fractions import Fraction

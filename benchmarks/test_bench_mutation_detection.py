@@ -16,13 +16,9 @@ The ``test_bench_warm_*`` half measures what mutation campaigns spend
 most of their time on: re-synthesizing the *same* spec over and over
 (every mutant is tested against the unchanged arena strategy; every
 campaign re-run starts from scratch).  With the win-set cache of
-:mod:`repro.game.warm` the repeat solves collapse to a cache lookup;
-``REPRO_WARM_OFF=1`` records the pre-PR cold path on identical code
-(the knob the committed ``BENCH_pre_pr8`` baseline used).  The
-execution benchmarks above double as untouched controls for that pair.
+:mod:`repro.game.warm` the repeat solves collapse to a cache lookup.
 """
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -219,9 +215,7 @@ def warm_pool(tmp_path_factory):
 
     Populating here mirrors a campaign's first pass; the benchmarks then
     measure the steady state (every later mutant/policy/session pays
-    this price per spec).  Under ``REPRO_WARM_OFF=1`` the populate is a
-    plain cold solve and every benchmark round re-solves cold — exactly
-    the pre-cache behaviour, on identical code.
+    this price per spec).
     """
     cache = WinSetCache(str(tmp_path_factory.mktemp("warm-cache")))
     specs = _warm_specs()
@@ -275,12 +269,9 @@ def test_warm_cross_process_restore(warm_pool):
     is empty, so the disk-restore path (graph exploration + win-set
     install) runs — no cold re-solve.  Kept as a plain correctness
     check, not a benchmark: the restore is explore-bound (~2x, within
-    this runner's noise band), so timing it would only add noise to the
-    committed before/after pair.
+    this runner's noise band), so timing it would only add noise.
     """
     cache, specs = warm_pool
-    if os.environ.get("REPRO_WARM_OFF"):
-        pytest.skip("warm cache disabled via REPRO_WARM_OFF")
     name, system, query = specs[0]
     baseline = warm_solve(system, query, cache=cache)
     fresh = WinSetCache(cache.directory)

@@ -14,7 +14,13 @@ cooperative server grants immediately.
 Run:  python examples/cooperative_testing.py
 """
 
-from repro import System, execute_test, parse_query, solve_cooperative
+from repro import (
+    SessionConfig,
+    System,
+    execute_test,
+    parse_query,
+    solve_cooperative,
+)
 from repro.game.solver import solve_reachability_game
 from repro.ta import NetworkBuilder
 from repro.testing import EagerPolicy, SimulatedImplementation
@@ -93,7 +99,9 @@ def main():
         ("uncooperative server (denies)", DenyingPolicy()),
     ]:
         imp = SimulatedImplementation(System(server_plant()), policy)
-        run = execute_test(coop, plant, imp, max_iterations=30)
+        run = execute_test(
+            coop, plant, imp, config=SessionConfig(max_iterations=30)
+        )
         print(f"  {name:32s}: {run}")
 
     print("\nnote: the uncooperative run is INCONCLUSIVE, not FAIL —")

@@ -30,11 +30,6 @@ setup(
             "hypothesis>=6",
             "pytest-benchmark>=4",
         ],
-        # Optional JIT zone-kernel backend (REPRO_KERNEL_BACKEND=numba);
-        # absence degrades to the numpy reference, never an error.
-        "numba": [
-            "numba>=0.57",
-        ],
     },
     entry_points={
         "console_scripts": [

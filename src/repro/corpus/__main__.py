@@ -10,8 +10,8 @@ writer wins per structural hash; see :mod:`repro.corpus.merge`).
 
 ``--fsck`` verifies every persistent artifact under a corpus directory:
 entry files (parse + checksum), the in-flight checkpoint journal
-(header, line integrity, torn-tail status), and the riding warm cache
-(``DIR/warm-cache``, entry ``sha`` checksums).  With ``--repair``,
+(header, line integrity, torn-tail status), and a win-set cache kept
+there (``DIR/warm-cache``, entry ``sha`` checksums).  With ``--repair``,
 corrupt entry files move to ``DIR/quarantine/``, corrupt warm-cache
 entries are renamed ``.corrupt``, legacy entries gain checksums, and a
 journal with a malformed *middle* line is truncated back to its last

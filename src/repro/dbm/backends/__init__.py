@@ -4,14 +4,14 @@ The stacked-DBM dispatch layer (:mod:`repro.dbm.stack`) asks
 :func:`active` for the current :class:`~repro.dbm.backends.base.KernelBackend`
 on every hot-kernel call.  Selection:
 
-* ``REPRO_KERNEL_BACKEND=numpy|numba|cext|auto`` picks the backend at
-  first use (default ``numpy``, the pure-numpy reference).
-* ``auto`` probes ``numba`` → ``cext`` → ``numpy`` and takes the first
-  that loads, silently.
+* ``REPRO_KERNEL_BACKEND=numpy|cext|auto`` picks the backend at first
+  use (default ``numpy``, the pure-numpy reference).
+* ``auto`` probes ``cext`` → ``numpy`` and takes the first that loads,
+  silently.
 * Naming an unavailable backend explicitly falls back to ``numpy`` with
   a one-time :class:`RuntimeWarning` and a ``dbm.backend_fallbacks``
-  counter bump — a missing JIT must never turn into a hard failure in a
-  test campaign.
+  counter bump — a missing C compiler must never turn into a hard
+  failure in a test campaign.
 
 Every resolution bumps ``dbm.backend_selected_<name>`` and each
 dispatched kernel call bumps ``dbm.backend_<name>`` (via the backend's
@@ -48,11 +48,10 @@ __all__ = [
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: ``auto`` preference order: numba (when installed) beats the bundled C
-#: extension on fused kernels, and anything compiled beats numpy.
-AUTO_ORDER = ("numba", "cext", "numpy")
+#: ``auto`` preference order: the compiled C kernels beat numpy.
+AUTO_ORDER = ("cext", "numpy")
 
-BACKEND_NAMES = ("numpy", "numba", "cext")
+BACKEND_NAMES = ("numpy", "cext")
 
 _active: Optional[KernelBackend] = None
 _warned_fallback = False
@@ -161,11 +160,6 @@ def _load(name: str) -> KernelBackend:
         from .numpy_backend import NumpyBackend
 
         return NumpyBackend()
-    if name == "numba":
-        from .numba_backend import NumbaBackend
-
-        backend = NumbaBackend()
-        return GuardedBackend(backend) if backend.compiled else backend
     if name == "cext":
         from .cext import CExtBackend
 
@@ -178,7 +172,7 @@ def _load(name: str) -> KernelBackend:
 
 
 def resolve(spec: Optional[str]) -> KernelBackend:
-    """Resolve a backend spec (``numpy|numba|cext|auto``) to an instance.
+    """Resolve a backend spec (``numpy|cext|auto``) to an instance.
 
     Explicit names fall back to numpy (warning + counter) when the
     backend cannot load; ``auto`` falls through its preference order

@@ -22,8 +22,8 @@ convention but a theorem for any correct implementation — kept rows are
 canonical, and canonical forms are unique — and it is *enforced* by the
 always-on ``kernel`` differential check (:mod:`repro.gen.differential`),
 which fuzzes every available backend against the numpy reference, the
-same way ``REPRO_ESTIMATE_SCALAR`` keeps the scalar estimate path
-honest.
+same way the ``estimate`` check holds the batched state estimate to the
+per-zone one.
 
 Argument marshalling
 ====================
@@ -48,9 +48,9 @@ import numpy as np
 class KernelBackend(Protocol):
     """Implementations of the hot stacked kernels (see module docstring)."""
 
-    #: Registry name ("numpy", "numba", "cext").
+    #: Registry name ("numpy", "cext").
     name: str
-    #: True for backends that run compiled (JIT or native) code.  A
+    #: True for backends that run compiled (native) code.  A
     #: compiled backend also serves the *per-zone* closure
     #: (``DBM._close`` routes single matrices through ``close`` as a
     #: 1-stack), so both sides of the hybrid batched/scalar dispatch

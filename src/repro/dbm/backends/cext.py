@@ -1,8 +1,7 @@
 """C-extension kernel backend: system-compiler build, loaded via ctypes.
 
-The hot kernels as ~150 lines of portable C (same loop structure as the
-numba bodies — see :mod:`repro.dbm.backends.numba_backend` for the
-exactness argument), compiled on first use with the host toolchain::
+The hot kernels as ~150 lines of portable C, compiled on first use with
+the host toolchain::
 
     cc -O2 -shared -fPIC
 
@@ -21,6 +20,20 @@ below the per-kernel python/numpy dispatch cost it replaces.  Calls go
 through cffi in ABI mode when cffi is importable (~3µs per fused kernel
 call) and fall back to ctypes (~2x slower per call, still far ahead of
 numpy) otherwise.
+
+Exactness (see :mod:`repro.dbm.backends.base`): the C loops replicate
+the reference kernels' update structure — same tighten/changed/close
+sequencing, same in-place reset/shift ordering, same saturation of
+drifted infinities back to ``INF`` — with one licensed deviation: rows
+found inconsistent are abandoned at the first negative diagonal instead
+of being dragged through the remaining steps, which the contract allows
+because dead-row content is scratch.  The in-place Floyd-Warshall is
+byte-identical to the reference's per-``via`` snapshot form on
+consistent rows because the pivot row and column are fixed points of
+their own iteration (the diagonal stays at ``LE_ZERO``, the additive
+identity of the bound encoding).  The always-on ``kernel`` differential
+check (:mod:`repro.gen.differential`) fuzzes this argument against the
+numpy reference.
 """
 
 from __future__ import annotations

@@ -34,13 +34,12 @@ zone subtraction — whose answer is definitive — only for the leftovers.
 Disjointness (``stack.disjoint_mask``) is exact in both roles and prunes
 the subtraction loops further.
 
-Hybrid dispatch: below ``stack.batch_min()`` member zones the per-zone
+Hybrid dispatch: below ``stack.BATCH_MIN`` member zones the per-zone
 DBM path is used instead — at one or two members the stacked kernel's
 fixed cost (gather, masks, re-wrap) exceeds the dispatch overhead it
 amortizes, and solver federations on near-convex models stay that
 small.  Federation ops are all comparison-style (cheap scalar
-fallback), so the threshold is backend-independent; ``REPRO_BATCH_MIN``
-overrides it.
+fallback), so the threshold is backend-independent.
 Every decision is recorded (``federation.batched_dispatch`` /
 ``federation.scalar_dispatch``).  Both paths compute the same sets; the
 differential kernel tests drive each op through both and assert
@@ -61,8 +60,7 @@ from .dbm import DBM
 def _use_batched(batched: bool) -> bool:
     """Record a batched-vs-scalar dispatch decision as it is made.
 
-    The threshold itself lives in :func:`repro.dbm.stack.batch_min`
-    (numpy-tuned default, ``REPRO_BATCH_MIN`` override); benchmarks
+    The threshold itself is :data:`repro.dbm.stack.BATCH_MIN`; benchmarks
     surface these counters in ``extra_info`` so a result always says
     which path actually ran.
     """
@@ -204,7 +202,7 @@ class Federation:
         # Pre-filter: zones of `other` pointwise-included in a single zone
         # of `self` need no subtraction (exact per pair of convex zones).
         if not _use_batched(
-            len(self.zones) + len(other.zones) >= 2 * _sk.batch_min()
+            len(self.zones) + len(other.zones) >= 2 * _sk.BATCH_MIN
         ):
             for zone in other.zones:
                 if any(mine.includes(zone) for mine in self.zones):
@@ -288,7 +286,7 @@ class Federation:
         the pair count is large enough to amortize one stacked closure)."""
         if not self.zones or not other.zones:
             return Federation.empty(self.dim)
-        bm = _sk.batch_min()
+        bm = _sk.BATCH_MIN
         if not _use_batched(len(self.zones) * len(other.zones) >= bm * bm):
             out: List[DBM] = []
             for a in self.zones:
@@ -304,7 +302,7 @@ class Federation:
         """Intersection with a single zone."""
         if zone.is_empty() or not self.zones:
             return Federation.empty(self.dim)
-        if not _use_batched(len(self.zones) >= _sk.batch_min()):
+        if not _use_batched(len(self.zones) >= _sk.BATCH_MIN):
             out = []
             for a in self.zones:
                 c = a.intersect(zone)
@@ -319,7 +317,7 @@ class Federation:
         """Set difference ``self \\ zone`` (exact, possibly more zones)."""
         if zone.is_empty() or not self.zones:
             return self
-        if not _use_batched(len(self.zones) >= _sk.batch_min()):
+        if not _use_batched(len(self.zones) >= _sk.BATCH_MIN):
             out: List[DBM] = []
             changed = False
             for a in self.zones:
@@ -370,7 +368,7 @@ class Federation:
         return Federation(self.dim, (fn(z) for z in self.zones))
 
     def _batchable(self) -> bool:
-        return _use_batched(len(self.zones) >= _sk.batch_min())
+        return _use_batched(len(self.zones) >= _sk.BATCH_MIN)
 
     def up(self) -> "Federation":
         """Delay successors of every member zone."""

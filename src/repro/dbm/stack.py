@@ -20,7 +20,7 @@ The hot kernels — ``close``, ``extrapolate``, ``inclusion_matrix``,
 ``reduce_indices``, ``subsume_frontier``, ``hidden_post_step``,
 ``any_hidden_post`` — dispatch through a pluggable
 :class:`~repro.dbm.backends.base.KernelBackend`
-(``REPRO_KERNEL_BACKEND=numpy|numba|cext|auto``).  The pure-numpy bodies
+(``REPRO_KERNEL_BACKEND=numpy|cext|auto``).  The pure-numpy bodies
 live on as module-private ``_*_ref`` functions: they are the default
 backend, the differential ground truth the ``kernel`` fuzz check holds
 every other backend to, and they compose only each other (never the
@@ -48,7 +48,6 @@ Exactness notes:
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,32 +58,16 @@ from .bounds import INF, INF_SOFT, LE_ZERO, MAX_BOUND_CONST
 
 Constraint = Tuple[int, int, int]
 
-#: Default batched-dispatch threshold: below this many stacked zones the
+#: Batched-dispatch threshold: below this many stacked zones the
 #: per-zone DBM path beats the batched kernel — at one or two members
 #: the batched path's fixed cost (``np.stack`` gather, masks, re-wrap)
-#: exceeds the dispatch overhead it amortizes.  Callers should consult
-#: :func:`batch_min`, which folds in the ``REPRO_BATCH_MIN`` override.
+#: exceeds the dispatch overhead it amortizes.  The threshold is
+#: deliberately backend-independent: the batched path's fixed cost is the
+#: ``np.stack`` gather and result re-wrap, which no backend removes, and
+#: a compiled backend accelerates the per-zone fallback too (the scalar
+#: pipeline's closures dispatch through the same backend), so measured
+#: crossover points barely move with the backend.
 BATCH_MIN = 3
-
-
-def batch_min() -> int:
-    """The effective batched-vs-scalar dispatch threshold.
-
-    The ``REPRO_BATCH_MIN`` environment override if set, else
-    :data:`BATCH_MIN`.  The threshold is deliberately
-    backend-independent: the batched path's fixed cost is the
-    ``np.stack`` gather and result re-wrap, which no backend removes,
-    and a compiled backend accelerates the per-zone fallback too (the
-    scalar pipeline's closures dispatch through the same backend), so
-    measured crossover points barely move with the backend.
-    """
-    override = os.environ.get("REPRO_BATCH_MIN")
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
-    return BATCH_MIN
 
 
 def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

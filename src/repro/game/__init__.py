@@ -20,10 +20,4 @@ from .solver import (
     solve_reachability_game,
 )
 from .strategy import ActionDecision, Decision, NodeStrategy, Strategy, Verdictish
-from .warm import (
-    WinSetCache,
-    resolve_cache,
-    warm_disabled,
-    warm_solve,
-    warm_solve_mutant,
-)
+from .warm import WinSetCache, resolve_cache, warm_solve

@@ -114,7 +114,6 @@ class _BaseSolver:
         open_system: bool = False,
         max_nodes: Optional[int] = None,
         time_limit: Optional[float] = None,
-        extra_max_consts: Optional[List[int]] = None,
     ):
         if query.kind != REACH_GAME:
             raise GameError(
@@ -128,12 +127,6 @@ class _BaseSolver:
         from ..expr.clocksplit import update_max_constants
 
         update_max_constants(self.goal.clock_atoms(), system.decls, extra)
-        if extra_max_consts is not None:
-            # Caps override: warm-start solving of a mutant pins base and
-            # mutant to their *joint* extrapolation caps (elementwise max —
-            # any vector dominating the actual max constants is a sound
-            # ExtraM widening), so win-sets are comparable node-for-node.
-            extra = [max(a, b) for a, b in zip(extra, extra_max_consts)]
         self.graph = SimulationGraph(
             system,
             open_system=open_system,
@@ -574,16 +567,15 @@ def solve_reachability_game(
     early-stopped on-the-fly under-approximation is not cacheable).
     """
     if warm_cache is not None and not open_system:
-        from .warm import resolve_cache, warm_disabled, warm_solve
+        from .warm import resolve_cache, warm_solve
 
-        if not warm_disabled():
-            return warm_solve(
-                system,
-                query,
-                cache=resolve_cache(warm_cache),
-                max_nodes=max_nodes,
-                time_limit=time_limit,
-            )
+        return warm_solve(
+            system,
+            query,
+            cache=resolve_cache(warm_cache),
+            max_nodes=max_nodes,
+            time_limit=time_limit,
+        )
     cls = OnTheFlySolver if on_the_fly else TwoPhaseSolver
     solver = cls(
         system,

@@ -1,8 +1,8 @@
-"""Warm-start solving: a win-set solve cache + mutant fixpoint repair.
+"""Warm-start solving: a win-set solve cache.
 
-Every mutation-detection sweep, fuzz campaign, and server synthesis
-re-solves near-identical reachability games from zero.  This module makes
-the backward fixpoint incremental across *problem instances*:
+Mutation-detection sweeps, sharded campaign workers and server
+synthesis re-solve the same reachability games.  This module lets a
+converged backward fixpoint outlive the solve that computed it:
 
 * :class:`WinSetCache` — an in-process + on-disk cache of **converged**
   per-node winning federations, keyed by the network's
@@ -18,31 +18,10 @@ the backward fixpoint incremental across *problem instances*:
   are ever cached; an early-stopped on-the-fly solve is an intentional
   under-approximation and is *not* cacheable.
 
-* :func:`warm_solve_mutant` — fixpoint **repair** for a mutant of a base
-  model whose edit footprint (touched automaton + locations, reported by
-  :meth:`repro.testing.mutants.MutantSpec.footprint`) is known.  Base and
-  mutant are solved at their *joint* extrapolation caps (elementwise max
-  — a sound ExtraM widening), the mutant graph is explored, and every
-  node that cannot reach a footprint location is seeded with the base
-  model's converged value for the identical symbolic state.  Only the
-  footprint's dependency cone (nodes with a path into the footprint,
-  plus any node whose exact symbolic state the base solve never saw) is
-  re-run through the incremental worklist.
-
-Soundness of the seeding: the tainted set — nodes with a graph path to a
-footprint node — is closed under predecessors, so an untainted node's
-successors are all untainted and every play from it uses only structure
-the mutation did not touch; its winning set therefore equals the base
-model's winning set at the same ``(locations, variables, zone)`` (the
-zone graphs simulate the concrete semantics, so "no graph path" implies
-"no concrete play").  Seeds keep their base fixpoint steps and repair
-steps start above them, preserving the rank discipline strategy
-extraction relies on.  Seeded values are exactly the fixpoint (never
-over-approximations), so re-evaluating a seeded node during repair is a
-no-op — the grow-only worklist stays sound.  The ``warmstart``
-differential check (:mod:`repro.gen.differential`) fuzzes warm ≡ cold
-win-set equality both ways, like every other fast path in this repo;
-any node-matching mismatch falls back to a cold solve
+The ``warmstart`` differential check (:mod:`repro.gen.differential`)
+fuzzes the restore path against a cold solve with exact per-node
+win-set equality, like every other fast path in this repo; any
+node-matching mismatch falls back to a cold solve
 (``solver.warm_mismatches``), never to a wrong answer.
 
 Cache layout: ``<dir>/<2-char shard>/<sha256 key>.json``, one entry per
@@ -55,7 +34,6 @@ import hashlib
 import json
 import os
 import time
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dbm import (
@@ -75,30 +53,16 @@ from .solver import GameResult, NodeWin, TwoPhaseSolver
 __all__ = [
     "WinSetCache",
     "effective_caps",
-    "warm_disabled",
     "federation_from_obj",
     "federation_to_obj",
-    "joint_caps",
     "minimal_constraints",
     "resolve_cache",
     "warm_solve",
-    "warm_solve_mutant",
     "zone_from_obj",
     "zone_to_obj",
 ]
 
 FORMAT_VERSION = 1
-
-
-def warm_disabled() -> bool:
-    """True when ``REPRO_WARM_OFF=1`` forces cold solving everywhere.
-
-    The benchmark-pair knob (like ``REPRO_ESTIMATE_SCALAR`` for the
-    stacked kernel): lets the committed pre/post benchmark pair record
-    the cold baseline on identical code, and gives operators a
-    kill-switch should a cache directory ever be suspected stale.
-    """
-    return os.environ.get("REPRO_WARM_OFF") == "1"
 
 
 # ----------------------------------------------------------------------
@@ -140,15 +104,13 @@ def federation_from_obj(dim: int, obj) -> Federation:
 
 
 def effective_caps(
-    system: System,
-    query: Query,
-    extra_max_consts: Optional[Sequence[int]] = None,
+    system: System, query: Query
 ) -> Optional[Tuple[int, ...]]:
     """The ExtraM caps a solver run will actually use (None = disabled).
 
     Mirrors ``SimulationGraph``: the network's per-clock max constants,
-    raised by the goal predicate's clock atoms and any explicit override
-    (elementwise max); ``None`` for models with diagonal constraints,
+    raised by the goal predicate's clock atoms (elementwise max);
+    ``None`` for models with diagonal constraints,
     where extrapolation is off.  Part of the cache key — win-sets are
     only comparable at identical caps.
     """
@@ -161,25 +123,7 @@ def effective_caps(
     extra = [0] * system.dim
     update_max_constants(goal.clock_atoms(), system.decls, extra)
     caps = [max(a, b) for a, b in zip(network.max_constants(), extra)]
-    if extra_max_consts is not None:
-        caps = [max(a, b) for a, b in zip(caps, extra_max_consts)]
     return tuple(int(c) for c in caps)
-
-
-def joint_caps(base: Network, mutant: Network) -> Optional[List[int]]:
-    """Joint ExtraM caps for comparing a base model and its mutant.
-
-    Elementwise max of the two models' max constants — sound for both
-    (any cap vector dominating a model's actual constants is a valid
-    ExtraM widening) and identical on both sides, so matching symbolic
-    states extrapolate identically.  ``None`` when either model has
-    diagonal constraints or the clock sets differ (fall back to cold).
-    """
-    if base.has_diagonal_constraints() or mutant.has_diagonal_constraints():
-        return None
-    if base.dim != mutant.dim:
-        return None
-    return [max(a, b) for a, b in zip(base.max_constants(), mutant.max_constants())]
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +360,10 @@ def _install_entry(solver: TwoPhaseSolver, entry: dict) -> Optional[GameResult]:
             )
             seeded += 1
             max_step = max(max_step, version)
+        solver._step = max(int(entry.get("steps", max_step)), max_step)
     except (KeyError, TypeError, ValueError, IndexError):
         solver.wins.clear()
         return None
-    solver._step = max(int(entry.get("steps", max_step)), max_step)
     counters.inc("solver.warm_nodes_seeded", seeded)
     return GameResult(
         solver._initial_winning(),
@@ -444,7 +388,6 @@ def warm_solve(
     cache: WinSetCache,
     max_nodes: Optional[int] = None,
     time_limit: Optional[float] = None,
-    extra_max_consts: Optional[Sequence[int]] = None,
 ) -> GameResult:
     """Cache-consulting two-phase solve (always converged).
 
@@ -455,17 +398,13 @@ def warm_solve(
     """
     if isinstance(query, str):
         query = parse_query(query)
-    if warm_disabled():
+
+    def fresh_solver() -> TwoPhaseSolver:
         return TwoPhaseSolver(
-            system,
-            query,
-            max_nodes=max_nodes,
-            time_limit=time_limit,
-            extra_max_consts=(
-                None if extra_max_consts is None else list(extra_max_consts)
-            ),
-        ).solve()
-    caps = effective_caps(system, query, extra_max_consts)
+            system, query, max_nodes=max_nodes, time_limit=time_limit
+        )
+
+    caps = effective_caps(system, query)
     key = cache.key_for(system.network, query, caps)
     memo = cache.cached_result(key)
     if memo is not None:
@@ -474,16 +413,7 @@ def warm_solve(
         return memo
     entry = cache.load(key)
     if entry is not None:
-        solver = TwoPhaseSolver(
-            system,
-            query,
-            max_nodes=max_nodes,
-            time_limit=time_limit,
-            extra_max_consts=(
-                None if extra_max_consts is None else list(extra_max_consts)
-            ),
-        )
-        result = _install_entry(solver, entry)
+        result = _install_entry(fresh_solver(), entry)
         if result is not None:
             counters.inc("solver.warm_hits")
             cache.remember_result(key, result)
@@ -491,197 +421,8 @@ def warm_solve(
         counters.inc("solver.warm_mismatches")
     else:
         counters.inc("solver.warm_misses")
-    solver = TwoPhaseSolver(
-        system,
-        query,
-        max_nodes=max_nodes,
-        time_limit=time_limit,
-        extra_max_consts=(
-            None if extra_max_consts is None else list(extra_max_consts)
-        ),
-    )
-    result = solver.solve()
+    result = fresh_solver().solve()
     cache.store(key, _entry_from_result(result))
     counters.inc("solver.warm_stores")
     cache.remember_result(key, result)
-    return result
-
-
-def _footprint_node_ids(system: System, graph, footprint) -> set:
-    """Graph node ids whose location vector hits the edit footprint."""
-    foot_locs: Dict[int, set] = {}
-    for k, automaton in enumerate(system.network.automata):
-        names = footprint.get(automaton.name)
-        if not names:
-            continue
-        indices = {
-            automaton.location_index(name)
-            for name in names
-            if name in automaton.locations
-        }
-        if indices:
-            foot_locs[k] = indices
-    if not foot_locs:
-        return set()
-    return {
-        node.id
-        for node in graph.nodes
-        if any(node.sym.locs[k] in idxs for k, idxs in foot_locs.items())
-    }
-
-
-def warm_solve_mutant(
-    base_system: System,
-    mutant_system: System,
-    query: Union[Query, str],
-    footprint: Optional[Dict[str, frozenset]],
-    *,
-    cache: WinSetCache,
-    max_nodes: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> GameResult:
-    """Solve a mutant's game by repairing the base model's fixpoint.
-
-    ``footprint`` is the mutant's edit footprint as reported by
-    :meth:`repro.testing.mutants.MutantSpec.footprint` (automaton name →
-    touched location names); ``None`` means unknown and falls back to a
-    cold solve, as do diagonal-constraint models (no extrapolation caps
-    to align) and mismatched clock sets.
-
-    The result is converged and node-for-node equal to a cold two-phase
-    solve of the mutant **at the joint caps** — what the ``warmstart``
-    differential check asserts.  The repaired result is stored back into
-    the cache under the mutant's own structural hash, so re-encountering
-    the same mutant (sharded campaign workers, repeated sweeps) is a
-    plain cache hit.
-    """
-    if isinstance(query, str):
-        query = parse_query(query)
-    caps = joint_caps(base_system.network, mutant_system.network)
-    if warm_disabled() or caps is None or footprint is None:
-        counters.inc("solver.warm_mutant_cold")
-        return TwoPhaseSolver(
-            mutant_system, query, max_nodes=max_nodes, time_limit=time_limit
-        ).solve()
-
-    # The mutant at joint caps may itself be cached (repeat encounters).
-    mutant_key = cache.key_for(
-        mutant_system.network, query, effective_caps(mutant_system, query, caps)
-    )
-    memo = cache.cached_result(mutant_key)
-    if memo is not None:
-        counters.inc("solver.warm_hits")
-        counters.inc("solver.warm_result_hits")
-        return memo
-    entry = cache.load(mutant_key)
-    if entry is not None:
-        solver = TwoPhaseSolver(
-            mutant_system,
-            query,
-            max_nodes=max_nodes,
-            time_limit=time_limit,
-            extra_max_consts=caps,
-        )
-        result = _install_entry(solver, entry)
-        if result is not None:
-            counters.inc("solver.warm_hits")
-            cache.remember_result(mutant_key, result)
-            return result
-        counters.inc("solver.warm_mismatches")
-
-    started = time.monotonic()
-    base = warm_solve(
-        base_system,
-        query,
-        cache=cache,
-        max_nodes=max_nodes,
-        time_limit=time_limit,
-        extra_max_consts=caps,
-    )
-    solver = TwoPhaseSolver(
-        mutant_system,
-        query,
-        max_nodes=max_nodes,
-        time_limit=time_limit,
-        extra_max_consts=caps,
-    )
-    graph = solver.graph
-    graph.explore_all()
-
-    # Dependency cone: nodes with a path into a footprint node (values
-    # flow backward, so only they can differ from the base fixpoint).
-    tainted = _footprint_node_ids(mutant_system, graph, footprint)
-    stack = [node for node in graph.nodes if node.id in tainted]
-    while stack:
-        node = stack.pop()
-        for edge in node.in_edges:
-            src = edge.source
-            if src.id not in tainted:
-                tainted.add(src.id)
-                stack.append(src)
-
-    base_index: Dict[tuple, Optional[NodeWin]] = {}
-    for bnode in base.graph.nodes:
-        key3 = (bnode.sym.locs, bnode.sym.vars, bnode.sym.zone.hash_key())
-        base_index[key3] = base.wins.get(bnode.id)
-
-    max_step = 0
-    seeded = 0
-    recompute: List = []
-    for node in graph.nodes:
-        if node.id in tainted:
-            recompute.append(node)
-            continue
-        key3 = (node.sym.locs, node.sym.vars, node.sym.zone.hash_key())
-        if key3 not in base_index:
-            # The base solve never saw this exact symbolic state (fold
-            # order divergence): recompute it instead of guessing.
-            recompute.append(node)
-            continue
-        bwin = base_index[key3]
-        if bwin is None or bwin.win.is_empty():
-            continue  # final value: empty — nothing to seed
-        solver.wins[node.id] = NodeWin(
-            bwin.win, solver.goal_fed(node), list(bwin.layers), bwin.version
-        )
-        seeded += 1
-        max_step = max(max_step, bwin.version)
-    counters.inc("solver.warm_nodes_seeded", seeded)
-    counters.inc("solver.warm_nodes_repaired", len(recompute))
-
-    # Repair worklist: seeds are exact fixpoint values (never over-
-    # approximations), so the grow-only propagation below converges to
-    # the mutant's true fixpoint; re-evaluating a seeded node (reachable
-    # when an unmatched neighbour grows) can never grow it further.
-    solver._step = max(solver._step, max_step)
-    deadline = None if time_limit is None else started + time_limit
-    queue: deque = deque(recompute)
-    queued: Dict[int, bool] = {node.id: True for node in recompute}
-    while queue:
-        if deadline is not None and time.monotonic() > deadline:
-            from ..graph.explorer import ExplorationLimit
-
-            raise ExplorationLimit("warm mutant repair timed out")
-        node = queue.popleft()
-        queued[node.id] = False
-        new_win = solver._update(node)
-        if solver._record_growth(node, new_win):
-            for edge in node.in_edges:
-                source = edge.source
-                if not queued.get(source.id):
-                    queue.append(source)
-                    queued[source.id] = True
-
-    result = GameResult(
-        solver._initial_winning(),
-        graph,
-        solver.wins,
-        solver.goal,
-        solver._step,
-        graph.node_count,
-        time.monotonic() - started,
-    )
-    cache.store(mutant_key, _entry_from_result(result))
-    counters.inc("solver.warm_stores")
-    cache.remember_result(mutant_key, result)
     return result

@@ -144,20 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         " count // 4, capped at 50; 0 disables; needs --corpus)",
     )
     parser.add_argument(
-        "--warm-cache",
-        metavar="DIR",
-        default=None,
-        help="win-set solve cache directory (repro.game.warm) used by the"
-        " warmstart check's mutant half; on by default with --corpus and"
-        " a nonzero mutation budget (CORPUS/warm-cache)",
-    )
-    parser.add_argument(
-        "--no-warm-cache",
-        action="store_true",
-        help="keep the warmstart check on private in-memory caches only"
-        " (no on-disk win-set cache, even with --corpus)",
-    )
-    parser.add_argument(
         "--stop-after",
         type=int,
         default=None,
@@ -175,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=["numpy", "numba", "cext", "auto"],
+        choices=["numpy", "cext", "auto"],
         default=None,
         metavar="NAME",
         help="dispatch hot DBM kernels through this backend for the whole"
-        " campaign (numpy|numba|cext|auto; default: the"
+        " campaign (numpy|cext|auto; default: the"
         " REPRO_KERNEL_BACKEND environment variable, else numpy)."
         " Results are backend-independent — the always-on 'kernel' check"
         " enforces exactness — so this is a speed/soak knob",
@@ -208,32 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 VOLATILE_REPORT_KEYS = ("elapsed_seconds", "jobs", "counters", "corpus")
 
 
-def _warm_cache_dir(args) -> Optional[str]:
-    """The on-disk win-set cache directory, or None.
-
-    Explicit ``--warm-cache DIR`` wins; otherwise the cache rides along
-    with the corpus (``CORPUS/warm-cache``) whenever a mutation budget
-    will be spent — mutants of corpus entries re-solve the same base
-    specs across campaigns, which is exactly what the cache amortizes.
-    The check results never depend on cache state (warm ≡ cold is the
-    property being checked), so this stays off the byte-identical-report
-    contract.
-    """
-    if args.no_warm_cache:
-        return None
-    if args.warm_cache is not None:
-        return args.warm_cache
-    if args.corpus:
-        budget = (
-            args.mutations
-            if args.mutations is not None
-            else min(50, args.count // 4)
-        )
-        if budget > 0:
-            return os.path.join(args.corpus, "warm-cache")
-    return None
-
-
 def _diff_config_from_args(args) -> DiffConfig:
     """The check-effort knobs, CLI → :class:`DiffConfig`."""
     return DiffConfig(
@@ -242,7 +202,6 @@ def _diff_config_from_args(args) -> DiffConfig:
         conf_steps=args.steps,
         check_fixpoint=not args.no_fixpoint,
         max_estimate_states=args.max_estimate_states,
-        warm_cache_dir=_warm_cache_dir(args),
     )
 
 

@@ -74,7 +74,6 @@ from .. import faults
 from ..dbm import Federation, bound
 from ..dbm import backends as dbm_backends
 from ..dbm import stack as _sk
-from ..dbm.backends.numba_backend import python_kernels
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
 from ..graph.explorer import ExplorationLimit, SimulationGraph
 from ..par import steal_map
@@ -123,14 +122,6 @@ class DiffConfig:
     #: Deep-fuzz raises it (CLI ``--max-estimate-states``) to turn
     #: budget SKIPs on hidden-move-rich instances into real runs.
     max_estimate_states: int = 256
-    #: Shared win-set solve cache directory (:mod:`repro.game.warm`,
-    #: CLI ``--warm-cache``) consulted by the ``warmstart`` check's
-    #: base/mutant solves.  ``None`` keeps the check self-contained in a
-    #: fresh in-memory cache.  Check *results* never depend on cache
-    #: state — a warm path either reproduces the cold fixpoint exactly
-    #: or the check fails — so the byte-identical-report guarantee
-    #: across ``--jobs`` values and resumes is unaffected.
-    warm_cache_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -711,7 +702,7 @@ def check_estimate(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
 def _node_win_map(result: GameResult) -> Dict[tuple, Federation]:
     """Per *node* (discrete state + zone), the nonempty winning sets.
 
-    Stricter than :func:`_win_by_key`: the warm-start checks compare
+    Stricter than :func:`_win_by_key`: the ``warmstart`` check compares
     node for node, so a per-node discrepancy cannot hide inside a
     per-discrete-state union.
     """
@@ -733,87 +724,20 @@ def _win_maps_equal(a: Dict[tuple, Federation], b: Dict[tuple, Federation]):
     return None
 
 
-def _derive_mutant_spec(instance: GeneratedInstance):
-    """A deterministic random MutantSpec over the instance's arena.
-
-    Seeded from the instance seed only, choosing among the operators the
-    arena structurally supports, so the ``warmstart`` check exercises a
-    different edit footprint per instance while staying reproducible
-    from the instance's integers.
-    """
-    from ..testing.mutants import MutantSpec
-
-    network = instance.arena
-    rng = random.Random(instance.seed * 76_543 + 11)
-    edges = [(aut, edge) for aut in network.automata for edge in aut.edges]
-    guarded = [(aut, edge) for aut, edge in edges if edge.guard is not None]
-    invariants = [
-        (aut, loc)
-        for aut in network.automata
-        for loc in aut.location_list
-        if loc.invariant is not None
-    ]
-    ops: List[str] = []
-    if edges:
-        ops += ["drop_edge", "retarget_edge"]
-    if guarded:
-        ops.append("shift_guard_constant")
-    if invariants:
-        ops.append("widen_invariant")
-    if not ops:
-        return None
-    op = rng.choice(ops)
-    if op == "widen_invariant":
-        aut, loc = rng.choice(invariants)
-        return MutantSpec.make(
-            "warmcheck", op,
-            automaton=aut.name, location=loc.name, delta=rng.choice((1, 2)),
-        )
-    if op == "shift_guard_constant":
-        aut, edge = rng.choice(guarded)
-        return MutantSpec.make(
-            "warmcheck", op,
-            automaton=aut.name, source=edge.source, target=edge.target,
-            delta=rng.choice((1, -1)),
-        )
-    aut, edge = rng.choice(edges)
-    if op == "retarget_edge":
-        return MutantSpec.make(
-            "warmcheck", op,
-            automaton=aut.name, source=edge.source, target=edge.target,
-            new_target=rng.choice(sorted(aut.locations)),
-        )
-    return MutantSpec.make(
-        "warmcheck", op,
-        automaton=aut.name, source=edge.source, target=edge.target,
-    )
-
-
 def check_warmstart(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
-    """Differential: warm-start solving ≡ cold solving, both ways.
+    """Differential: warm-start solving ≡ cold solving.
 
-    Two fast paths of :mod:`repro.game.warm` are pinned against the cold
-    two-phase fixpoint with exact per-node win-set equality:
-
-    1. *cache restore* — solve, serialize to minimal-constraint form,
-       then force the deserialize → explore → install path and compare;
-    2. *mutant repair* — derive a seeded random mutant of the arena,
-       repair the base fixpoint along its footprint's dependency cone,
-       and compare against a cold solve of the mutant at joint caps.
+    The restore path of :mod:`repro.game.warm` is pinned against the
+    cold two-phase fixpoint with exact per-node win-set equality: solve,
+    serialize to minimal-constraint form, then force the deserialize →
+    explore → install path and compare.
     """
-    from ..game.warm import (
-        WinSetCache,
-        joint_caps,
-        resolve_cache,
-        warm_solve,
-        warm_solve_mutant,
-    )
-    from ..testing.mutants import MutationError
+    from ..game.warm import WinSetCache, warm_solve
 
     query = parse_query(instance.query)
     system = System(instance.arena)
-    # Restore-path half: always a private in-memory cache, so the first
-    # solve is a genuine miss and the second a genuine install.
+    # A private in-memory cache, so the first solve is a genuine miss and
+    # the second a genuine install.
     private = WinSetCache()
     try:
         stored = warm_solve(
@@ -838,50 +762,6 @@ def check_warmstart(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult
     if mismatch:
         return CheckResult(
             "warmstart", FAIL, f"restored win set differs at {mismatch}"
-        )
-
-    # Mutant-repair half.  The shared campaign cache (``--warm-cache``)
-    # may serve the base solve here; results cannot depend on it.
-    spec = _derive_mutant_spec(instance)
-    if spec is None:
-        return CheckResult("warmstart", OK, "no mutant derivable")
-    try:
-        mutant = spec.build(instance.arena)
-    except (MutationError, ValueError) as err:
-        return CheckResult("warmstart", OK, f"mutant inapplicable: {err}")
-    mutant_system = System(mutant.network)
-    footprint = spec.footprint(instance.arena)
-    caps = joint_caps(instance.arena, mutant.network)
-    cache = (
-        resolve_cache(cfg.warm_cache_dir)
-        if cfg.warm_cache_dir
-        else private
-    )
-    try:
-        warm = warm_solve_mutant(
-            system, mutant_system, query, footprint, cache=cache,
-            max_nodes=cfg.max_nodes, time_limit=cfg.time_limit,
-        )
-        cold = TwoPhaseSolver(
-            mutant_system, query,
-            max_nodes=cfg.max_nodes, time_limit=cfg.time_limit,
-            extra_max_consts=caps,
-        ).solve()
-    except ExplorationLimit as limit:
-        return CheckResult("warmstart", SKIP, str(limit))
-    if warm.winning != cold.winning:
-        return CheckResult(
-            "warmstart",
-            FAIL,
-            f"mutant {spec.operator} verdict differs: warm={warm.winning}"
-            f" cold={cold.winning}",
-        )
-    mismatch = _win_maps_equal(_node_win_map(warm), _node_win_map(cold))
-    if mismatch:
-        return CheckResult(
-            "warmstart",
-            FAIL,
-            f"mutant {spec.operator} repaired win set differs at {mismatch}",
         )
     return CheckResult("warmstart", OK)
 
@@ -1012,20 +892,22 @@ def _kernel_trial_mismatch(
 
 
 def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
-    """Backend exactness differential: every loadable kernel backend
-    (plus the numba bodies run as pure Python, so the loop logic is
-    fuzzed even where no JIT or C toolchain exists) against the numpy
-    reference kernels, on seeded random zone stacks.
+    """Backend exactness differential: every loadable compiled kernel
+    backend against the numpy reference kernels, on seeded random zone
+    stacks.
 
-    The compiled analogue of ``REPRO_ESTIMATE_SCALAR``'s scalar/batched
-    estimate differential: always on, so no campaign can silently run on
-    a kernel backend that was never cross-checked.
+    The compiled analogue of the ``estimate`` check's scalar/batched
+    differential: always on, so no campaign can silently run on a kernel
+    backend that was never cross-checked.  SKIP where no compiled
+    backend loads (numpy is the reference itself).
     """
-    backends_under_test = [python_kernels()]
-    for name in dbm_backends.available_backends():
-        if name == "numpy":
-            continue  # the reference itself
-        backends_under_test.append(dbm_backends.resolve(name))
+    backends_under_test = [
+        dbm_backends.resolve(name)
+        for name in dbm_backends.available_backends()
+        if name != "numpy"
+    ]
+    if not backends_under_test:
+        return CheckResult("kernel", SKIP, "no compiled backend loads")
     rng = random.Random(instance.seed ^ 0x6B65726E)  # "kern"
     for trial in range(8):
         trial_seed = rng.randrange(2**63)

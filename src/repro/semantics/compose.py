@@ -41,11 +41,10 @@ batched guard/reset/invariant/delay pipeline per internal move
 inclusion-matrix comparison for frontier subsumption
 (:func:`repro.dbm.stack.subsume_frontier`), one vectorized rescale
 (:func:`repro.dbm.stack.scale_stack`).  Groups below
-:func:`repro.dbm.stack.batch_min` members take the per-zone path
-(``REPRO_BATCH_MIN`` overrides the threshold), and the
-per-zone path is also kept wholesale (``batch=False``, or the
-``REPRO_ESTIMATE_SCALAR`` environment variable) as the differential
-reference the fuzz harness cross-checks the kernels against.
+:data:`repro.dbm.stack.BATCH_MIN` members (or the ``batch_min``
+argument) take the per-zone path, and the per-zone path is also kept
+wholesale (``batch=False``) as the differential reference the
+``estimate`` fuzz check cross-checks the kernels against.
 
 Both paths use the same *pruning* subsumption — a newly admitted zone
 evicts the retained zones it strictly dominates — so the retained set at
@@ -57,7 +56,6 @@ checked against the same post-pruning count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -139,7 +137,7 @@ class StateEstimate:
         mode: str = PARTIAL,
         *,
         max_states: int = 256,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         batch_min: Optional[int] = None,
     ):
         self.system = system
@@ -147,15 +145,12 @@ class StateEstimate:
         #: Index of the padded elapsed-time clock.
         self.tdx = system.dim
         self.max_states = max_states
-        # Batched execution: ``batch=False`` (or REPRO_ESTIMATE_SCALAR=1
-        # in the environment) forces the per-zone reference path; the
-        # batched path itself falls back to per-zone work for groups
-        # below ``batch_min`` members.
-        if batch is None:
-            batch = not os.environ.get("REPRO_ESTIMATE_SCALAR")
+        # Batched execution: ``batch=False`` forces the per-zone
+        # reference path; the batched path itself falls back to per-zone
+        # work for groups below ``batch_min`` members.
         self.batch = bool(batch)
         self.batch_min = (
-            _sk.batch_min() if batch_min is None else max(1, batch_min)
+            _sk.BATCH_MIN if batch_min is None else max(1, batch_min)
         )
         self.scale = 1
         # Largest time scale for which every scaled model constant stays

@@ -126,6 +126,8 @@ class ServerConfig:
 class TestServer:
     """Accept connections and run test sessions until closed."""
 
+    __test__ = False  # not a pytest test class, despite the name
+
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
         self.resolver = SpecResolver(

@@ -37,7 +37,6 @@ from .session import (
     SessionProtocolError,
     TestSession,
     Wait,
-    resolve_session_config,
 )
 from .tioco import Quiescence, SpecNondeterminism, TiocoMonitor
 from .trace import (
@@ -92,5 +91,4 @@ __all__ = [
     "make_policy",
     "parse_trace",
     "replay_trace",
-    "resolve_session_config",
 ]

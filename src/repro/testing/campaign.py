@@ -50,7 +50,7 @@ from .implementation import (
     SimulatedImplementation,
 )
 from .mutants import MutantSpec
-from .session import SessionConfig, resolve_session_config
+from .session import SessionConfig
 from .trace import FAIL, INCONCLUSIVE, PASS, TestRun
 
 
@@ -188,24 +188,15 @@ class TestCampaign:
         implementation_factory: Callable[[], SimulatedImplementation],
         *,
         config: Optional[SessionConfig] = None,
-        repetitions: Optional[int] = None,
-        max_iterations: Optional[int] = None,
-        max_states: Optional[int] = None,
     ) -> CampaignReport:
         """Test one implementation against every purpose.
 
         ``implementation_factory`` builds a *fresh* implementation per run
         (runs must not leak state into each other).  Session knobs (the
         monitor's ``max_states`` budget, the iteration budget, the number
-        of repetitions per purpose) ride in ``config``; the bare keyword
-        forms are deprecated shims.
+        of repetitions per purpose) ride in ``config``.
         """
-        config = resolve_session_config(
-            config,
-            repetitions=repetitions,
-            max_iterations=max_iterations,
-            max_states=max_states,
-        )
+        config = config or SessionConfig()
         outcomes = []
         for query in self.queries:
             strategy = self.strategy_for(query)
@@ -430,19 +421,8 @@ class MutationCampaign:
         spec: MutantSpec,
         *,
         config: Optional[SessionConfig] = None,
-        policies: Optional[Sequence[str]] = None,
-        repetitions: Optional[int] = None,
-        max_iterations: Optional[int] = None,
-        max_states: Optional[int] = None,
     ) -> MutantOutcome:
         """One mutant's sweep, in-process."""
-        config = resolve_session_config(
-            config,
-            policies=policies,
-            repetitions=repetitions,
-            max_iterations=max_iterations,
-            max_states=max_states,
-        )
         return _detect_one(
             self.arena_factory,
             self.plant_factory,
@@ -451,7 +431,7 @@ class MutationCampaign:
             self.allow_cooperative,
             self.warm_cache,
             spec,
-            config,
+            config or SessionConfig(),
         )
 
     def run(
@@ -460,10 +440,6 @@ class MutationCampaign:
         *,
         jobs: int = 1,
         config: Optional[SessionConfig] = None,
-        policies: Optional[Sequence[str]] = None,
-        repetitions: Optional[int] = None,
-        max_iterations: Optional[int] = None,
-        max_states: Optional[int] = None,
     ) -> MutationReport:
         """Sweep every mutant, sharded over ``jobs`` worker processes.
 
@@ -473,16 +449,9 @@ class MutationCampaign:
         straggle.  The per-process strategy cache still amortizes
         synthesis — every worker solves each purpose at most once,
         whichever mutants it happens to steal.  Session knobs (policy
-        sweep, repetitions, budgets) ride in the picklable ``config``;
-        the bare keyword forms are deprecated shims.
+        sweep, repetitions, budgets) ride in the picklable ``config``.
         """
-        config = resolve_session_config(
-            config,
-            policies=policies,
-            repetitions=repetitions,
-            max_iterations=max_iterations,
-            max_states=max_states,
-        )
+        config = config or SessionConfig()
         tasks = [
             (
                 self.arena_factory,

@@ -31,7 +31,6 @@ from .session import (
     TestExecutionError,
     TestSession,
     Wait,
-    resolve_session_config,
 )
 from .trace import TestRun
 
@@ -43,30 +42,22 @@ class TestExecutor:
     """Binds together strategy, spec monitor, and implementation.
 
     A thin synchronous driver over :class:`TestSession`; see the session
-    module for the semantics.  ``max_iterations`` / ``max_states`` are
-    the legacy knob surface — prefer ``config=SessionConfig(...)``,
-    which wins when provided.
+    module for the semantics.  Budgets and the monitor flavour ride in
+    ``config`` (default: ``SessionConfig()``).
     """
+
+    __test__ = False  # not a pytest test class, despite the name
 
     strategy: Strategy
     spec_plant: System
     implementation: SimulatedImplementation
-    max_iterations: int = 10_000
-    #: Symbolic state-set budget of the spec monitor (estimated monitors
-    #: only); exceeding it yields INCONCLUSIVE, never a crash.  Deep
-    #: campaigns raise it instead of eating budget-skips.
-    max_states: int = 256
     config: Optional[SessionConfig] = None
 
     def session(self) -> TestSession:
         """A fresh session over this executor's strategy and spec."""
-        config = self.config
-        if config is None:
-            config = SessionConfig(
-                max_iterations=self.max_iterations,
-                max_states=self.max_states,
-            )
-        return TestSession(self.strategy, self.spec_plant, config)
+        return TestSession(
+            self.strategy, self.spec_plant, self.config or SessionConfig()
+        )
 
     def run(self) -> TestRun:
         session = self.session()
@@ -104,18 +95,8 @@ def execute_test(
     implementation: SimulatedImplementation,
     *,
     config: Optional[SessionConfig] = None,
-    max_iterations: Optional[int] = None,
-    max_states: Optional[int] = None,
 ) -> TestRun:
-    """One-shot convenience wrapper around :class:`TestExecutor`.
-
-    ``max_iterations`` / ``max_states`` are deprecated — pass
-    ``config=SessionConfig(...)``.
-    """
-    resolved = resolve_session_config(
-        config, max_iterations=max_iterations, max_states=max_states
-    )
-    executor = TestExecutor(
-        strategy, spec_plant, implementation, config=resolved
-    )
-    return executor.run()
+    """One-shot convenience wrapper around :class:`TestExecutor`."""
+    return TestExecutor(
+        strategy, spec_plant, implementation, config=config
+    ).run()

@@ -19,7 +19,7 @@ Each operator returns a *new* network; the original is never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..expr.ast import Binary, Expr, IntLiteral, Unary
 from ..expr.parser import parse_assignments, parse_expression
@@ -304,54 +304,3 @@ class MutantSpec:
             self.description or self.name,
             self.expected_caught,
         )
-
-    def footprint(self, network: Network) -> Optional[Dict[str, FrozenSet[str]]]:
-        """The mutation's edit footprint on ``network``, or None if unknown.
-
-        **Contract** (what warm-start fixpoint repair relies on —
-        :func:`repro.game.warm.warm_solve_mutant`): the footprint maps
-        automaton names to the set of *source locations whose outgoing
-        behaviour the operator may change*.  Every semantic difference
-        between the base network and the mutant must be confined to
-        transitions firing from — or delays taken at — a footprint
-        location: a joint move of the network that involves no automaton
-        at one of its footprint locations must be identical (guards,
-        syncs, resets, invariants) in base and mutant.  The repair then
-        seeds every mutant-graph node that cannot reach a footprint
-        location with the base model's converged winning set (winning
-        sets depend only on the forward cone of plays) and recomputes
-        only the remainder.
-
-        Per operator: edge mutations (``shift_guard_constant``,
-        ``retarget_edge``, ``swap_output_channel``, ``drop_edge``,
-        ``add_spurious_edge``) touch exactly the mutated edge's source
-        location — a synchronizing partner can only be involved in a
-        mutated joint move when this automaton sits at that source.
-        ``widen_invariant`` touches the mutated location itself: its
-        invariant constrains delays (and urgency) only in states at that
-        location.  Returning ``None`` (unresolvable criteria, unknown
-        operator extension) makes the campaign fall back to a cold
-        solve — fail-soft, never wrong.
-        """
-        params = dict(self.params)
-        try:
-            if self.operator == "widen_invariant":
-                return {params["automaton"]: frozenset([params["location"]])}
-            if self.operator == "add_spurious_edge":
-                return {params["automaton"]: frozenset([params["source"]])}
-            if self.operator in (
-                "shift_guard_constant",
-                "retarget_edge",
-                "swap_output_channel",
-                "drop_edge",
-            ):
-                criteria = {
-                    k: v
-                    for k, v in params.items()
-                    if k in ("automaton", "source", "target", "sync")
-                }
-                aut, pos = _single_edge(network, **criteria)
-                return {aut.name: frozenset([aut.edges[pos].source])}
-        except (MutationError, KeyError):
-            return None
-        return None

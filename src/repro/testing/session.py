@@ -27,16 +27,13 @@ JSON-framed sockets.  Verdict parity between them is by construction —
 both replay the same event stream into the same machine.
 
 :class:`SessionConfig` is the single bag for the testing layer's knobs
-(iteration/state budgets, monitor flavour, output-policy sweeps) that
-used to be scattered as per-call keyword arguments across
-``TestExecutor`` / ``execute_test`` / ``TestCampaign`` /
-``MutationCampaign``; :func:`resolve_session_config` folds the legacy
-kwargs in (with a :class:`DeprecationWarning`) for one release.
+(iteration/state budgets, monitor flavour, output-policy sweeps):
+``TestExecutor``, ``execute_test``, ``TestCampaign`` and
+``MutationCampaign`` take them only as ``config=SessionConfig(...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -54,7 +51,6 @@ __all__ = [
     "SessionProtocolError",
     "TestSession",
     "Wait",
-    "resolve_session_config",
 ]
 
 
@@ -91,39 +87,6 @@ class SessionConfig:
 
     def replace(self, **overrides) -> "SessionConfig":
         return replace(self, **overrides)
-
-
-def resolve_session_config(
-    config: Optional[SessionConfig] = None,
-    *,
-    _warn: bool = True,
-    **legacy,
-) -> SessionConfig:
-    """Merge deprecated per-call kwargs into a :class:`SessionConfig`.
-
-    ``legacy`` holds the old keyword surface (``max_iterations``,
-    ``max_states``, ``policies``, ``repetitions``) with ``None`` meaning
-    "not passed".  Passing any of them emits a :class:`DeprecationWarning`
-    pointing at the ``config=SessionConfig(...)`` replacement; explicit
-    legacy values override the config's fields so old call sites keep
-    their exact behaviour for the shim release.
-    """
-    resolved = config or SessionConfig()
-    overrides = {
-        name: value for name, value in legacy.items() if value is not None
-    }
-    if overrides:
-        if _warn:
-            warnings.warn(
-                f"passing {sorted(overrides)} as keyword arguments is"
-                " deprecated; pass config=SessionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if "policies" in overrides:
-            overrides["policies"] = tuple(overrides["policies"])
-        resolved = resolved.replace(**overrides)
-    return resolved
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +145,8 @@ class TestSession:
     INCONCLUSIVE — never an unsound verdict, since PASS needs the goal
     and FAIL needs a (sound) monitor violation.
     """
+
+    __test__ = False  # not a pytest test class, despite the name
 
     strategy: object  # Strategy | CooperativeStrategy
     spec_plant: System

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from repro.dbm import DBM, Federation, le
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
-from repro.dbm.backends.numba_backend import python_kernels
 from repro.dbm.federation import _reduce_pairwise
 from repro.gen.zones import random_federation, random_point, random_zone
 from tests.zone_strategies import (
@@ -30,15 +29,8 @@ from tests.zone_strategies import (
     zones,
 )
 
-#: Every kernel backend loadable here, plus the numba loop bodies run as
-#: pure Python (so the JIT logic is exercised even without numba).
-BACKENDS = backends_mod.available_backends() + ["numba-py"]
-
-
-def backend_instance(name):
-    if name == "numba-py":
-        return python_kernels()
-    return backends_mod.resolve(name)
+#: Every kernel backend loadable here.
+BACKENDS = backends_mod.available_backends()
 
 
 def legacy_map(fed, fn):
@@ -112,7 +104,7 @@ def check_all_ops(fed, rng):
 @settings(max_examples=60, deadline=None)
 @given(big_federations())
 def test_batched_ops_match_legacy_on_big_federations(backend_name, fed):
-    with backends_mod.use_backend(backend_instance(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         check_all_ops(fed, random.Random(0))
 
 
@@ -249,7 +241,7 @@ def test_stack_close_matches_per_zone_close(backend_name):
     assert raw
     # References computed under the default backend, before switching.
     references = [DBM._from_raw(m.copy()) for m in raw]
-    with backends_mod.use_backend(backend_instance(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         stack = np.stack([m.copy() for m in raw])
         keep = sk.close(stack)
     for idx, reference in enumerate(references):
@@ -267,7 +259,7 @@ def test_stack_close_matches_per_zone_close(backend_name):
 def test_bulk_fuzzed_federations_across_backends(backend_name):
     """Fuzzed federations through every batched op, per kernel backend."""
     rng = random.Random(0xBA7C4E)
-    with backends_mod.use_backend(backend_instance(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         for trial in range(40):
             fed = random_federation(rng, DIM, max_zones=6)
             check_all_ops(fed, rng)

@@ -7,6 +7,7 @@ from repro.semantics.system import System
 from repro.testing import (
     EagerPolicy,
     LazyPolicy,
+    SessionConfig,
     SimulatedImplementation,
 )
 from repro.testing.campaign import CampaignReport
@@ -94,7 +95,7 @@ class TestExecution:
             lambda: SimulatedImplementation(
                 System(smartlight_plant()), EagerPolicy()
             ),
-            repetitions=3,
+            config=SessionConfig(repetitions=3),
         )
         assert all(len(o.runs) == 3 for o in report.outcomes)
 

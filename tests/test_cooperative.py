@@ -17,6 +17,7 @@ from repro.tctl import parse_query
 from repro.testing import (
     EagerPolicy,
     QuiescentPolicy,
+    SessionConfig,
     SimulatedImplementation,
     execute_test,
 )
@@ -100,7 +101,9 @@ class TestCooperativeExecution:
         coop = solve_cooperative(sys_, parse_query("control: A<> P.goal"))
         spec = System(choice_plant())
         imp = SimulatedImplementation(System(choice_plant()), policy)
-        return execute_test(coop, spec, imp, max_iterations=40)
+        return execute_test(
+            coop, spec, imp, config=SessionConfig(max_iterations=40)
+        )
 
     def test_cooperative_plant_passes(self):
         # EagerPolicy picks outputs alphabetically: bad < good — so the

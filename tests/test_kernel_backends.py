@@ -2,11 +2,11 @@
 
 Covers the selection/fallback behavior of :mod:`repro.dbm.backends`
 (environment variable, ``auto`` probing, unavailable-backend fallback,
-counters), the ``REPRO_BATCH_MIN`` dispatch override, per-backend
-exactness differentials on the hot kernels, and the minimal-constraint
-form promoted into :mod:`repro.dbm.minform` (round-trip and
-key-stability properties, plus the explorer's zone-object interning
-built on it).
+counters), the federation's batched-vs-scalar dispatch records,
+per-backend exactness differentials on the hot kernels, and the
+minimal-constraint form promoted into :mod:`repro.dbm.minform`
+(round-trip and key-stability properties, plus the explorer's
+zone-object interning built on it).
 """
 
 import random
@@ -20,7 +20,6 @@ from repro.dbm import DBM, minimal_constraints, verified_minimal_constraints
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
 from repro.dbm.backends.base import BackendUnavailable, KernelBackend
-from repro.dbm.backends.numba_backend import python_kernels
 from repro.gen.zones import random_zone
 from repro.graph.explorer import SimulationGraph
 from repro.semantics.system import System
@@ -29,20 +28,12 @@ from repro.util import counters
 from tests.zone_strategies import DIM, diagonal_zones, zones
 
 AVAILABLE = backends_mod.available_backends()
-UNDER_TEST = AVAILABLE + ["numba-py"]
-
-
-def instance_of(name):
-    if name == "numba-py":
-        return python_kernels()
-    return backends_mod.resolve(name)
 
 
 @pytest.fixture(autouse=True)
 def _clean_backend_state(monkeypatch):
     """Each test starts from an unresolved selection and a clean env."""
     monkeypatch.delenv(backends_mod.ENV_VAR, raising=False)
-    monkeypatch.delenv("REPRO_BATCH_MIN", raising=False)
     previous = backends_mod.set_backend(None)
     yield
     backends_mod.set_backend(None)
@@ -94,14 +85,14 @@ def test_resolution_and_dispatch_counters():
 
 def test_use_backend_restores_previous():
     before = backends_mod.active().name
-    with backends_mod.use_backend(python_kernels()) as installed:
+    with backends_mod.use_backend(backends_mod.resolve("numpy")) as installed:
         assert backends_mod.active() is installed
     assert backends_mod.active().name == before
 
 
 def test_every_available_backend_satisfies_protocol():
-    for name in UNDER_TEST:
-        backend = instance_of(name)
+    for name in AVAILABLE:
+        backend = backends_mod.resolve(name)
         assert isinstance(backend, KernelBackend)
         assert backend.counter.startswith("dbm.backend_")
 
@@ -109,16 +100,6 @@ def test_every_available_backend_satisfies_protocol():
 # ----------------------------------------------------------------------
 # Dispatch threshold
 # ----------------------------------------------------------------------
-
-
-def test_batch_min_default_and_override(monkeypatch):
-    assert sk.batch_min() == sk.BATCH_MIN
-    monkeypatch.setenv("REPRO_BATCH_MIN", "7")
-    assert sk.batch_min() == 7
-    monkeypatch.setenv("REPRO_BATCH_MIN", "0")
-    assert sk.batch_min() == 1  # clamped to at least one
-    monkeypatch.setenv("REPRO_BATCH_MIN", "junk")
-    assert sk.batch_min() == sk.BATCH_MIN
 
 
 def test_federation_records_dispatch_decisions(monkeypatch):
@@ -131,7 +112,7 @@ def test_federation_records_dispatch_decisions(monkeypatch):
     ]
     small = Federation(3, strips[:2])
     big = Federation(3, strips)
-    assert len(small) == 2 < sk.batch_min() <= len(big) == 4
+    assert len(small) == 2 < sk.BATCH_MIN <= len(big) == 4
     small.intersect_zone(strips[0])  # below threshold: scalar path
     big.intersect_zone(strips[0])  # above threshold: batched path
     exported = counters.export()["counts"]
@@ -144,9 +125,9 @@ def test_federation_records_dispatch_decisions(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_close_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(7)
     for _ in range(25):
         dim = rng.randint(2, 5)
@@ -164,9 +145,9 @@ def test_backend_close_matches_reference(backend_name):
         assert np.array_equal(ref_m[ref_ok], got_m[ref_ok])
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_fused_post_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(11)
     for _ in range(25):
         dim = rng.randint(3, 5)
@@ -207,9 +188,9 @@ def test_backend_fused_post_matches_reference(backend_name):
         ) == sk._any_hidden_post_ref(stack.copy(), guard, resets, shifts, inv)
 
 
-@pytest.mark.parametrize("backend_name", UNDER_TEST)
+@pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_subsumption_matches_reference(backend_name):
-    backend = instance_of(backend_name)
+    backend = backends_mod.resolve(backend_name)
     rng = random.Random(13)
     for _ in range(25):
         dim = rng.randint(2, 5)
@@ -236,7 +217,7 @@ def test_backend_subsumption_matches_reference(backend_name):
 
 
 @pytest.mark.parametrize(
-    "backend_name", [n for n in UNDER_TEST if n != "numpy"]
+    "backend_name", [n for n in AVAILABLE if n != "numpy"]
 )
 def test_estimate_session_identical_across_backends(backend_name):
     """End-to-end: a monitor session agrees exactly with the numpy run."""
@@ -274,7 +255,7 @@ def test_estimate_session_identical_across_backends(backend_name):
         return trace
 
     reference = drive()
-    with backends_mod.use_backend(instance_of(backend_name)):
+    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         assert drive() == reference
 
 

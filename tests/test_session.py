@@ -2,8 +2,8 @@
 
 The executor tests already cover verdict semantics end to end; here the
 focus is the *session machinery* itself: action/event sequencing, driver
-protocol violations, config resolution with the deprecation shims, and
-exact parity between ``TestExecutor.run()`` and hand-driving the session.
+protocol violations, the config value, and exact parity between
+``TestExecutor.run()`` and hand-driving the session.
 """
 
 from fractions import Fraction
@@ -26,8 +26,6 @@ from repro.testing import (
     TestExecutor,
     TestSession,
     Wait,
-    execute_test,
-    resolve_session_config,
 )
 
 
@@ -89,61 +87,6 @@ class TestSessionConfig:
         with pytest.raises(AttributeError):
             cfg.max_states = 3
         assert hash(cfg) == hash(SessionConfig())
-
-    def test_resolve_passthrough(self):
-        cfg = SessionConfig(max_states=9)
-        assert resolve_session_config(cfg) is cfg
-        assert resolve_session_config(None) == SessionConfig()
-
-    def test_resolve_legacy_warns(self):
-        with pytest.warns(DeprecationWarning, match="max_states"):
-            cfg = resolve_session_config(None, max_states=5)
-        assert cfg.max_states == 5
-
-    def test_legacy_overrides_config(self):
-        base = SessionConfig(max_states=100, max_iterations=50)
-        with pytest.warns(DeprecationWarning):
-            cfg = resolve_session_config(base, max_states=5)
-        assert cfg.max_states == 5
-        assert cfg.max_iterations == 50  # untouched field survives
-
-    def test_policies_tupled(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = resolve_session_config(None, policies=["eager", "lazy"])
-        assert cfg.policies == ("eager", "lazy")
-
-    def test_none_legacy_is_silent(self, recwarn):
-        resolve_session_config(None, max_states=None, max_iterations=None)
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-
-class TestExecutorShims:
-    def test_execute_test_legacy_kwargs_warn(self, strategy, spec_plant):
-        imp = SimulatedImplementation(System(smartlight_plant()), EagerPolicy())
-        with pytest.warns(DeprecationWarning):
-            run = execute_test(strategy, spec_plant, imp, max_states=128)
-        assert run.verdict == "pass"
-
-    def test_config_matches_legacy(self, strategy, spec_plant):
-        imp1 = SimulatedImplementation(System(smartlight_plant()), LazyPolicy())
-        imp2 = SimulatedImplementation(System(smartlight_plant()), LazyPolicy())
-        with pytest.warns(DeprecationWarning):
-            legacy = execute_test(
-                strategy, spec_plant, imp1, max_iterations=500, max_states=64
-            )
-        modern = execute_test(
-            strategy,
-            spec_plant,
-            imp2,
-            config=SessionConfig(max_iterations=500, max_states=64),
-        )
-        assert (legacy.verdict, legacy.reason, str(legacy.trace)) == (
-            modern.verdict,
-            modern.reason,
-            str(modern.trace),
-        )
 
 
 class TestSessionMachine:

@@ -1,4 +1,4 @@
-"""Warm-start solving: win-set serialization, cache, and mutant repair.
+"""Warm-start solving: win-set serialization and the solve cache.
 
 The serialization property here is the load-bearing one: the on-disk
 cache stores federations in minimal-constraint form, and a single lossy
@@ -7,7 +7,7 @@ tests pin the counter protocol (hit/miss/store/mismatch) the benchmarks
 and the ``warmstart`` differential check rely on.
 """
 
-import os
+import json
 import threading
 
 import pytest
@@ -15,23 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbm import DBM, le
-from repro.game import TwoPhaseSolver, warm_solve, warm_solve_mutant
+from repro.game import TwoPhaseSolver, warm_solve
 from repro.game.warm import (
     WinSetCache,
     effective_caps,
     federation_from_obj,
     federation_to_obj,
-    joint_caps,
     minimal_constraints,
     resolve_cache,
     zone_from_obj,
     zone_to_obj,
 )
 from repro.gen.networks import generate_instance
-from repro.models.smartlight import smartlight_network, smartlight_plant
+from repro.models.smartlight import smartlight_network
 from repro.semantics.system import System
 from repro.tctl import parse_query
-from repro.testing.mutants import MutantSpec
 from repro.util import counters
 
 from tests.zone_strategies import DIM, big_federations, diagonal_zones, zones
@@ -94,8 +92,6 @@ def test_federation_roundtrip_exact(fed):
     back = federation_from_obj(fed.dim, obj)
     assert back.hash_key() == fed.hash_key()
     # JSON round-trip too: the disk format is json.dump(obj).
-    import json
-
     again = federation_from_obj(fed.dim, json.loads(json.dumps(obj)))
     assert again.hash_key() == fed.hash_key()
 
@@ -164,17 +160,6 @@ def test_memory_only_cache_needs_no_directory():
     assert len(cache) == 1
 
 
-def test_warm_off_env_forces_cold(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WARM_OFF", "1")
-    counters.reset()
-    cache = WinSetCache(str(tmp_path / "warm"))
-    system = System(smartlight_network())
-    result = warm_solve(system, QUERY, cache=cache)
-    assert result.winning
-    assert not _counts()  # no warm counters: pure cold path
-    assert len(cache) == 0
-
-
 def test_resolve_cache_accepts_path_object_and_none(tmp_path):
     assert resolve_cache(None) is None
     cache = WinSetCache()
@@ -184,7 +169,23 @@ def test_resolve_cache_accepts_path_object_and_none(tmp_path):
     assert built.directory == str(tmp_path / "dir")
 
 
-def test_corrupt_disk_entry_falls_back_to_cold(tmp_path):
+def _foreign_format(entry):
+    return {"format": 999}
+
+
+def _unsigned_bad_steps(entry):
+    """No ``sha`` to catch it, and a ``steps`` that is no integer."""
+    entry = {k: v for k, v in entry.items() if k != "sha"}
+    entry["steps"] = "x"
+    return entry
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_foreign_format, _unsigned_bad_steps],
+    ids=["foreign-format", "unsigned-bad-steps"],
+)
+def test_corrupt_disk_entry_falls_back_to_cold(corrupt, tmp_path):
     counters.reset()
     directory = str(tmp_path / "warm")
     system = System(smartlight_network())
@@ -193,8 +194,10 @@ def test_corrupt_disk_entry_falls_back_to_cold(tmp_path):
     caps = effective_caps(system, parse_query(QUERY))
     key = WinSetCache.key_for(system.network, parse_query(QUERY), caps)
     path = cache._path(key)
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"format": 999}')
+        json.dump(corrupt(entry), handle)
 
     fresh = WinSetCache(directory)
     result = warm_solve(system, QUERY, cache=fresh)
@@ -219,101 +222,6 @@ def test_warm_equals_cold_on_generated(family, seed, tmp_path):
     warm = warm_solve(System(instance.arena), query, cache=cache)
     assert warm.winning == cold.winning
     assert _win_map(warm) == _win_map(cold)
-
-
-# ---------------------------------------------------------------------------
-# Mutant fixpoint repair
-# ---------------------------------------------------------------------------
-
-MUTANTS = [
-    MutantSpec.make(
-        "late-L6", "widen_invariant", "L6 two units late", True,
-        automaton="IUT", location="L6", delta=2,
-    ),
-    MutantSpec.make(
-        "threshold-off", "shift_guard_constant", "threshold off by one",
-        False, automaton="IUT", source="Off", target="L5", delta=-1,
-    ),
-    MutantSpec.make(
-        "drop-bright", "drop_edge", "L6 never answers", True,
-        automaton="IUT", source="L6", sync="bright!",
-    ),
-]
-
-
-@pytest.mark.parametrize("spec", MUTANTS, ids=lambda s: s.name)
-def test_mutant_repair_equals_cold_at_joint_caps(spec, tmp_path):
-    base_net = smartlight_plant()
-    mutant_net = spec.build(base_net).network
-    footprint = spec.footprint(base_net)
-    assert footprint, "smartlight mutants must report a footprint"
-    caps = joint_caps(base_net, mutant_net)
-    assert caps is not None
-
-    cache = WinSetCache(str(tmp_path / "warm"))
-    repaired = warm_solve_mutant(
-        System(base_net), System(mutant_net), QUERY, footprint, cache=cache
-    )
-    cold = TwoPhaseSolver(
-        System(mutant_net), parse_query(QUERY), extra_max_consts=caps
-    ).solve()
-    assert repaired.winning == cold.winning
-    assert _win_map(repaired) == _win_map(cold)
-
-
-def test_mutant_repair_without_footprint_is_cold(tmp_path):
-    counters.reset()
-    base_net = smartlight_plant()
-    spec = MUTANTS[0]
-    mutant_net = spec.build(base_net).network
-    cache = WinSetCache(str(tmp_path / "warm"))
-    result = warm_solve_mutant(
-        System(base_net), System(mutant_net), QUERY, None, cache=cache
-    )
-    assert _counts().get("solver.warm_mutant_cold") == 1
-    cold = TwoPhaseSolver(System(mutant_net), parse_query(QUERY)).solve()
-    assert result.winning == cold.winning
-
-
-def test_mutant_repeat_encounter_is_a_cache_hit(tmp_path):
-    counters.reset()
-    base_net = smartlight_plant()
-    spec = MUTANTS[0]
-    mutant_net = spec.build(base_net).network
-    footprint = spec.footprint(base_net)
-    cache = WinSetCache(str(tmp_path / "warm"))
-    first = warm_solve_mutant(
-        System(base_net), System(mutant_net), QUERY, footprint, cache=cache
-    )
-    again = warm_solve_mutant(
-        System(base_net), System(mutant_net), QUERY, footprint, cache=cache
-    )
-    assert again is first
-    assert _counts().get("solver.warm_result_hits") == 1
-
-
-# ---------------------------------------------------------------------------
-# Footprint contract
-# ---------------------------------------------------------------------------
-
-
-def test_footprints_name_real_locations():
-    net = smartlight_plant()
-    by_name = {a.name: a for a in net.automata}
-    for spec in MUTANTS:
-        footprint = spec.footprint(net)
-        assert footprint is not None
-        for automaton, locations in footprint.items():
-            assert automaton in by_name
-            assert locations <= set(by_name[automaton].locations)
-
-
-def test_footprint_of_inapplicable_mutant_is_none():
-    spec = MutantSpec.make(
-        "ghost", "drop_edge", "no such edge", False,
-        automaton="IUT", source="NoSuchLoc", sync="bright!",
-    )
-    assert spec.footprint(smartlight_plant()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +269,3 @@ def test_spec_resolver_failed_build_is_retried():
         resolver.resolve({"model": "no-such-model"})
     assert resolver.resolve({"model": "smartlight"}).winning
 
-
-# ---------------------------------------------------------------------------
-# CLI default wiring
-# ---------------------------------------------------------------------------
-
-
-def test_cli_warm_cache_defaults():
-    from repro.gen.cli import _warm_cache_dir, build_parser
-
-    parser = build_parser()
-    plain = parser.parse_args([])
-    assert _warm_cache_dir(plain) is None
-
-    with_corpus = parser.parse_args(["--corpus", "c"])
-    assert _warm_cache_dir(with_corpus) == os.path.join("c", "warm-cache")
-
-    no_mutations = parser.parse_args(["--corpus", "c", "--mutations", "0"])
-    assert _warm_cache_dir(no_mutations) is None
-
-    explicit = parser.parse_args(["--warm-cache", "elsewhere"])
-    assert _warm_cache_dir(explicit) == "elsewhere"
-
-    disabled = parser.parse_args(["--corpus", "c", "--no-warm-cache"])
-    assert _warm_cache_dir(disabled) is None
