@@ -84,10 +84,13 @@ def test_resolution_and_dispatch_counters():
 
 
 def test_use_backend_restores_previous():
-    before = backends_mod.active().name
-    with backends_mod.use_backend(backends_mod.resolve("numpy")) as installed:
+    previous = backends_mod.active()
+    replacement = backends_mod.resolve("numpy")
+    assert replacement is not previous
+    with backends_mod.use_backend(replacement) as installed:
+        assert installed is replacement
         assert backends_mod.active() is installed
-    assert backends_mod.active().name == before
+    assert backends_mod.active() is previous
 
 
 def test_every_available_backend_satisfies_protocol():
