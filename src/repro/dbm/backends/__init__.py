@@ -1,20 +1,22 @@
 """Kernel backend registry: selection, fallback, and counters.
 
-The stacked-DBM dispatch layer (:mod:`repro.dbm.stack`) asks
-:func:`active` for the current :class:`~repro.dbm.backends.base.KernelBackend`
-on every hot-kernel call.  Selection:
+The stacked-DBM dispatch layer (:mod:`repro.dbm.stack`) and the
+per-zone :class:`~repro.dbm.DBM` operations ask :func:`active` for the
+current :class:`~repro.dbm.backends.base.KernelBackend` on every
+hot-kernel call.  Selection:
 
 * ``REPRO_KERNEL_BACKEND=numpy|cext|auto`` picks the backend at first
-  use (default ``numpy``, the pure-numpy reference).
+  use (default ``auto``).
 * ``auto`` probes ``cext`` → ``numpy`` and takes the first that loads,
-  silently.
+  silently.  ``numpy`` is the pure-numpy reference every differential
+  compares against.
 * Naming an unavailable backend explicitly falls back to ``numpy`` with
   a one-time :class:`RuntimeWarning` and a ``dbm.backend_fallbacks``
   counter bump — a missing C compiler must never turn into a hard
   failure in a test campaign.
 
 Every resolution bumps ``dbm.backend_selected_<name>`` and each
-dispatched kernel call bumps ``dbm.backend_<name>`` (via the backend's
+dispatched stacked-kernel call bumps ``dbm.backend_<name>`` (via the backend's
 precomputed ``counter`` attribute), so benchmark ``extra_info`` and fuzz
 coverage signatures record which implementation actually ran.
 
@@ -71,8 +73,11 @@ class GuardedBackend:
     Soundness of replaying on the same buffers: catchable compiled-path
     failures happen during argument marshalling or FFI dispatch —
     *before* the C kernel writes — and injected faults fire at call
-    entry, so the demoted call sees pristine inputs.  (A fault inside
-    the C body itself is a segfault, which no guard can catch.)
+    entry, so the demoted call sees pristine inputs.  The per-zone
+    kernels never write their input matrix at all, and take their
+    constraints as a sequence, which a replay reads again intact.  (A
+    fault inside the C body itself is a segfault, which no guard can
+    catch.)
     """
 
     def __init__(self, inner: KernelBackend):
@@ -91,62 +96,46 @@ class GuardedBackend:
             self._reference = NumpyBackend()
         return self._reference
 
-    def close(self, stack):
+    def _call(self, kernel: str, *args):
         try:
             faults.fire(self._site)
-            return self._inner.close(stack)
+            return getattr(self._inner, kernel)(*args)
         except Exception:
-            return self._demote().close(stack)
+            return getattr(self._demote(), kernel)(*args)
+
+    def zone_close(self, m):
+        return self._call("zone_close", m)
+
+    def zone_constrain(self, m, constraints):
+        return self._call("zone_constrain", m, constraints)
+
+    def zone_extrapolate(self, m, max_consts):
+        return self._call("zone_extrapolate", m, max_consts)
+
+    def close(self, stack):
+        return self._call("close", stack)
 
     def extrapolate(self, stack, caps):
-        try:
-            faults.fire(self._site)
-            return self._inner.extrapolate(stack, caps)
-        except Exception:
-            return self._demote().extrapolate(stack, caps)
+        return self._call("extrapolate", stack, caps)
 
     def inclusion_matrix(self, a, b):
-        try:
-            faults.fire(self._site)
-            return self._inner.inclusion_matrix(a, b)
-        except Exception:
-            return self._demote().inclusion_matrix(a, b)
+        return self._call("inclusion_matrix", a, b)
 
     def reduce_indices(self, stack):
-        try:
-            faults.fire(self._site)
-            return self._inner.reduce_indices(stack)
-        except Exception:
-            return self._demote().reduce_indices(stack)
+        return self._call("reduce_indices", stack)
 
     def subsume_frontier(self, new, seen):
-        try:
-            faults.fire(self._site)
-            return self._inner.subsume_frontier(new, seen)
-        except Exception:
-            return self._demote().subsume_frontier(new, seen)
+        return self._call("subsume_frontier", new, seen)
 
     def hidden_post_step(self, stack, guard, resets, shifts, invariant, delay):
-        try:
-            faults.fire(self._site)
-            return self._inner.hidden_post_step(
-                stack, guard, resets, shifts, invariant, delay
-            )
-        except Exception:
-            return self._demote().hidden_post_step(
-                stack, guard, resets, shifts, invariant, delay
-            )
+        return self._call(
+            "hidden_post_step", stack, guard, resets, shifts, invariant, delay
+        )
 
     def any_hidden_post(self, stack, guard, resets, shifts, invariant):
-        try:
-            faults.fire(self._site)
-            return self._inner.any_hidden_post(
-                stack, guard, resets, shifts, invariant
-            )
-        except Exception:
-            return self._demote().any_hidden_post(
-                stack, guard, resets, shifts, invariant
-            )
+        return self._call(
+            "any_hidden_post", stack, guard, resets, shifts, invariant
+        )
 
 
 def _load(name: str) -> KernelBackend:
@@ -172,7 +161,7 @@ def _load(name: str) -> KernelBackend:
 
 
 def resolve(spec: Optional[str]) -> KernelBackend:
-    """Resolve a backend spec (``numpy|cext|auto``) to an instance.
+    """Resolve a backend spec (``numpy|cext|auto``, default ``auto``).
 
     Explicit names fall back to numpy (warning + counter) when the
     backend cannot load; ``auto`` falls through its preference order
@@ -180,7 +169,7 @@ def resolve(spec: Optional[str]) -> KernelBackend:
     not a misconfiguration.
     """
     global _warned_fallback
-    spec = (spec or "numpy").strip().lower()
+    spec = (spec or "auto").strip().lower()
     backend: Optional[KernelBackend] = None
     if spec == "auto":
         for name in AUTO_ORDER:

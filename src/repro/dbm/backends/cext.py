@@ -1,7 +1,7 @@
-"""C-extension kernel backend: system-compiler build, loaded via ctypes.
+"""C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
-The hot kernels as ~150 lines of portable C, compiled on first use with
-the host toolchain::
+The hot kernels, stacked and per-zone, as ~300 lines of portable C,
+compiled on first use with the host toolchain::
 
     cc -O2 -shared -fPIC
 
@@ -17,9 +17,10 @@ Why a dlopen'd plain C library and not a real CPython extension module:
 no build step at install time (the repo stays pure-python), no ABI
 coupling to the running interpreter, and the per-call overhead is far
 below the per-kernel python/numpy dispatch cost it replaces.  Calls go
-through cffi in ABI mode when cffi is importable (~3µs per fused kernel
-call) and fall back to ctypes (~2x slower per call, still far ahead of
-numpy) otherwise.
+through cffi in out-of-line ABI mode when cffi is importable (about 1µs
+per call; the generated declarations module is cached next to the
+shared object) and fall back to ctypes (~2x slower per call, still far
+ahead of numpy) otherwise.
 
 Exactness (see :mod:`repro.dbm.backends.base`): the C loops replicate
 the reference kernels' update structure — same tighten/changed/close
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -49,6 +51,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import (
+    CHANGED,
+    UNCHANGED,
     BackendUnavailable,
     marshal_clocks,
     marshal_constraints,
@@ -168,32 +172,42 @@ void k_close(int64_t *stack, int64_t k, int64_t dim, uint8_t *ok)
         ok[z] = (uint8_t)close_one(stack + z * nn, dim);
 }
 
-void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
-                   const int64_t *caps, uint8_t *ok)
+/* ExtraM widening of one matrix in place: 0 if nothing widened, 1 if
+ * something widened and the reclosed zone is nonempty, 2 if it is empty.
+ * Row 0 and the diagonal never widen upward; only row 0 is clamped from
+ * below. */
+static int extrapolate_one(int64_t *m, int64_t dim, const int64_t *caps)
 {
-    int64_t z, i, j, nn = dim * dim;
-    for (z = 0; z < k; z++) {
-        int64_t *m = stack + z * nn;
-        int changed = 0;
-        for (i = 1; i < dim; i++) {
-            int64_t cap = caps[i];
-            for (j = 0; j < dim; j++) {
-                int64_t v = m[i * dim + j];
-                if (i != j && v < INF && (v >> 1) > cap) {
-                    m[i * dim + j] = INF;
-                    changed = 1;
-                }
-            }
-        }
+    int64_t i, j;
+    int changed = 0;
+    for (i = 1; i < dim; i++) {
+        int64_t cap = caps[i];
         for (j = 0; j < dim; j++) {
-            int64_t v = m[j];
-            if (v < INF && (v >> 1) < -caps[j]) {
-                m[j] = (-caps[j]) * 2;
+            int64_t v = m[i * dim + j];
+            if (i != j && v < INF && (v >> 1) > cap) {
+                m[i * dim + j] = INF;
                 changed = 1;
             }
         }
-        ok[z] = changed ? (uint8_t)close_one(m, dim) : 1;
     }
+    for (j = 0; j < dim; j++) {
+        int64_t v = m[j];
+        if (v < INF && (v >> 1) < -caps[j]) {
+            m[j] = (-caps[j]) * 2;
+            changed = 1;
+        }
+    }
+    if (!changed)
+        return 0;
+    return close_one(m, dim) ? 1 : 2;
+}
+
+void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
+                   const int64_t *caps, uint8_t *ok)
+{
+    int64_t z, nn = dim * dim;
+    for (z = 0; z < k; z++)
+        ok[z] = (uint8_t)(extrapolate_one(stack + z * nn, dim, caps) != 2);
 }
 
 void k_inclusion(const int64_t *a, int64_t ka, const int64_t *b, int64_t kb,
@@ -297,6 +311,74 @@ int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
     }
     return 0;
 }
+/* ---- Per-zone kernels: 0 unchanged, 1 changed (dst holds the closed
+ * result), 2 empty.  src is a canonical nonempty matrix, never written. */
+
+/* Incremental reclosure after m[i][j] was tightened to enc: every
+ * shortest path may now route p -> i -> j -> q.  Column i and row j are
+ * snapshotted first, sums drift past INF unmasked, and one clamp of
+ * everything >= INF_SOFT ends it: the numpy reference, step for step. */
+static void reclose_through(int64_t *m, int64_t dim, int64_t i, int64_t j,
+                            int64_t enc)
+{
+    int64_t t[dim], row[dim];
+    int64_t p, q;
+    for (p = 0; p < dim; p++) {
+        int64_t a = m[p * dim + i];
+        t[p] = a + enc - ((a | enc) & 1);
+        row[p] = m[j * dim + p];
+    }
+    for (p = 0; p < dim; p++) {
+        int64_t *prow = m + p * dim;
+        int64_t a = t[p];
+        for (q = 0; q < dim; q++) {
+            int64_t cand = a + row[q] - ((a | row[q]) & 1);
+            if (cand < prow[q])
+                prow[q] = cand;
+        }
+    }
+    for (p = 0; p < dim * dim; p++)
+        if (m[p] >= INF_SOFT)
+            m[p] = INF;
+}
+
+/* Tighten by each (i, j, enc) in turn, with the early emptiness test
+ * m[j][i] + enc < LE_ZERO; dst is written only once something tightens.
+ * -1 on an out-of-range clock index (the caller demotes to numpy). */
+int64_t k_zone_constrain(const int64_t *src, int64_t *dst, int64_t dim,
+                         const int64_t *cons, int64_t nc)
+{
+    const int64_t *cur = src;
+    int64_t c, t;
+    for (c = 0; c < nc; c++) {
+        int64_t i = cons[c * 3], j = cons[c * 3 + 1], enc = cons[c * 3 + 2];
+        int64_t back;
+        if (i < 0 || i >= dim || j < 0 || j >= dim)
+            return -1;
+        if (enc >= cur[i * dim + j])
+            continue;
+        back = cur[j * dim + i];
+        if (back < INF && back + enc - ((back | enc) & 1) < LE_ZERO)
+            return 2;
+        if (cur == src) {
+            for (t = 0; t < dim * dim; t++)
+                dst[t] = src[t];
+            cur = dst;
+        }
+        dst[i * dim + j] = enc;
+        reclose_through(dst, dim, i, j, enc);
+    }
+    return cur == dst;
+}
+
+int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
+                           const int64_t *caps)
+{
+    int64_t t;
+    for (t = 0; t < dim * dim; t++)
+        dst[t] = src[t];
+    return extrapolate_one(dst, dim, caps);
+}
 """
 
 _DECLS = """
@@ -319,27 +401,62 @@ int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
                           const int64_t *resets, int64_t nr,
                           const int64_t *shifts, int64_t ns,
                           const int64_t *inv, int64_t ni);
+int64_t k_zone_constrain(const int64_t *src, int64_t *dst, int64_t dim,
+                         const int64_t *cons, int64_t nc);
+int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
+                           const int64_t *caps);
 """
 
 _BINDING = None
 
 
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+#: Every exported kernel: ``name -> (ctypes restype, ctypes argtypes)``.
+_SIGNATURES = {
+    "k_close": (None, [_PTR, _I64, _I64, _PTR]),
+    "k_extrapolate": (None, [_PTR, _I64, _I64, _PTR, _PTR]),
+    "k_inclusion": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR]),
+    "k_reduce": (None, [_PTR, _I64, _I64, _PTR]),
+    "k_subsume": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
+    "k_hidden_post": (
+        None,
+        [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
+         _I64, _I64, _PTR],
+    ),
+    "k_any_hidden_post": (
+        _I64,
+        [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
+         _I64],
+    ),
+    "k_zone_constrain": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
+    "k_zone_extrapolate": (_I64, [_PTR, _PTR, _I64, _PTR]),
+}
+
+
 class _CffiBinding:
-    """cffi ABI-mode binding: the fast per-call path (~3µs fused call)."""
+    """cffi ABI-mode binding: the fast per-call path (~1µs call)."""
 
     kind = "cffi"
 
     def __init__(self, path: str) -> None:
-        import cffi
+        import _cffi_backend
 
-        ffi = cffi.FFI()
-        ffi.cdef(_DECLS)
-        self._lib = ffi.dlopen(path)
-        self._i64 = lambda arr: ffi.from_buffer("int64_t[]", arr)
-        self._u8 = lambda arr: ffi.from_buffer("uint8_t[]", arr)
-
-    def __getattr__(self, name):
-        return getattr(self._lib, name)
+        ffi = _ffi_module(path).ffi
+        lib = ffi.dlopen(path)
+        # Kernels bound as plain attributes: a lookup through the lib
+        # object per call costs more than a per-zone kernel's arithmetic.
+        for fn_name in _SIGNATURES:
+            setattr(self, fn_name, getattr(lib, fn_name))
+        self._lib = lib  # the library stays loaded while this object lives
+        # The backend's from_buffer with pre-parsed types: half the cost
+        # of ``ffi.from_buffer``, which re-looks-up the type per call.
+        from_buffer = _cffi_backend.from_buffer
+        i64, u8 = ffi.typeof("int64_t[]"), ffi.typeof("uint8_t[]")
+        self._i64 = lambda arr: from_buffer(i64, arr, False)
+        self._u8 = lambda arr: from_buffer(u8, arr, False)
+        # cffi converts a list of ints passed as ``int64_t *`` itself.
+        self._ints = lambda values: values
 
 
 class _CtypesBinding:
@@ -347,38 +464,17 @@ class _CtypesBinding:
 
     kind = "ctypes"
 
-    _I64 = ctypes.c_int64
-    _PTR = ctypes.c_void_p
-    _SIGNATURES = {
-        "k_close": (None, [_PTR, _I64, _I64, _PTR]),
-        "k_extrapolate": (None, [_PTR, _I64, _I64, _PTR, _PTR]),
-        "k_inclusion": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR]),
-        "k_reduce": (None, [_PTR, _I64, _I64, _PTR]),
-        "k_subsume": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
-        "k_hidden_post": (
-            None,
-            [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
-             _I64, _I64, _PTR],
-        ),
-        "k_any_hidden_post": (
-            _I64,
-            [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
-             _I64],
-        ),
-    }
-
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(path)
-        for fn_name, (restype, argtypes) in self._SIGNATURES.items():
+        for fn_name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, fn_name)
             fn.restype = restype
             fn.argtypes = argtypes
+            setattr(self, fn_name, fn)
         self._lib = lib
         self._i64 = lambda arr: arr.ctypes.data
         self._u8 = lambda arr: arr.ctypes.data
-
-    def __getattr__(self, name):
-        return getattr(self._lib, name)
+        self._ints = lambda values: (ctypes.c_int64 * len(values))(*values)
 
 
 def cache_dir() -> str:
@@ -389,7 +485,7 @@ def cache_dir() -> str:
 
 def _build_library() -> str:
     """Compile (or reuse) the kernel shared object; returns its path."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    digest = hashlib.sha256((_SOURCE + _DECLS).encode()).hexdigest()[:16]
     so_path = os.path.join(cache_dir(), f"repro_kernels_{digest}.so")
     if os.path.exists(so_path):
         return so_path
@@ -421,6 +517,30 @@ def _build_library() -> str:
     return so_path
 
 
+def _ffi_module(so_path: str):
+    """cffi's out-of-line ABI module for :data:`_DECLS`.
+
+    Generated next to the shared object on first use, which needs cffi's
+    C parser, and imported from there on every later load, which does
+    not: parsing the declarations would cost each process tens of ms.
+    """
+    py_path = so_path[: -len(".so")] + "_ffi.py"
+    name = os.path.basename(py_path)[: -len(".py")]
+    if not os.path.exists(py_path):
+        import cffi
+
+        builder = cffi.FFI()
+        builder.cdef(_DECLS)
+        builder.set_source(name, None, compiler_verbose=False)
+        tmp_path = f"{py_path}.{os.getpid()}.tmp"
+        builder.emit_python_code(tmp_path)
+        os.replace(tmp_path, py_path)
+    spec = importlib.util.spec_from_file_location(name, py_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _library():
     """The loaded kernel binding (cffi preferred, ctypes fallback)."""
     global _BINDING
@@ -429,7 +549,7 @@ def _library():
         try:
             try:
                 _BINDING = _CffiBinding(path)
-            except ImportError:
+            except (ImportError, OSError):  # no cffi, or its module failed
                 _BINDING = _CtypesBinding(path)
         except OSError as exc:
             raise BackendUnavailable(
@@ -463,6 +583,50 @@ class CExtBackend:
         self._b = _library()
         #: Which FFI layer calls go through ("cffi" or "ctypes").
         self.binding = self._b.kind
+        #: ``tuple(max_consts)`` -> the int64 caps vector of
+        #: :meth:`zone_extrapolate` (a run extrapolates against a few).
+        self._caps = {}
+
+    def zone_close(self, m: np.ndarray) -> bool:
+        return bool(self.close(m[None])[0])
+
+    def zone_constrain(
+        self, m: np.ndarray, constraints: Sequence[Constraint]
+    ) -> Tuple[int, Optional[np.ndarray]]:
+        flat = [v for c in constraints for v in c]
+        if len(flat) != 3 * len(constraints):
+            raise ValueError(f"not (i, j, enc) triples: {constraints}")
+        if not flat:
+            return UNCHANGED, None
+        b = self._b
+        src = _ro_i64(m)
+        dst = np.empty(src.shape, dtype=np.int64)
+        status = b.k_zone_constrain(
+            b._i64(src), b._i64(dst), src.shape[0], b._ints(flat),
+            len(flat) // 3,
+        )
+        if status < 0:
+            raise IndexError(f"constraint clock out of range: {constraints}")
+        return status, (dst if status == CHANGED else None)
+
+    def zone_extrapolate(
+        self, m: np.ndarray, max_consts: Sequence[int]
+    ) -> Tuple[int, Optional[np.ndarray]]:
+        key = tuple(max_consts)
+        caps = self._caps.get(key)
+        if caps is None:
+            caps = np.asarray(key, dtype=np.int64)
+            caps[0] = 0  # row 0 is never clamped at (0, 0)
+            self._caps[key] = caps
+        b = self._b
+        src = _ro_i64(m)
+        if caps.shape[0] != src.shape[0]:
+            raise ValueError(f"{len(key)} caps for a {src.shape[0]}-dim zone")
+        dst = np.empty(src.shape, dtype=np.int64)
+        status = b.k_zone_extrapolate(
+            b._i64(src), b._i64(dst), src.shape[0], b._i64(caps)
+        )
+        return status, (dst if status == CHANGED else None)
 
     def close(self, stack: np.ndarray) -> np.ndarray:
         b = self._b

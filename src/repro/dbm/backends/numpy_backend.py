@@ -1,27 +1,108 @@
-"""The pure-numpy kernel backend: the default and the reference.
+"""The pure-numpy kernel backend: the reference.
 
-A thin class over the ``_*_ref`` bodies in :mod:`repro.dbm.stack` — the
-exact code every other backend is differentially fuzzed against.  It
-adds nothing: no marshalling, no copies, no extra counters beyond the
-dispatch layer's, so selecting ``numpy`` is byte- and cost-identical to
-the pre-seam kernels.
+A thin class over the ``_*_ref`` bodies in :mod:`repro.dbm.stack` plus
+the per-zone reference kernels below — the exact code every other
+backend is differentially fuzzed against.  It adds nothing to the
+stacked kernels: no marshalling, no copies, no extra counters beyond
+the dispatch layer's.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import stack as _sk
+from ..bounds import INF, INF_SOFT, LE_ZERO, add_bounds
+from .base import CHANGED, EMPTY, UNCHANGED
 
 Constraint = Tuple[int, int, int]
+
+
+def _reclose_through(m: np.ndarray, i: int, j: int, enc: int) -> None:
+    """Incremental re-closure after tightening ``m[i, j]`` to ``enc``.
+
+    Any shortest path can now route p -> i -> j -> q.  Uses the same
+    drift-tolerant addition as :meth:`NumpyBackend.zone_close` (one INF
+    clamp at the end instead of per-step masking).
+    """
+    col = m[:, i : i + 1]
+    t = col + enc - ((col | enc) & 1)
+    row = m[j : j + 1, :]
+    via = t + row - ((t | row) & 1)
+    np.minimum(m, via, out=m)
+    np.copyto(m, INF, where=m >= INF_SOFT)
+
+
+# Extrapolation runs once per freshly interned graph node against the
+# same few max-constant vectors, so the comparison matrices derived from
+# them are cached: row_caps[i, j] is the bound value above which entry
+# (i, j) widens to INF (sentinel-huge on row 0 and the diagonal, which
+# never widen), low_caps/low_repl drive the row-0 lower-bound clamp.
+_EXTRA_CAPS: Dict[Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, ...]] = {}
+
+
+def _extra_caps(dim: int, key: Tuple[int, ...]):
+    caps = _EXTRA_CAPS.get((dim, key))
+    if caps is None:
+        huge = np.int64(INF)
+        k_arr = np.asarray(key, dtype=np.int64)
+        row_caps = np.broadcast_to(k_arr[:, None], (dim, dim)).copy()
+        row_caps[0, :] = huge
+        np.fill_diagonal(row_caps, huge)
+        low_caps = (-k_arr).copy()
+        low_caps[0] = -huge
+        low_repl = (-k_arr) << 1  # encode (-k_j, <)
+        caps = _EXTRA_CAPS[(dim, key)] = (row_caps, low_caps, low_repl)
+    return caps
 
 
 class NumpyBackend:
     name = "numpy"
     compiled = False
     counter = "dbm.backend_numpy"
+
+    def zone_close(self, m: np.ndarray) -> bool:
+        dim = m.shape[0]
+        for k in range(dim):
+            col = m[:, k : k + 1]
+            row = m[k : k + 1, :]
+            through_k = col + row - ((col | row) & 1)
+            np.minimum(m, through_k, out=m)
+        np.copyto(m, INF, where=m >= INF_SOFT)
+        return not bool((np.diagonal(m) < LE_ZERO).any())
+
+    def zone_constrain(
+        self, m: np.ndarray, constraints: Sequence[Constraint]
+    ) -> Tuple[int, Optional[np.ndarray]]:
+        out: Optional[np.ndarray] = None
+        for i, j, enc in constraints:
+            cur = m if out is None else out
+            if enc >= cur[i, j]:
+                continue
+            if add_bounds(int(cur[j, i]), enc) < LE_ZERO:
+                return EMPTY, None
+            if out is None:
+                out = m.copy()
+            out[i, j] = enc
+            _reclose_through(out, i, j, enc)
+        return (UNCHANGED, None) if out is None else (CHANGED, out)
+
+    def zone_extrapolate(
+        self, m: np.ndarray, max_consts: Sequence[int]
+    ) -> Tuple[int, Optional[np.ndarray]]:
+        row_caps, low_caps, low_repl = _extra_caps(m.shape[0], tuple(max_consts))
+        upper = (m < INF) & ((m >> 1) > row_caps)
+        low_row = m[0]
+        lower = (low_row < INF) & ((low_row >> 1) < low_caps)
+        if not (upper.any() or lower.any()):
+            return UNCHANGED, None
+        m = m.copy()
+        m[upper] = INF
+        if lower.any():
+            m[0, lower] = low_repl[lower]
+        return (CHANGED, m) if self.zone_close(m) else (EMPTY, None)
 
     def close(self, stack: np.ndarray) -> np.ndarray:
         return _sk._close_ref(stack)

@@ -19,9 +19,9 @@ import numpy as np
 
 from ..util import counters
 from . import backends as _backends
+from .backends.base import CHANGED, UNCHANGED
 from .bounds import (
     INF,
-    INF_SOFT,
     LE_ZERO,
     add_bounds,
     bound_as_string,
@@ -39,21 +39,6 @@ def _saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _reclose_through(m: np.ndarray, i: int, j: int, enc: int) -> None:
-    """Incremental re-closure after tightening ``m[i, j]`` to ``enc``.
-
-    Any shortest path can now route p -> i -> j -> q.  Uses the same
-    drift-tolerant addition as :meth:`DBM._close` (one INF clamp at the
-    end instead of per-step masking).
-    """
-    col = m[:, i : i + 1]
-    t = col + enc - ((col | enc) & 1)
-    row = m[j : j + 1, :]
-    via = t + row - ((t | row) & 1)
-    np.minimum(m, via, out=m)
-    np.copyto(m, INF, where=m >= INF_SOFT)
-
-
 # Shared immutable template instances per dimension.  DBMs are never
 # mutated after construction, so the universal/zero/empty zone of each
 # dimension can be a singleton: construction becomes a dict lookup and
@@ -64,33 +49,10 @@ _UNIVERSAL: Dict[int, "DBM"] = {}
 _ZERO: Dict[int, "DBM"] = {}
 _EMPTY: Dict[int, "DBM"] = {}
 
-# Extrapolation runs once per freshly interned graph node against the
-# same few max-constant vectors, so the comparison matrices derived from
-# them are cached: row_caps[i, j] is the bound value above which entry
-# (i, j) widens to INF (sentinel-huge on row 0 and the diagonal, which
-# never widen), low_caps/low_repl drive the row-0 lower-bound clamp.
-_EXTRA_CAPS: Dict[Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, ...]] = {}
-
-
-def _extra_caps(dim: int, key: Tuple[int, ...]):
-    caps = _EXTRA_CAPS.get((dim, key))
-    if caps is None:
-        huge = np.int64(INF)
-        k_arr = np.asarray(key, dtype=np.int64)
-        row_caps = np.broadcast_to(k_arr[:, None], (dim, dim)).copy()
-        row_caps[0, :] = huge
-        np.fill_diagonal(row_caps, huge)
-        low_caps = (-k_arr).copy()
-        low_caps[0] = -huge
-        low_repl = (-k_arr) << 1  # encode (-k_j, <)
-        caps = _EXTRA_CAPS[(dim, key)] = (row_caps, low_caps, low_repl)
-    return caps
-
-
 class DBM:
     """A canonical difference bound matrix (a convex clock zone)."""
 
-    __slots__ = ("m", "dim", "_empty", "_hash", "_key", "_minkey")
+    __slots__ = ("m", "dim", "_empty", "_hash", "_key")
 
     def __init__(self, matrix: np.ndarray, *, empty: bool = False):
         self.m = matrix
@@ -98,7 +60,6 @@ class DBM:
         self._empty = empty
         self._hash: Optional[int] = None
         self._key: Optional[bytes] = None
-        self._minkey: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -195,20 +156,6 @@ class DBM:
                 self._key = self.m.tobytes()
         return self._key
 
-    def minimal_key(self) -> bytes:
-        """A compact canonical key: the packed minimal constraint form.
-
-        Identifies the zone exactly like :meth:`hash_key` but is usually
-        far smaller than the full matrix bytes (see
-        :mod:`repro.dbm.minform`), so long-lived interning tables — the
-        explorer's zone table, the warm cache — prefer it.  Memoized.
-        """
-        if self._minkey is None:
-            from . import minform as _minform
-
-            self._minkey = _minform.minimal_key(self)
-        return self._minkey
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(self.hash_key())
@@ -225,25 +172,12 @@ class DBM:
     def _close(m: np.ndarray) -> bool:
         """Floyd-Warshall closure in place; returns False if inconsistent.
 
-        Uses drift-tolerant bound addition: no INF masking inside the
-        loop, one clamp of everything above INF_SOFT at the end (see
+        The active backend's ``zone_close``: drift-tolerant bound
+        addition, one clamp of everything above INF_SOFT at the end (see
         :data:`repro.dbm.bounds.INF_SOFT`).
         """
         counters.inc("dbm.closures")
-        backend = _backends.active()
-        if backend.compiled:
-            counters.inc(backend.counter)
-            return bool(backend.close(m[None])[0])
-        dim = m.shape[0]
-        for k in range(dim):
-            col = m[:, k : k + 1]
-            row = m[k : k + 1, :]
-            through_k = col + row - ((col | row) & 1)
-            np.minimum(m, through_k, out=m)
-        np.copyto(m, INF, where=m >= INF_SOFT)
-        if bool((np.diagonal(m) < LE_ZERO).any()):
-            return False
-        return True
+        return _backends.active().zone_close(m)
 
     @classmethod
     def _from_raw(cls, m: np.ndarray) -> "DBM":
@@ -270,36 +204,26 @@ class DBM:
 
     def tighten(self, i: int, j: int, enc: int) -> "DBM":
         """Intersect with one constraint, using O(dim^2) incremental closure."""
-        if self._empty or enc >= self.m[i, j]:
-            return self
-        if add_bounds(int(self.m[j, i]), enc) < LE_ZERO:
-            return DBM.empty(self.dim)
-        m = self.m.copy()
-        m[i, j] = enc
-        _reclose_through(m, i, j, enc)
-        return DBM(m)
+        return self.constrained(((i, j, enc),))
 
     def constrained(self, constraints: Iterable[Constraint]) -> "DBM":
         """Intersect with a conjunction of constraints.
 
-        Equivalent to chained :meth:`tighten`, but copies the matrix at
-        most once and tightens in place — constraining is the single
-        most frequent zone operation (every guard and invariant).
+        One per-zone kernel call (``zone_constrain`` of the active
+        backend): each constraint that tightens the zone is applied with
+        the cheap emptiness pre-test and an O(dim^2) incremental
+        reclosure, and the matrix is copied at most once — constraining
+        is the single most frequent zone operation (every guard and
+        invariant).
         """
         if self._empty:
             return self
-        m: Optional[np.ndarray] = None
-        for i, j, enc in constraints:
-            cur = self.m if m is None else m
-            if enc >= cur[i, j]:
-                continue
-            if add_bounds(int(cur[j, i]), enc) < LE_ZERO:
-                return DBM.empty(self.dim)
-            if m is None:
-                m = self.m.copy()
-            m[i, j] = enc
-            _reclose_through(m, i, j, enc)
-        return self if m is None else DBM(m)
+        if not isinstance(constraints, (list, tuple)):
+            constraints = list(constraints)
+        status, m = _backends.active().zone_constrain(self.m, constraints)
+        if status == CHANGED:
+            return DBM(m)
+        return self if status == UNCHANGED else DBM.empty(self.dim)
 
     def intersect(self, other: "DBM") -> "DBM":
         """Zone intersection (canonical)."""
@@ -358,7 +282,7 @@ class DBM:
         m = self.m.copy()
         for x in clocks:
             m[x, :] = INF
-            m[:, x] = _saturating_add(m[:, 0], np.int64(LE_ZERO))
+            m[:, x] = m[:, 0]  # x_p - x <= x_p - x_0, as x >= 0
             m[x, x] = LE_ZERO
             m[0, x] = LE_ZERO
         return DBM(m)  # construction is canonical (see module tests)
@@ -409,18 +333,11 @@ class DBM:
         """
         if self._empty:
             return self
-        m = self.m
-        row_caps, low_caps, low_repl = _extra_caps(self.dim, tuple(max_consts))
-        upper = (m < INF) & ((m >> 1) > row_caps)
-        low_row = m[0]
-        lower = (low_row < INF) & ((low_row >> 1) < low_caps)
-        if not (upper.any() or lower.any()):
+        status, m = _backends.active().zone_extrapolate(self.m, max_consts)
+        if status == UNCHANGED:
             return self
-        m = m.copy()
-        m[upper] = INF
-        if lower.any():
-            m[0, lower] = low_repl[lower]
-        return DBM._from_raw(m)
+        counters.inc("dbm.closures")
+        return DBM(m) if status == CHANGED else DBM.empty(self.dim)
 
     # ------------------------------------------------------------------
     # Concrete valuations

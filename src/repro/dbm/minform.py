@@ -6,9 +6,8 @@ constraints — collapse zero-cycles first, then drop every bound
 derivable through an intermediate clock.  The form is *canonical for
 canonical inputs*: equal zones produce the identical constraint list,
 which makes it the cheapest faithful serialization of a zone (the warm
-solve cache stores it) and a compact interning key
-(:meth:`repro.dbm.DBM.minimal_key`, used by the simulation-graph
-explorer to deduplicate zone objects).
+solve cache stores it).  Interning needs no such key: canonical matrices
+are unique, so :meth:`repro.dbm.DBM.hash_key` already identifies a zone.
 
 Promoted here from ``repro.game.warm`` so the DBM layer owns its own
 codec; the warm cache imports these functions unchanged.
@@ -16,7 +15,6 @@ codec; the warm cache imports these functions unchanged.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Tuple
 
 from ..util import counters
@@ -92,19 +90,3 @@ def verified_minimal_constraints(
         cons = zone.nontrivial_constraints()
     return cons
 
-
-def minimal_key(zone: DBM) -> bytes:
-    """A compact bytes key identifying a zone by its minimal form.
-
-    Equal canonical zones produce identical keys (the reduction is
-    deterministic) and the key is usually far smaller than the full
-    ``dim² × 8``-byte matrix — constraints pack into 12 bytes each and
-    most entries of a closed matrix are derivable.  Prefer
-    :meth:`repro.dbm.DBM.minimal_key`, which memoizes this per instance.
-    """
-    if zone.is_empty():
-        return b"e:%d" % zone.dim
-    cons = verified_minimal_constraints(zone)
-    return b"m:%d:" % zone.dim + b"".join(
-        struct.pack("<hhq", i, j, enc) for i, j, enc in cons
-    )

@@ -21,7 +21,7 @@ The hot kernels — ``close``, ``extrapolate``, ``inclusion_matrix``,
 ``any_hidden_post`` — dispatch through a pluggable
 :class:`~repro.dbm.backends.base.KernelBackend`
 (``REPRO_KERNEL_BACKEND=numpy|cext|auto``).  The pure-numpy bodies
-live on as module-private ``_*_ref`` functions: they are the default
+live on as module-private ``_*_ref`` functions: they are the numpy
 backend, the differential ground truth the ``kernel`` fuzz check holds
 every other backend to, and they compose only each other (never the
 dispatched wrappers), so the reference path stays reference even while a

@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="dispatch hot DBM kernels through this backend for the whole"
         " campaign (numpy|cext|auto; default: the"
-        " REPRO_KERNEL_BACKEND environment variable, else numpy)."
+        " REPRO_KERNEL_BACKEND environment variable, else auto: cext,"
+        " then numpy)."
         " Results are backend-independent — the always-on 'kernel' check"
         " enforces exactness — so this is a speed/soak knob",
     )

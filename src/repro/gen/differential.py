@@ -71,9 +71,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..dbm import Federation, bound
+from ..dbm import INF, Federation, bound
 from ..dbm import backends as dbm_backends
 from ..dbm import stack as _sk
+from ..dbm.backends.base import CHANGED
+from ..dbm.backends.numpy_backend import NumpyBackend
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
 from ..graph.explorer import ExplorationLimit, SimulationGraph
 from ..par import steal_map
@@ -784,14 +786,75 @@ def _random_kernel_constraints(
     return out
 
 
+_REFERENCE = NumpyBackend()
+
+
 def _kernel_stack(rng: random.Random, dim: int, k: int) -> np.ndarray:
-    """A ``(k, dim, dim)`` stack of random *canonical nonempty* zones."""
+    """A ``(k, dim, dim)`` stack of random *canonical nonempty* zones,
+    built on the reference kernels so a backend under test cannot skew
+    its own inputs."""
     zones = []
-    while len(zones) < k:
-        zone = random_zone(rng, dim=dim, max_constraints=5)
-        if not zone.is_empty():
-            zones.append(zone)
+    with dbm_backends.use_backend(_REFERENCE):
+        while len(zones) < k:
+            zone = random_zone(rng, dim=dim, max_constraints=5)
+            if not zone.is_empty():
+                zones.append(zone)
     return np.stack([z.m for z in zones])
+
+
+def _zone_kernel_mismatch(rng: random.Random, backend) -> Optional[str]:
+    """Run the per-zone kernels once on a random canonical zone.
+
+    Verdicts must equal the numpy reference's, :data:`CHANGED` matrices
+    and closed matrices must be byte-identical, and the input zone must
+    come back unwritten.  Returns the first mismatch, or None.
+    """
+    dim = rng.randint(2, 6)
+    zone = _kernel_stack(rng, dim, 1)[0]
+    pristine = zone.copy()
+    roll = rng.random()
+    if roll < 0.2:
+        # Only bounds the zone already implies: the verdict is UNCHANGED.
+        cons = [
+            (i, j, min(int(zone[i, j]) + rng.randint(0, 2), INF))
+            for i, j in (rng.sample(range(dim), 2) for _ in range(3))
+        ]
+    else:
+        cons = _random_kernel_constraints(rng, dim, 4)
+        i, j = rng.sample(range(dim), 2)
+        back = int(zone[j, i])
+        if back < INF and roll < 0.5:
+            # (-b, <) against x_j - x_i <= b closes a negative cycle, and
+            # tightenings before it only shrink m[j, i]: the list empties.
+            cons.insert(
+                rng.randint(0, len(cons)), (i, j, bound(-(back >> 1), True))
+            )
+    caps = [rng.randint(0, 8) for _ in range(dim)]
+    for name, call, detail in (
+        ("zone_constrain", lambda b: b.zone_constrain(zone, cons), cons),
+        ("zone_extrapolate", lambda b: b.zone_extrapolate(zone, caps), caps),
+    ):
+        ref_status, ref_m = call(_REFERENCE)
+        got_status, got_m = call(backend)
+        if ref_status != got_status:
+            return (
+                f"{name} verdict: ref={ref_status} got={got_status} ({detail})"
+            )
+        if ref_status == CHANGED and not np.array_equal(ref_m, got_m):
+            return f"{name} matrix differs ({detail})"
+    if not np.array_equal(zone, pristine):
+        return "per-zone kernel wrote its input zone"
+    raw = zone.copy()
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.randrange(dim), rng.randrange(dim)
+        if a != b:
+            raw[a, b] = bound(rng.randint(-6, 10), rng.random() < 0.5)
+    ref_m, got_m = raw.copy(), raw.copy()
+    ref_ok = _REFERENCE.zone_close(ref_m)
+    got_ok = backend.zone_close(got_m)
+    if ref_ok != got_ok or (ref_ok and not np.array_equal(ref_m, got_m)):
+        return f"zone_close: ref={ref_ok} got={got_ok}"
+    return None
 
 
 def _kernel_trial_mismatch(
@@ -801,7 +864,8 @@ def _kernel_trial_mismatch(
 
     The contract checked is the backend exactness contract
     (:mod:`repro.dbm.backends.base`): masks identical to the numpy
-    reference, kept rows byte-identical; discarded rows are scratch.
+    reference, kept rows byte-identical; discarded rows are scratch; the
+    per-zone kernels as in :func:`_zone_kernel_mismatch`.
     """
     dim = rng.randint(2, 5)
     k = rng.randint(1, 6)
@@ -888,7 +952,7 @@ def _kernel_trial_mismatch(
     )
     if bool(ref_any) != bool(got_any):
         return f"any_hidden_post: ref={ref_any} got={got_any}"
-    return None
+    return _zone_kernel_mismatch(rng, backend)
 
 
 def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
@@ -943,7 +1007,8 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
        must make identical fire decisions, hit for hit;
     2. *kernel demotion* — every compiled backend, forced to demote on
        every call by an injected ``dbm.<name>.compute`` fault, must
-       return byte-identical masks and rows to the numpy reference;
+       return byte-identical masks and rows to the numpy reference, on
+       a stacked kernel and on the per-zone kernels;
     3. *store degradation* — a corpus write torn by an injected
        ``corpus.store.write`` fault must quarantine on read (no torn
        payload ever served) and ``fsck(repair=True)`` must restore the
@@ -984,14 +1049,16 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
         ref_ok = _sk._extrapolate_ref(ref_m, caps.tolist())
         with faults.injected(f"dbm.{name}.compute:*"):
             got_ok = backend.extrapolate(got_m, caps)
-        if not np.array_equal(ref_ok, got_ok) or not np.array_equal(
-            ref_m[ref_ok], got_m[ref_ok]
+            zone_mismatch = _zone_kernel_mismatch(rng, backend)
+        if zone_mismatch or not (
+            np.array_equal(ref_ok, got_ok)
+            and np.array_equal(ref_m[ref_ok], got_m[ref_ok])
         ):
             return CheckResult(
                 "faults",
                 FAIL,
                 f"backend {name!r} demoted under injection but differs"
-                f" from the numpy reference",
+                f" from the numpy reference: {zone_mismatch or 'extrapolate'}",
             )
 
     # Leg 3: torn corpus writes quarantine and repair clean.

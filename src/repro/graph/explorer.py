@@ -128,11 +128,11 @@ class SimulationGraph:
         # times with byte-identical zones; remembering the resolved node
         # skips extrapolation and the subsumption scan for repeats.
         self._intern_memo: Dict[tuple, GraphNode] = {}
-        # Canonical-zone table keyed by the minimal constraint form
-        # (:meth:`repro.dbm.DBM.minimal_key`): equal post-extrapolation
-        # zones reached at *different* discrete states collapse to one
-        # DBM object, sharing matrix storage and memoized keys across
-        # the graph's lifetime.
+        # Canonical-zone table keyed by the canonical matrix bytes
+        # (:meth:`repro.dbm.DBM.hash_key`, unique per zone): equal
+        # post-extrapolation zones reached at *different* discrete states
+        # collapse to one DBM object, sharing matrix storage and memoized
+        # keys across the graph's lifetime.
         self._zone_intern: Dict[bytes, DBM] = {}
         self._expanded: Dict[int, bool] = {}
         self._counter = itertools.count()
@@ -157,7 +157,7 @@ class SimulationGraph:
             return memoized
         if self.max_consts is not None:
             sym = SymbolicState(sym.locs, sym.vars, sym.zone.extrapolate(self.max_consts))
-        zone = self._zone_intern.setdefault(sym.zone.minimal_key(), sym.zone)
+        zone = self._zone_intern.setdefault(sym.zone.hash_key(), sym.zone)
         if zone is not sym.zone:
             sym = SymbolicState(sym.locs, sym.vars, zone)
         index = self._zone_index.get(sym.key)

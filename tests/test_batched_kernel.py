@@ -239,8 +239,9 @@ def test_stack_close_matches_per_zone_close(backend_name):
         m[1, 0] = le(rng.randint(-3, 6))  # possibly inconsistent tightening
         raw.append(m)
     assert raw
-    # References computed under the default backend, before switching.
-    references = [DBM._from_raw(m.copy()) for m in raw]
+    # References: the per-zone closure of the numpy reference backend.
+    with backends_mod.use_backend(backends_mod.resolve("numpy")):
+        references = [DBM._from_raw(m.copy()) for m in raw]
     with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         stack = np.stack([m.copy() for m in raw])
         keep = sk.close(stack)

@@ -1,12 +1,12 @@
-"""Kernel backend seam: registry, dispatch, and minimal-form interning.
+"""Kernel backend seam: registry, dispatch, minimal form and interning.
 
 Covers the selection/fallback behavior of :mod:`repro.dbm.backends`
-(environment variable, ``auto`` probing, unavailable-backend fallback,
-counters), the federation's batched-vs-scalar dispatch records,
-per-backend exactness differentials on the hot kernels, and the
-minimal-constraint form promoted into :mod:`repro.dbm.minform`
-(round-trip and key-stability properties, plus the explorer's
-zone-object interning built on it).
+(environment variable, ``auto`` default and probing, unavailable-backend
+fallback, counters), the federation's batched-vs-scalar dispatch
+records, per-backend exactness differentials on the stacked and the
+per-zone kernels (including the ctypes binding of ``cext``), the
+minimal-constraint form of :mod:`repro.dbm.minform` (round trip), and
+the explorer's zone-object interning by canonical bytes.
 """
 
 import random
@@ -15,11 +15,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dbm import DBM, minimal_constraints, verified_minimal_constraints
+from repro.dbm import DBM, bound, minimal_constraints, verified_minimal_constraints
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
-from repro.dbm.backends.base import BackendUnavailable, KernelBackend
+from repro.dbm.backends.base import CHANGED, EMPTY, UNCHANGED, KernelBackend
+from repro.dbm.backends.numpy_backend import NumpyBackend
 from repro.gen.zones import random_zone
 from repro.graph.explorer import SimulationGraph
 from repro.semantics.system import System
@@ -44,11 +46,13 @@ def _clean_backend_state(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_numpy_always_available_and_default():
+def test_numpy_always_available_and_auto_is_default():
     assert "numpy" in AVAILABLE
+    reference = backends_mod.resolve("numpy")
+    assert not reference.compiled
+    assert isinstance(reference, KernelBackend)
     backend = backends_mod.active()
-    assert backend.name == "numpy"
-    assert not backend.compiled
+    assert backend.name == ("cext" if "cext" in AVAILABLE else "numpy")
     assert isinstance(backend, KernelBackend)
 
 
@@ -219,6 +223,74 @@ def test_backend_subsumption_matches_reference(backend_name):
         assert np.array_equal(ref_drop, got_drop)
 
 
+_constraint_lists = st.lists(
+    st.tuples(
+        st.integers(0, DIM - 1),
+        st.integers(0, DIM - 1),
+        st.builds(bound, st.integers(-8, 12), st.booleans()),
+    ),
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("backend_name", AVAILABLE)
+@settings(max_examples=80, deadline=None)
+@given(
+    zone=zones(),
+    cons=_constraint_lists,
+    caps=st.lists(st.integers(0, 10), min_size=DIM, max_size=DIM),
+)
+def test_zone_kernels_match_full_closure(backend_name, zone, cons, caps):
+    """Per-zone kernels against oracles that share none of their code:
+    incremental constraining against tighten-all-then-close from
+    scratch, per-zone extrapolation against the stacked reference."""
+    if zone.is_empty():
+        return
+    backend = backends_mod.resolve(backend_name)
+    m = zone.m
+    pristine = m.copy()
+
+    status, got = backend.zone_constrain(m, cons)
+    raw = m.copy()
+    for i, j, enc in cons:
+        raw[i, j] = min(raw[i, j], enc)
+    if not NumpyBackend().zone_close(raw):
+        assert status == EMPTY
+    elif all(enc >= m[i, j] for i, j, enc in cons):
+        assert status == UNCHANGED
+    else:
+        assert status == CHANGED
+        assert np.array_equal(got, raw)
+    implied = [(i, j, int(m[i, j])) for i, j, _ in cons]
+    assert backend.zone_constrain(m, implied)[0] == UNCHANGED
+
+    status, got = backend.zone_extrapolate(m, caps)
+    stacked = m[None].copy()
+    assert sk._extrapolate_ref(stacked, caps)[0]
+    assert status in (UNCHANGED, CHANGED)
+    assert np.array_equal(m if status == UNCHANGED else got, stacked[0])
+    assert np.array_equal(m, pristine)  # inputs are never written
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cext_ctypes_binding_matches_reference(monkeypatch, seed):
+    """The stdlib ctypes binding (used when cffi is missing) passes the
+    same exactness trials as the default cffi binding."""
+    if "cext" not in AVAILABLE:
+        pytest.skip("cext does not load here")
+    from repro.dbm.backends import cext
+    from repro.gen.differential import _kernel_trial_mismatch
+
+    monkeypatch.setattr(
+        cext, "_BINDING", cext._CtypesBinding(cext._build_library())
+    )
+    backend = cext.CExtBackend()
+    assert backend.binding == "ctypes"
+    rng = random.Random(seed)
+    for _ in range(25):
+        assert _kernel_trial_mismatch(rng, backend) is None
+
+
 @pytest.mark.parametrize(
     "backend_name", [n for n in AVAILABLE if n != "numpy"]
 )
@@ -289,35 +361,25 @@ def test_minform_round_trip_diagonal(zone):
 
 @settings(max_examples=60, deadline=None)
 @given(zones())
-def test_minimal_key_stability(zone):
-    """Equal zones (however constructed) share one minimal key."""
-    key = zone.minimal_key()
-    assert key == zone.minimal_key()  # memo is stable
+def test_hash_key_stability(zone):
+    """Equal zones, however constructed, share one canonical key."""
+    key = zone.hash_key()
     if zone.is_empty():
-        assert key == DBM.empty(zone.dim).minimal_key()
+        assert key == DBM.empty(zone.dim).hash_key()
         return
-    rebuilt = DBM.from_constraints(
-        zone.dim, minimal_constraints(zone)
-    )
-    assert rebuilt.minimal_key() == key
+    rebuilt = DBM.from_constraints(zone.dim, minimal_constraints(zone))
+    assert rebuilt.hash_key() == key
     full = DBM.from_constraints(zone.dim, zone.nontrivial_constraints())
-    assert full.minimal_key() == key
+    assert full.hash_key() == key
 
 
-def test_minimal_key_distinguishes_zones():
+def test_hash_key_distinguishes_zones():
     from repro.dbm import le
 
     a = DBM.from_constraints(DIM, [(1, 0, le(4))])
     b = DBM.from_constraints(DIM, [(1, 0, le(5))])
-    assert a.minimal_key() != b.minimal_key()
-    assert a.minimal_key() != DBM.empty(DIM).minimal_key()
-
-
-def test_minimal_key_smaller_than_matrix_key():
-    from repro.dbm import le
-
-    zone = DBM.from_constraints(6, [(1, 0, le(4)), (0, 2, le(-1))])
-    assert len(zone.minimal_key()) < len(zone.hash_key())
+    assert a.hash_key() != b.hash_key()
+    assert a.hash_key() != DBM.empty(DIM).hash_key()
 
 
 def test_warm_reexports_minform():
@@ -346,7 +408,7 @@ def test_explorer_interns_equal_zones():
     graph.explore_all()
     ids = {}
     for node in graph.nodes:
-        ids.setdefault(node.zone.minimal_key(), set()).add(
+        ids.setdefault(node.zone.hash_key(), set()).add(
             id(node.zone)
         )
     for key, objects in ids.items():
