@@ -32,13 +32,7 @@ from .schedule import (
     plan_mutations,
     tasks_from_lists,
 )
-from .store import (
-    Corpus,
-    CorpusEntry,
-    CorruptEntry,
-    coverage_signature,
-    entry_checksum,
-)
+from .store import Corpus, CorpusEntry, coverage_signature
 
 __all__ = [
     "CampaignCheckpoint",
@@ -47,9 +41,7 @@ __all__ = [
     "fingerprint_core",
     "Corpus",
     "CorpusEntry",
-    "CorruptEntry",
     "coverage_signature",
-    "entry_checksum",
     "MergeStats",
     "merge_corpora",
     "MutationTask",

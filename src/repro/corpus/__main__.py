@@ -8,16 +8,18 @@ Two verbs::
 ``--merge-into`` unions the source corpus directories into DEST (first
 writer wins per structural hash; see :mod:`repro.corpus.merge`).
 
-``--fsck`` verifies every persistent artifact under a corpus directory:
-entry files (parse + checksum), the in-flight checkpoint journal
-(header, line integrity, torn-tail status), and a win-set cache kept
-there (``DIR/warm-cache``, entry ``sha`` checksums).  With ``--repair``,
-corrupt entry files move to ``DIR/quarantine/``, corrupt warm-cache
-entries are renamed ``.corrupt``, legacy entries gain checksums, and a
-journal with a malformed *middle* line is truncated back to its last
-valid prefix (every journaled result before the damage survives; the
-rest re-runs on resume).  Exit status: 0 when clean or fully repaired,
-1 when corruption remains.
+``--fsck`` verifies the two stores of a corpus directory by running the
+loaders the campaigns use: entry files through
+:func:`repro.util.checked.read_checked` (parse + checksum), and the
+in-flight checkpoint journal through
+:func:`repro.corpus.checkpoint.scan_journal` (header, line integrity,
+torn-tail status).  With ``--repair``, corrupt entry files move to
+``DIR/quarantine/``, legacy entries gain checksums, and a journal with a
+malformed *middle* line is truncated back to its last valid prefix
+(every journaled result before the damage survives; the rest re-runs on
+resume).  A win-set cache directory is not audited: its loader already
+renames a bad entry ``.corrupt`` and counts a cache miss.  Exit status:
+0 when clean or fully repaired, 1 when corruption remains.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import os
 import sys
 
+from .checkpoint import scan_journal
 from .merge import merge_corpora
 from .store import Corpus
 
@@ -34,73 +37,21 @@ from .store import Corpus
 def _fsck_checkpoint(path: str, repair: bool) -> dict:
     """Validate a checkpoint journal; optionally truncate to the last
     valid prefix when a middle line is rotten."""
-    out = {
-        "present": os.path.exists(path),
-        "lines": 0,
-        "torn_tail": False,
-        "corrupt_line": None,
-        "truncated": False,
+    if not os.path.exists(path):
+        return {"present": False, "lines": 0, "torn_tail": False,
+                "corrupt_line": None, "truncated": False}
+    scan = scan_journal(path)
+    truncated = scan.corrupt_line is not None and repair
+    if truncated:
+        with open(path, "r+b") as handle:
+            handle.truncate(scan.good_bytes)
+    return {
+        "present": True,
+        "lines": len(scan.rows),
+        "torn_tail": scan.torn_tail,
+        "corrupt_line": scan.corrupt_line,
+        "truncated": truncated,
     }
-    if not out["present"]:
-        return out
-    with open(path, "r", encoding="utf-8") as handle:
-        data = handle.read()
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    good_bytes = 0
-    for pos, line in enumerate(lines):
-        try:
-            row = json.loads(line)
-            if pos == 0 and row.get("kind") != "header":
-                raise ValueError("first line is not a campaign header")
-        except ValueError:
-            if pos == len(lines) - 1:
-                out["torn_tail"] = True  # survivable by design
-            else:
-                out["corrupt_line"] = pos + 1
-            break
-        good_bytes += len(line.encode("utf-8")) + 1
-        out["lines"] += 1
-    if out["corrupt_line"] is not None and repair:
-        with open(path, "r+", encoding="utf-8") as handle:
-            handle.truncate(good_bytes)
-        out["truncated"] = True
-    return out
-
-
-def _fsck_warm_cache(directory: str, repair: bool) -> dict:
-    """Verify warm-cache entry files (parse + recorded ``sha``)."""
-    out = {"present": os.path.isdir(directory), "checked": 0, "corrupt": []}
-    if not out["present"]:
-        return out
-    from ..game.warm import WinSetCache
-
-    for dirpath, _dirnames, filenames in os.walk(directory):
-        for name in sorted(filenames):
-            if not name.endswith(".json"):
-                continue
-            out["checked"] += 1
-            path = os.path.join(dirpath, name)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                if not isinstance(entry, dict):
-                    raise ValueError("not a JSON object")
-                recorded = entry.get("sha")
-                if recorded is not None and recorded != (
-                    WinSetCache._entry_sha(entry)
-                ):
-                    raise ValueError("checksum mismatch")
-            except (OSError, ValueError):
-                rel = os.path.relpath(path, directory)
-                out["corrupt"].append(rel)
-                if repair:
-                    try:
-                        os.replace(path, path + ".corrupt")
-                    except OSError:
-                        pass
-    return out
 
 
 def fsck_tree(root: str, repair: bool = False) -> dict:
@@ -111,19 +62,14 @@ def fsck_tree(root: str, repair: bool = False) -> dict:
         "checkpoint": _fsck_checkpoint(
             os.path.join(root, "checkpoint.jsonl"), repair
         ),
-        "warm_cache": _fsck_warm_cache(
-            os.path.join(root, "warm-cache"), repair
-        ),
     }
-    remaining = bool(report["entries"]["corrupt"]) and not repair
-    remaining = remaining or (
-        report["checkpoint"]["corrupt_line"] is not None
-        and not report["checkpoint"]["truncated"]
+    report["clean"] = not (
+        (report["entries"]["corrupt"] and not repair)
+        or (
+            report["checkpoint"]["corrupt_line"] is not None
+            and not report["checkpoint"]["truncated"]
+        )
     )
-    remaining = remaining or (
-        bool(report["warm_cache"]["corrupt"]) and not repair
-    )
-    report["clean"] = not remaining
     return report
 
 
@@ -141,7 +87,7 @@ def main(argv=None) -> int:
     verbs.add_argument(
         "--fsck",
         metavar="DIR",
-        help="verify entry checksums, checkpoint journal, and warm cache",
+        help="verify entry checksums and the checkpoint journal",
     )
     parser.add_argument(
         "--repair",

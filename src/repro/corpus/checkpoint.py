@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .. import faults
@@ -41,6 +42,48 @@ _KIND_REPORT = "report"
 
 class CheckpointMismatch(RuntimeError):
     """The journal on disk belongs to a different campaign."""
+
+
+@dataclass
+class JournalScan:
+    """What :func:`scan_journal` found: the valid prefix and the damage."""
+
+    rows: List[Dict[str, object]]  # header first, then report rows
+    good_bytes: int  # length of the valid prefix
+    size: int  # length of the whole file
+    torn_tail: bool  # last line unparseable: a mid-append kill
+    corrupt_line: Optional[int]  # 1-based first bad line before the tail
+
+
+def scan_journal(path: str) -> JournalScan:
+    """Scan a journal up to its first bad line.
+
+    Line 1 must be a header and every later line a report row.  An
+    unparseable *last* line is a torn tail, survivable by design; any
+    other bad line is corruption, and the scan stops before it.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    lines = raw.decode("utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    scan = JournalScan([], 0, len(raw), False, None)
+    for pos, line in enumerate(lines):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            if pos == len(lines) - 1:
+                scan.torn_tail = True
+            else:
+                scan.corrupt_line = pos + 1
+            break
+        kind = _KIND_HEADER if pos == 0 else _KIND_REPORT
+        if not isinstance(row, dict) or row.get("kind") != kind:
+            scan.corrupt_line = pos + 1
+            break
+        scan.rows.append(row)
+        scan.good_bytes += len(line.encode("utf-8")) + 1
+    return scan
 
 
 def campaign_fingerprint(
@@ -103,40 +146,18 @@ class CampaignCheckpoint:
         the header's argument-derived part, or the journal belongs to a
         different campaign and resuming would corrupt both.
         """
-        fingerprint: Optional[Dict[str, object]] = None
-        completed: Dict[int, InstanceReport] = {}
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        lines = raw.decode("utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        good_bytes = 0
-        for pos, line in enumerate(lines):
-            try:
-                row = json.loads(line)
-            except ValueError:
-                if pos == len(lines) - 1:
-                    break  # torn tail from a mid-append kill: drop it
-                raise CheckpointMismatch(
-                    f"{self.path}: malformed journal line {pos + 1}"
-                )
-            good_bytes += len(line.encode("utf-8")) + 1
-            if pos == 0:
-                if row.get("kind") != _KIND_HEADER:
-                    raise CheckpointMismatch(
-                        f"{self.path}: first line is not a campaign header"
-                    )
-                fingerprint = row["fingerprint"]
-                continue
-            if row.get("kind") != _KIND_REPORT:
-                raise CheckpointMismatch(
-                    f"{self.path}: unexpected journal line {pos + 1}"
-                )
-            completed[int(row["index"])] = InstanceReport.from_dict(
-                row["report"]
+        scan = scan_journal(self.path)
+        if scan.corrupt_line is not None:
+            raise CheckpointMismatch(
+                f"{self.path}: malformed journal line {scan.corrupt_line}"
             )
-        if fingerprint is None:
+        if not scan.rows:
             raise CheckpointMismatch(f"{self.path}: empty journal")
+        fingerprint = scan.rows[0]["fingerprint"]
+        completed = {
+            int(row["index"]): InstanceReport.from_dict(row["report"])
+            for row in scan.rows[1:]
+        }
         if expected_core is not None:
             core = fingerprint_core(fingerprint)
             if core != expected_core:
@@ -149,13 +170,13 @@ class CampaignCheckpoint:
                     f"{self.path}: journal belongs to a different campaign"
                     f" (differs in: {', '.join(mismatched)})"
                 )
-        if good_bytes < len(raw):
+        if scan.good_bytes < scan.size:
             # Drop the torn tail *on disk* before appending, or the
             # next record would merge into the half-written line — lost
             # on the next load and malformed (a middle line) on the one
             # after that.
             with open(self.path, "r+b") as handle:
-                handle.truncate(good_bytes)
+                handle.truncate(scan.good_bytes)
         self.fingerprint = fingerprint
         self._completed = completed
         self._handle = open(self.path, "a", encoding="utf-8")

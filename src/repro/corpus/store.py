@@ -27,25 +27,13 @@ re-insertion of the same entries — CI can diff artifacts run to run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .. import faults
 from ..util import counters
-
-
-class CorruptEntry(ValueError):
-    """An on-disk corpus entry failed to parse or verify."""
-
-
-def entry_checksum(payload: Dict[str, object]) -> str:
-    """Checksum of an entry payload (the ``checksum`` key excluded)."""
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+from ..util.checked import CorruptFile, checksum, read_checked, write_atomic
 
 #: Coverage counters are log2-bucketed before hashing: ``867`` and
 #: ``901`` closures are the same behaviour, ``8`` and ``8000`` are not.
@@ -73,8 +61,7 @@ def coverage_signature(
             for name, delta in sorted((coverage or {}).items())
         },
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return checksum(payload)  # the same canonical-JSON digest
 
 
 @dataclass
@@ -130,33 +117,12 @@ class Corpus:
     def _path(self, structural_hash: str) -> str:
         return os.path.join(self.entries_dir, f"{structural_hash}.json")
 
-    def _load_path(self, path: str) -> CorpusEntry:
-        """Parse and verify one entry file; :class:`CorruptEntry` on rot.
-
-        Entries written before checksums (no ``checksum`` key) still
-        load — ``fsck --repair`` upgrades them in place.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise CorruptEntry(f"{path}: not a JSON object")
-            recorded = payload.get("checksum")
-            if recorded is not None and recorded != entry_checksum(payload):
-                raise CorruptEntry(f"{path}: checksum mismatch")
-            return CorpusEntry.from_dict(payload)
-        except CorruptEntry:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptEntry(f"{path}: {exc}") from exc
-
     def get(self, structural_hash: str) -> Optional[CorpusEntry]:
-        path = self._path(structural_hash)
         try:
-            return self._load_path(path)
+            return _load(self._path(structural_hash))[1]
         except FileNotFoundError:
             return None
-        except CorruptEntry:
+        except CorruptFile:
             counters.inc("corpus.corrupt_entries")
             return None
 
@@ -172,18 +138,8 @@ class Corpus:
         if os.path.exists(path):
             return False
         payload = entry.to_dict()
-        payload["checksum"] = entry_checksum(payload)
-        blob = json.dumps(
-            payload, sort_keys=True, indent=1, ensure_ascii=False
-        )
-        if faults.should_fire("corpus.store.write"):
-            # Injected torn write: the entry lands half-written, exactly
-            # what a crashed writer without the tmp+rename dance leaves.
-            blob = blob[: max(1, len(blob) // 2)]
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(blob + "\n")
-        os.replace(tmp, path)
+        payload["checksum"] = checksum(payload)
+        write_atomic(path, _serialize(payload), "corpus.store.write")
         return True
 
     def add_report(self, report) -> bool:
@@ -225,8 +181,8 @@ class Corpus:
             if not name.endswith(".json"):
                 continue
             try:
-                yield self._load_path(os.path.join(self.entries_dir, name))
-            except CorruptEntry:
+                yield _load(os.path.join(self.entries_dir, name))[1]
+            except CorruptFile:
                 counters.inc("corpus.corrupt_entries")
 
     def entries(self) -> List[CorpusEntry]:
@@ -265,28 +221,19 @@ class Corpus:
         rewritten with one.
         """
         corrupt: List[str] = []
-        missing: List[str] = []
+        legacy: Dict[str, Dict[str, object]] = {}
         checked = 0
         for name in sorted(os.listdir(self.entries_dir)):
             if not name.endswith(".json"):
                 continue
             checked += 1
-            path = os.path.join(self.entries_dir, name)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                if not isinstance(payload, dict):
-                    raise CorruptEntry("not a JSON object")
-                recorded = payload.get("checksum")
-                if recorded is not None and recorded != entry_checksum(
-                    payload
-                ):
-                    raise CorruptEntry("checksum mismatch")
-                CorpusEntry.from_dict(payload)
-                if recorded is None:
-                    missing.append(name)
-            except (CorruptEntry, ValueError, KeyError, TypeError):
+                payload, _ = _load(os.path.join(self.entries_dir, name))
+            except CorruptFile:
                 corrupt.append(name)
+                continue
+            if "checksum" not in payload:
+                legacy[name] = payload
         quarantined = upgraded = 0
         if repair:
             if corrupt:
@@ -297,24 +244,35 @@ class Corpus:
                     os.path.join(self.quarantine_dir(), name),
                 )
                 quarantined += 1
-            for name in missing:
-                path = os.path.join(self.entries_dir, name)
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                payload["checksum"] = entry_checksum(payload)
-                blob = json.dumps(
-                    payload, sort_keys=True, indent=1, ensure_ascii=False
+            for name, payload in legacy.items():
+                payload["checksum"] = checksum(payload)
+                write_atomic(
+                    os.path.join(self.entries_dir, name), _serialize(payload)
                 )
-                tmp = f"{path}.tmp"
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    handle.write(blob + "\n")
-                os.replace(tmp, path)
                 upgraded += 1
         return {
             "checked": checked,
             "ok": checked - len(corrupt),
             "corrupt": corrupt,
-            "missing_checksum": missing,
+            "missing_checksum": list(legacy),
             "quarantined": quarantined,
             "upgraded": upgraded,
         }
+
+
+def _serialize(payload: Dict[str, object]) -> str:
+    """An entry file's text: sorted keys, one-space indent, newline."""
+    return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+
+
+def _load(path: str) -> Tuple[Dict[str, object], CorpusEntry]:
+    """Read and verify one entry file; :class:`CorruptFile` on rot.
+
+    Entries written before checksums (no ``checksum`` key) still load;
+    ``fsck --repair`` upgrades them in place.
+    """
+    payload = read_checked(path)
+    try:
+        return payload, CorpusEntry.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc

@@ -17,7 +17,15 @@ from .bounds import (
 )
 from .dbm import DBM, Constraint
 from .federation import Federation, subtract_zone
-from .minform import minimal_constraints, verified_minimal_constraints
+from .minform import (
+    ZoneFormatError,
+    federation_from_obj,
+    federation_to_obj,
+    minimal_constraints,
+    verified_minimal_constraints,
+    zone_from_obj,
+    zone_to_obj,
+)
 
 __all__ = [
     "INF",
@@ -37,6 +45,11 @@ __all__ = [
     "Constraint",
     "Federation",
     "subtract_zone",
+    "ZoneFormatError",
+    "federation_from_obj",
+    "federation_to_obj",
     "minimal_constraints",
     "verified_minimal_constraints",
+    "zone_from_obj",
+    "zone_to_obj",
 ]

@@ -1,25 +1,34 @@
-"""Minimal constraint form of a canonical DBM.
+"""Minimal constraint form of a canonical DBM, and the zone JSON codec.
 
 The classic reduction (Larsen/Larsson/Pettersson/Yi): a canonical
 nonempty zone is regenerated exactly by a small subset of its
 constraints — collapse zero-cycles first, then drop every bound
 derivable through an intermediate clock.  The form is *canonical for
 canonical inputs*: equal zones produce the identical constraint list,
-which makes it the cheapest faithful serialization of a zone (the warm
-solve cache stores it).  Interning needs no such key: canonical matrices
-are unique, so :meth:`repro.dbm.DBM.hash_key` already identifies a zone.
+which makes it the cheapest faithful serialization of a zone.  Interning
+needs no such key: canonical matrices are unique, so
+:meth:`repro.dbm.DBM.hash_key` already identifies a zone.
 
-Promoted here from ``repro.game.warm`` so the DBM layer owns its own
-codec; the warm cache imports these functions unchanged.
+:func:`zone_to_obj` / :func:`zone_from_obj` and their federation forms
+are the repo's one zone JSON codec: the win-set cache
+(:mod:`repro.game.warm`) and strategy files (:mod:`repro.game.export`)
+both store zones this way.  Decoding recloses every record and rejects
+one that is malformed, indexes a clock out of range, or closes to the
+empty zone (:class:`ZoneFormatError`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..util import counters
 from .bounds import INF, LE_ZERO, add_bounds
 from .dbm import DBM, Constraint
+from .federation import Federation
+
+
+class ZoneFormatError(ValueError):
+    """A serialized zone record is malformed or denotes no valuation."""
 
 
 def minimal_constraints(zone: DBM) -> List[Tuple[int, int, int]]:
@@ -74,19 +83,51 @@ def minimal_constraints(zone: DBM) -> List[Tuple[int, int, int]]:
     return out
 
 
-def verified_minimal_constraints(
-    zone: DBM, *, fallback_counter: str = "dbm.minform_fallbacks"
-) -> List[Constraint]:
+def verified_minimal_constraints(zone: DBM) -> List[Constraint]:
     """:func:`minimal_constraints`, round-trip verified.
 
     If reclosing the minimal system does not reproduce the matrix
     byte-for-byte (it always should; this is a guard, not a code path
     relied upon), fall back to the full constraint set — still an exact
-    round-trip by canonicity — and bump ``fallback_counter``.
+    round-trip by canonicity — and bump ``dbm.minform_fallbacks``.
     """
     cons = minimal_constraints(zone)
     if DBM.from_constraints(zone.dim, cons).hash_key() != zone.hash_key():
-        counters.inc(fallback_counter)
+        counters.inc("dbm.minform_fallbacks")
         cons = zone.nontrivial_constraints()
     return cons
 
+
+def zone_to_obj(zone: DBM) -> List[List[int]]:
+    """A nonempty canonical zone as its minimal constraint list."""
+    cons = verified_minimal_constraints(zone)
+    return [[int(i), int(j), int(enc)] for i, j, enc in cons]
+
+
+def zone_from_obj(dim: int, obj: Sequence[Sequence[int]]) -> DBM:
+    """Rebuild (and reclose) a zone from :func:`zone_to_obj` output."""
+    try:
+        cons = [(int(i), int(j), int(enc)) for i, j, enc in obj]
+    except (TypeError, ValueError) as exc:
+        raise ZoneFormatError(f"malformed zone record: {exc}") from exc
+    for i, j, _ in cons:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ZoneFormatError(
+                f"zone record indexes clock pair ({i}, {j}) of a {dim}-dim zone"
+            )
+    zone = DBM.from_constraints(dim, cons)
+    if zone.is_empty():
+        raise ZoneFormatError("zone record closes to the empty zone")
+    return zone
+
+
+def federation_to_obj(fed: Federation) -> List[List[List[int]]]:
+    """A federation as a list of minimal-constraint zones (exact)."""
+    return [zone_to_obj(z) for z in fed.zones]
+
+
+def federation_from_obj(dim: int, obj: Sequence) -> Federation:
+    """Rebuild a federation from :func:`federation_to_obj` output."""
+    if not isinstance(obj, list):
+        raise ZoneFormatError("federation record is not a list of zones")
+    return Federation(dim, [zone_from_obj(dim, zone) for zone in obj])

@@ -4,11 +4,14 @@
 a big concern is efficient strategy representation."  This module gives
 winning strategies a compact, portable JSON form:
 
-* zones serialize as their canonical integer matrices (with federation
-  compaction applied first, so covered zones are dropped);
-* moves serialize as ``(automaton index, edge position)`` pairs against a
-  *model fingerprint*, so a strategy can only be loaded against the
-  network it was synthesized for;
+* zones serialize through the shared minimal-constraint codec of
+  :mod:`repro.dbm.minform` (with federation compaction applied first, so
+  covered zones are dropped); loading recloses every zone and rejects
+  one that is malformed, out of range or empty;
+* moves serialize as ``(automaton index, edge position)`` pairs against
+  the network's :meth:`~repro.ta.model.Network.structural_hash` (which
+  covers declarations too), so a strategy can only be loaded against
+  the network it was synthesized for;
 * loading reconstructs a :class:`PackedStrategy` whose ``decide`` is the
   same decision engine the synthesizer uses — test execution does not
   care which one it gets.
@@ -24,13 +27,10 @@ Typical round trip::
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, List
 
-import numpy as np
-
-from ..dbm import DBM, Federation
+from ..dbm import Federation, federation_from_obj, federation_to_obj
 from ..semantics.system import Move, System
 from .solver import NodeWin
 from .strategy import ActionDecision, DecisionEngine, NodeStrategy, Strategy
@@ -40,63 +40,8 @@ class StrategyFormatError(ValueError):
     """Raised when loading malformed or mismatched strategy data."""
 
 
-FORMAT_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Zone / federation codecs
-# ----------------------------------------------------------------------
-
-
-def dbm_to_list(zone: DBM) -> List[int]:
-    """Flatten a canonical DBM to a list of encoded bounds."""
-    return [int(v) for v in zone.m.reshape(-1)]
-
-
-def dbm_from_list(dim: int, values: List[int]) -> DBM:
-    """Rebuild a canonical DBM from :func:`dbm_to_list` output."""
-    if len(values) != dim * dim:
-        raise StrategyFormatError("zone matrix has the wrong size")
-    matrix = np.array(values, dtype=np.int64).reshape(dim, dim)
-    return DBM(matrix)
-
-
-def federation_to_obj(fed: Federation) -> List[List[int]]:
-    """Serialize a federation (compacted) as lists of encoded bounds."""
-    return [dbm_to_list(z) for z in fed.compact().zones]
-
-
-def federation_from_obj(dim: int, obj: List[List[int]]) -> Federation:
-    """Rebuild a federation from :func:`federation_to_obj` output."""
-    return Federation(dim, [dbm_from_list(dim, zone) for zone in obj])
-
-
-# ----------------------------------------------------------------------
-# Model fingerprint
-# ----------------------------------------------------------------------
-
-
-def model_fingerprint(system: System) -> str:
-    """A digest of the network structure a strategy is valid against."""
-    hasher = hashlib.sha256()
-    network = system.network
-    hasher.update(network.name.encode())
-    for automaton in network.automata:
-        hasher.update(automaton.name.encode())
-        for loc in automaton.location_list:
-            hasher.update(
-                f"{loc.name}|{loc.invariant}|{loc.committed}|{loc.urgent}".encode()
-            )
-        for edge in automaton.edges:
-            hasher.update(edge.describe().encode())
-    for name in sorted(network.channels):
-        hasher.update(f"{name}:{network.channels[name].kind}".encode())
-    return hasher.hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
+#: Version 2: minimal-constraint zones, keyed by ``structural_hash``.
+FORMAT_VERSION = 2
 
 
 def _edge_position(system: System, a_idx: int, edge) -> int:
@@ -122,26 +67,29 @@ def _move_from_obj(system: System, obj: dict) -> Move:
     return Move(obj["label"], obj["direction"], obj["controllable"], edges)
 
 
+def _compact_obj(fed: Federation) -> list:
+    return federation_to_obj(fed.compact())
+
+
 def strategy_to_dict(strategy: Strategy) -> dict:
     """Serialize a synthesized strategy to plain JSON-compatible data."""
     system = strategy.system
-    dim = system.dim
     nodes = []
     for ns in strategy.per_node.values():
         nodes.append(
             {
                 "locs": list(ns.node.sym.locs),
                 "vars": list(ns.node.sym.vars),
-                "win": federation_to_obj(ns.win.win),
-                "goal": federation_to_obj(ns.win.goal),
+                "win": _compact_obj(ns.win.win),
+                "goal": _compact_obj(ns.win.goal),
                 "layers": [
-                    [step, federation_to_obj(fed)] for step, fed in ns.win.layers
+                    [step, _compact_obj(fed)] for step, fed in ns.win.layers
                 ],
                 "actions": [
                     {
                         "step": decision.step,
                         "move": _move_to_obj(system, decision.move),
-                        "fed": federation_to_obj(decision.fed),
+                        "fed": _compact_obj(decision.fed),
                     }
                     for decision in ns.actions
                 ],
@@ -150,8 +98,8 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     return {
         "format": FORMAT_VERSION,
         "model": system.network.name,
-        "fingerprint": model_fingerprint(system),
-        "dim": dim,
+        "structural_hash": system.network.structural_hash(),
+        "dim": system.dim,
         "nodes": nodes,
     }
 
@@ -192,42 +140,43 @@ class PackedStrategy(DecisionEngine):
         return len(self.per_node)
 
 
+def _node_from_obj(system: System, dim: int, obj: dict) -> NodeStrategy:
+    win = NodeWin(
+        federation_from_obj(dim, obj["win"]),
+        federation_from_obj(dim, obj["goal"]),
+        [(step, federation_from_obj(dim, fed)) for step, fed in obj["layers"]],
+    )
+    win.key = (tuple(obj["locs"]), tuple(obj["vars"]))  # type: ignore[attr-defined]
+    actions = [
+        _PackedAction(
+            a["step"],
+            _move_from_obj(system, a["move"]),
+            federation_from_obj(dim, a["fed"]),
+        )
+        for a in obj["actions"]
+    ]
+    actions.sort(key=lambda a: a.step)
+    return NodeStrategy(None, win, actions)
+
+
 def strategy_from_dict(system: System, data: dict) -> PackedStrategy:
     """Reconstruct a strategy against the network it was saved from."""
     if data.get("format") != FORMAT_VERSION:
         raise StrategyFormatError(
             f"unsupported strategy format {data.get('format')!r}"
         )
-    expected = model_fingerprint(system)
-    if data.get("fingerprint") != expected:
+    if data.get("structural_hash") != system.network.structural_hash():
         raise StrategyFormatError(
-            "strategy fingerprint does not match the network: the strategy"
-            " was synthesized for a different (or modified) model"
+            "strategy structural hash does not match the network: the"
+            " strategy was synthesized for a different (or modified) model"
         )
     dim = data["dim"]
     if dim != system.dim:
         raise StrategyFormatError("clock count mismatch")
-    nodes = []
-    for obj in data["nodes"]:
-        win = NodeWin(
-            federation_from_obj(dim, obj["win"]),
-            federation_from_obj(dim, obj["goal"]),
-            [
-                (step, federation_from_obj(dim, fed))
-                for step, fed in obj["layers"]
-            ],
-        )
-        win.key = (tuple(obj["locs"]), tuple(obj["vars"]))  # type: ignore[attr-defined]
-        actions = [
-            _PackedAction(
-                a["step"],
-                _move_from_obj(system, a["move"]),
-                federation_from_obj(dim, a["fed"]),
-            )
-            for a in obj["actions"]
-        ]
-        actions.sort(key=lambda a: a.step)
-        nodes.append(NodeStrategy(None, win, actions))
+    try:
+        nodes = [_node_from_obj(system, dim, obj) for obj in data["nodes"]]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise StrategyFormatError(f"malformed strategy record: {exc}") from exc
     return PackedStrategy(system, nodes)
 
 

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dbm import Federation, INF, decode
 from ..graph.explorer import ExplorationLimit, GraphNode, SimulationGraph
-from ..semantics.system import System
+from ..semantics.system import CLOSED, System
 from ..tctl.goals import GoalPredicate
 from ..tctl.query import Query, REACH_GAME
 from ..util import counters
@@ -111,7 +111,7 @@ class _BaseSolver:
         system: System,
         query: Query,
         *,
-        open_system: bool = False,
+        mode: str = CLOSED,
         max_nodes: Optional[int] = None,
         time_limit: Optional[float] = None,
     ):
@@ -129,7 +129,7 @@ class _BaseSolver:
         update_max_constants(self.goal.clock_atoms(), system.decls, extra)
         self.graph = SimulationGraph(
             system,
-            open_system=open_system,
+            mode=mode,
             extra_max_consts=extra,
             max_nodes=max_nodes,
             time_limit=time_limit,
@@ -552,7 +552,7 @@ def solve_reachability_game(
     query: Query,
     *,
     on_the_fly: bool = True,
-    open_system: bool = False,
+    mode: str = CLOSED,
     max_nodes: Optional[int] = None,
     time_limit: Optional[float] = None,
     warm_cache=None,
@@ -566,7 +566,7 @@ def solve_reachability_game(
     always returns converged win-sets (``on_the_fly`` is ignored — an
     early-stopped on-the-fly under-approximation is not cacheable).
     """
-    if warm_cache is not None and not open_system:
+    if warm_cache is not None and mode == CLOSED:
         from .warm import resolve_cache, warm_solve
 
         return warm_solve(
@@ -580,7 +580,7 @@ def solve_reachability_game(
     solver = cls(
         system,
         query,
-        open_system=open_system,
+        mode=mode,
         max_nodes=max_nodes,
         time_limit=time_limit,
     )

@@ -8,8 +8,9 @@ converged backward fixpoint outlive the solve that computed it:
   per-node winning federations, keyed by the network's
   :meth:`~repro.ta.model.Network.structural_hash`, the query text, and
   the effective ExtraM extrapolation caps.  Federations persist in
-  minimal-constraint form (round-trip verified at write time), so entries
-  are compact and exact.  A cache hit re-explores the simulation graph
+  minimal-constraint form through the shared zone codec of
+  :mod:`repro.dbm.minform` (round-trip verified at write time), so
+  entries are compact and exact.  A cache hit re-explores the simulation graph
   (cheap, forward-only) and installs the stored fixpoint instead of
   re-running the backward worklist.
 
@@ -34,68 +35,32 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..dbm import (
-    DBM,
-    Federation,
-    minimal_constraints,
-    verified_minimal_constraints,
+    federation_from_obj,
+    federation_to_obj,
+    zone_from_obj,
+    zone_to_obj,
 )
-from .. import faults
 from ..semantics.system import System
 from ..ta.model import Network
 from ..tctl.goals import GoalPredicate
 from ..tctl.query import Query, parse_query
 from ..util import counters
+from ..util.checked import CorruptFile, checksum, read_checked, write_atomic
 from .solver import GameResult, NodeWin, TwoPhaseSolver
 
 __all__ = [
     "WinSetCache",
     "effective_caps",
-    "federation_from_obj",
-    "federation_to_obj",
-    "minimal_constraints",
     "resolve_cache",
     "warm_solve",
-    "zone_from_obj",
-    "zone_to_obj",
 ]
 
-FORMAT_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Minimal-constraint zone codec
-# ----------------------------------------------------------------------
-
-
-def zone_to_obj(zone: DBM) -> List[List[int]]:
-    """A nonempty canonical zone as its minimal constraint list.
-
-    The reduction itself lives in :mod:`repro.dbm.minform` (it started
-    here and was promoted into the DBM layer); this wrapper keeps the
-    warm cache's historical fallback counter.
-    """
-    cons = verified_minimal_constraints(
-        zone, fallback_counter="solver.warm_minform_fallbacks"
-    )
-    return [[int(i), int(j), int(enc)] for i, j, enc in cons]
-
-
-def zone_from_obj(dim: int, obj: Sequence[Sequence[int]]) -> DBM:
-    """Rebuild a canonical zone from :func:`zone_to_obj` output."""
-    return DBM.from_constraints(dim, [(c[0], c[1], c[2]) for c in obj])
-
-
-def federation_to_obj(fed: Federation) -> List[List[List[int]]]:
-    """A federation as a list of minimal-constraint zones (exact)."""
-    return [zone_to_obj(z) for z in fed.zones]
-
-
-def federation_from_obj(dim: int, obj) -> Federation:
-    """Rebuild a federation from :func:`federation_to_obj` output."""
-    return Federation(dim, [zone_from_obj(dim, zone) for zone in obj])
+#: Part of every cache key, so entries of an older format are misses.
+#: Version 2 names the disk checksum ``checksum`` (version 1: ``sha``).
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +103,9 @@ class WinSetCache:
     effective extrapolation caps; entries hold every node's winning
     federation *and* its rank layers (fixpoint step → increment), so a
     restored result supports strategy extraction unchanged.  Disk writes
-    are atomic (tmp + rename) — concurrent campaign workers sharing a
-    directory race benignly, last writer wins with identical content.
+    are atomic (:func:`~repro.util.checked.write_atomic`) and carry a
+    ``checksum`` — concurrent campaign workers sharing a directory race
+    benignly, last writer wins with identical content.
     """
 
     def __init__(self, directory: Optional[str] = None, *, memory: bool = True):
@@ -177,77 +143,52 @@ class WinSetCache:
 
     # -- load / store --------------------------------------------------
 
-    @staticmethod
-    def _entry_sha(entry: dict) -> str:
-        body = {k: v for k, v in entry.items() if k != "sha"}
-        blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
     def load(self, key: str) -> Optional[dict]:
         """The stored entry for a key, or None (memory first, then disk).
 
-        A disk entry that fails to parse or fails its recorded ``sha``
-        checksum is a cache *miss*, never an error: the file is
-        quarantined aside (renamed ``.corrupt``) with a
-        ``solver.warm_corrupt_entries`` counter bump and the caller
-        falls back to a cold solve — degradation costs time, not
-        soundness.
+        A disk entry that fails :func:`~repro.util.checked.read_checked`
+        (unparseable, or its recorded ``checksum`` disagrees) is a cache
+        *miss*, never an error: the file is quarantined aside (renamed
+        ``.corrupt``) with a ``solver.warm_corrupt_entries`` counter bump
+        and the caller falls back to a cold solve — degradation costs
+        time, not soundness.
         """
         if self._memory is not None:
             entry = self._memory.get(key)
             if entry is not None:
                 return entry
-        if self.directory:
-            path = self._path(key)
+        if not self.directory:
+            return None
+        path = self._path(key)
+        try:
+            entry = read_checked(path)
+        except OSError:
+            return None
+        except CorruptFile:
+            counters.inc("solver.warm_corrupt_entries")
             try:
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                if not isinstance(entry, dict):
-                    raise ValueError("not a JSON object")
-                recorded = entry.get("sha")
-                if recorded is not None and recorded != self._entry_sha(
-                    entry
-                ):
-                    raise ValueError("checksum mismatch")
+                os.replace(path, path + ".corrupt")
             except OSError:
-                return None
-            except ValueError:
-                counters.inc("solver.warm_corrupt_entries")
-                try:
-                    os.replace(path, path + ".corrupt")
-                except OSError:
-                    pass
-                return None
-            if self._memory is not None:
-                self._memory[key] = entry
-            return entry
-        return None
+                pass
+            return None
+        if self._memory is not None:
+            self._memory[key] = entry
+        return entry
 
     def store(self, key: str, entry: dict) -> None:
-        """Persist an entry (in-process always; on disk when configured)."""
-        entry = dict(entry)
-        entry["sha"] = self._entry_sha(entry)
+        """Keep an entry in-process; on disk (checksummed) when configured."""
         if self._memory is not None:
             self._memory[key] = entry
         if self.directory:
             path = self._path(key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + f".tmp.{os.getpid()}"
+            text = json.dumps(
+                dict(entry, checksum=checksum(entry)), separators=(",", ":")
+            )
             try:
-                blob = json.dumps(entry, separators=(",", ":"))
-                if faults.should_fire("warm.cache.write"):
-                    # Injected torn write: the entry lands truncated and
-                    # the next load quarantines it as a miss.
-                    blob = blob[: max(1, len(blob) // 2)]
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                write_atomic(path, text, "warm.cache.write")
             except OSError:
                 counters.inc("solver.warm_store_errors")
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
 
     def cached_result(self, key: str) -> Optional[GameResult]:
         """A GameResult already installed in this process, if any."""

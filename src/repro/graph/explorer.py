@@ -23,7 +23,7 @@ import numpy as np
 
 from ..dbm import DBM
 from ..semantics.state import DiscreteKey, SymbolicState
-from ..semantics.system import CLOSED, OPEN, Move, System
+from ..semantics.system import CLOSED, Move, System
 
 
 class _ZoneIndex:
@@ -108,17 +108,15 @@ class SimulationGraph:
         self,
         system: System,
         *,
-        open_system: bool = False,
-        mode: Optional[str] = None,
+        mode: str = CLOSED,
         extrapolate: bool = True,
         extra_max_consts: Optional[Sequence[int]] = None,
         max_nodes: Optional[int] = None,
         time_limit: Optional[float] = None,
     ):
         self.system = system
-        #: Move-enumeration mode (closed | open | partial); the legacy
-        #: ``open_system`` flag maps to OPEN.
-        self.mode = mode if mode is not None else (OPEN if open_system else CLOSED)
+        #: Move-enumeration mode (closed | open | partial).
+        self.mode = mode
         self.max_nodes = max_nodes
         self.time_limit = time_limit
         self.nodes: List[GraphNode] = []

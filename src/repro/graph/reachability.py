@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..dbm import Federation
 from ..semantics.state import SymbolicState
-from ..semantics.system import Move, System
+from ..semantics.system import CLOSED, Move, System
 from .explorer import ExplorationLimit, GraphNode, SimulationGraph
 
 StateFederation = Callable[[SymbolicState], Federation]
@@ -35,7 +35,7 @@ def check_reachable(
     system: System,
     predicate: StateFederation,
     *,
-    open_system: bool = False,
+    mode: str = CLOSED,
     max_nodes: Optional[int] = None,
     time_limit: Optional[float] = None,
     with_trace: bool = False,
@@ -43,7 +43,7 @@ def check_reachable(
     """On-the-fly ``E<> φ``: stop at the first node intersecting φ."""
     graph = SimulationGraph(
         system,
-        open_system=open_system,
+        mode=mode,
         max_nodes=max_nodes,
         time_limit=time_limit,
     )
@@ -84,7 +84,7 @@ def check_reachable(
 def find_deadlocks(
     system: System,
     *,
-    open_system: bool = False,
+    mode: str = CLOSED,
     max_nodes: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> List[Tuple[GraphNode, "Federation"]]:
@@ -101,7 +101,7 @@ def find_deadlocks(
     from ..dbm import Federation, INF, decode
 
     graph = SimulationGraph(
-        system, open_system=open_system, max_nodes=max_nodes, time_limit=time_limit
+        system, mode=mode, max_nodes=max_nodes, time_limit=time_limit
     )
     graph.explore_all()
     deadlocks: List[Tuple[GraphNode, Federation]] = []
@@ -146,7 +146,7 @@ def check_invariant(
     system: System,
     predicate: StateFederation,
     *,
-    open_system: bool = False,
+    mode: str = CLOSED,
     max_nodes: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> ReachabilityResult:
@@ -159,7 +159,7 @@ def check_invariant(
     result = check_reachable(
         system,
         violated,
-        open_system=open_system,
+        mode=mode,
         max_nodes=max_nodes,
         time_limit=time_limit,
     )

@@ -4,12 +4,10 @@ The differential fuzz campaigns (:mod:`repro.gen`) and the
 mutation-detection test campaigns (:mod:`repro.testing.campaign`) are
 embarrassingly parallel — thousands of independent generate → solve →
 conformance instances — but were strictly serial.  :mod:`repro.par`
-provides the primitive both need: an order-preserving parallel map over
-picklable task tuples, in two dispatch flavours — :func:`starmap`
-(contiguous chunks, lowest overhead for uniform tasks) and
-:func:`steal_map` (work-stealing single-task dispatch, so one
-solver-heavy instance never straggles a chunk of cheap neighbours; the
-campaign default).  Both
+provides the primitive both need: :func:`steal_map`, an order-preserving
+parallel map over picklable task tuples with work-stealing single-task
+dispatch, so one solver-heavy instance never straggles a batch of cheap
+neighbours.  It
 
 * keeps results **deterministic**: results come back in task order no
   matter which worker finished first, so a sharded campaign report is
@@ -31,7 +29,6 @@ from .pool import (
     auto_jobs,
     parse_jobs,
     resolve_jobs,
-    starmap,
     steal_map,
 )
 
@@ -41,6 +38,5 @@ __all__ = [
     "auto_jobs",
     "parse_jobs",
     "resolve_jobs",
-    "starmap",
     "steal_map",
 ]

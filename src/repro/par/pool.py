@@ -3,15 +3,15 @@
 Determinism contract
 ====================
 
-``starmap(fn, tasks, jobs)`` returns ``[fn(*t) for t in tasks]`` — the
-same values in the same order for every ``jobs`` value — provided ``fn``
-derives all its randomness from its arguments (the repo-wide seed
+``steal_map(fn, tasks, jobs)`` returns ``[fn(*t) for t in tasks]`` —
+the same values in the same order for every ``jobs`` value — provided
+``fn`` derives all its randomness from its arguments (the repo-wide seed
 discipline).  Scheduling only decides *where* a task runs, never what it
 computes, and the parent reorders results by task index before returning.
 Anything order-sensitive (shrinking, report formatting, rng reuse) stays
 in the caller, serial.
 
-Worker-side :mod:`repro.util.counters` state is captured per chunk and
+Worker-side :mod:`repro.util.counters` state is captured per task and
 merged into the parent's counters; the merge is commutative, so the
 aggregate — unlike the scheduling — is reproducible too (per-counter
 *values* may differ across ``jobs`` settings because per-process memo
@@ -23,13 +23,13 @@ Fork/spawn safety
 
 The pool uses the platform's default start method (fork on Linux, spawn
 on macOS/Windows).  The only callables that cross the process boundary
-are module-level functions of importable modules — :func:`_run_chunk`
+are module-level functions of importable modules — :func:`_steal_worker`
 here and the caller-supplied ``fn`` — so both start methods work, and
 ``python -m repro.gen.cli`` style entry points are safe because nothing
 is pickled out of ``__main__``.
 
-Fault tolerance (:func:`steal_map` only)
-========================================
+Fault tolerance
+===============
 
 The work-stealing pool owns its worker processes, so it can survive
 what ``multiprocessing.Pool`` cannot: a worker that dies mid-task
@@ -53,7 +53,7 @@ import os
 import pickle
 import time
 from multiprocessing import get_context
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .. import faults
 from ..util import counters
@@ -92,96 +92,6 @@ def parse_jobs(value: str) -> int:
 def resolve_jobs(jobs: int, task_count: int) -> int:
     """Clamp a worker count to the work available."""
     return max(1, min(jobs, task_count))
-
-
-def _run_task(payload) -> Tuple[int, object, dict]:
-    """Worker entry point for :func:`steal_map`: one indexed task.
-
-    Like :func:`_run_chunk` but at single-task granularity — the unit
-    idle workers pull from the shared queue — so the counter export is
-    exactly that task's op profile (the corpus uses it as a per-instance
-    coverage signal).
-    """
-    fn, index, args = payload
-    counters.reset()
-    result = fn(*args)
-    return index, result, counters.export()
-
-
-def _run_chunk(payload) -> Tuple[List[Tuple[int, object]], dict]:
-    """Worker entry point: run one chunk of indexed tasks.
-
-    Resets this worker's counters first so the export is exactly the
-    chunk's own op profile (chunks never share a worker's counter state;
-    the parent merges every chunk, so nothing is lost or double-counted).
-    """
-    fn, indexed = payload
-    counters.reset()
-    results = [(index, fn(*args)) for index, args in indexed]
-    return results, counters.export()
-
-
-def _chunk_payloads(fn, tasks: Sequence[tuple], jobs: int, chunk_size: int):
-    """Contiguous chunks of (index, task) pairs, small enough to balance."""
-    payloads = []
-    for start in range(0, len(tasks), chunk_size):
-        indexed = [
-            (index, tasks[index])
-            for index in range(start, min(start + chunk_size, len(tasks)))
-        ]
-        payloads.append((fn, indexed))
-    return payloads
-
-
-def starmap(
-    fn: Callable,
-    tasks: Sequence[tuple],
-    jobs: int = 1,
-    *,
-    chunk_size: Optional[int] = None,
-    on_result: Optional[Callable[[object], None]] = None,
-) -> List[object]:
-    """``[fn(*t) for t in tasks]``, sharded over ``jobs`` processes.
-
-    ``fn`` must be a module-level callable and every task tuple must be
-    picklable.  Results always come back in task order; ``on_result``
-    fires once per task *as results arrive* (completion order — use it
-    for progress, not for anything the deterministic output depends on).
-
-    With ``jobs <= 1`` (or a single task) everything runs in-process:
-    no pool, no pickling, counters accrue directly — the serial
-    reference the parallel path is differentially tested against.
-    """
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs, len(tasks))
-    if jobs <= 1:
-        out = []
-        for args in tasks:
-            result = fn(*args)
-            out.append(result)
-            if on_result is not None:
-                on_result(result)
-        return out
-    if chunk_size is None:
-        # Small chunks for load balance, but at least a few tasks per
-        # dispatch so per-chunk pickling overhead stays amortized.
-        chunk_size = max(1, min(8, -(-len(tasks) // (jobs * 4))))
-    payloads = _chunk_payloads(fn, tasks, jobs, chunk_size)
-    results: List[object] = [None] * len(tasks)
-    ctx = get_context()
-    pool = ctx.Pool(processes=jobs)
-    try:
-        for chunk_results, exported in pool.imap_unordered(_run_chunk, payloads):
-            counters.merge(exported)
-            for index, result in chunk_results:
-                results[index] = result
-                if on_result is not None:
-                    on_result(result)
-        pool.close()
-        pool.join()
-    finally:
-        pool.terminate()
-    return results
 
 
 def _steal_worker(fn, task_q, result_q):
@@ -255,28 +165,27 @@ def steal_map(
     task_timeout: Optional[float] = None,
     quarantine: Optional[Callable[[int, BaseException], None]] = None,
 ) -> List[object]:
-    """Work-stealing ``starmap``: single-task dispatch from a shared queue.
+    """``[fn(*t) for t in tasks]``, sharded over ``jobs`` processes.
 
-    Same determinism contract as :func:`starmap` — ``[fn(*t) for t in
-    tasks]`` in task order for every ``jobs`` value — but tasks are
-    handed to workers **one at a time** from a shared queue: an idle
-    worker immediately steals the next pending task, so one solver-heavy
-    task never straggles a pre-assigned chunk of cheap neighbours.
+    ``fn`` must be a module-level callable and every task tuple must be
+    picklable; results come back in task order for every ``jobs`` value.
+    Tasks are handed to workers **one at a time** from a shared queue:
+    an idle worker immediately steals the next pending task, so one
+    solver-heavy task never straggles a batch of cheap neighbours.
     Dispatch is windowed (at most ``2 * jobs`` undelivered tasks in the
     pipe, topped up as claims arrive) so a large campaign of fast tasks
     can never fill both pipe buffers and deadlock parent against
     workers.
-    Preferred over the chunked dispatch whenever per-task cost is wildly
-    uneven (differential fuzz instances, mutant sweeps); the per-task
-    dispatch/pickling overhead only matters when tasks are tiny *and*
-    uniform.
 
-    ``on_result`` — unlike :func:`starmap`'s — receives ``(index,
-    result)`` as results arrive in completion order, which is what an
-    incremental campaign checkpoint needs (results must be journaled
-    under their task index to be resumable in any completion order).
-    Per-task worker counters merge into the parent exactly like the
-    chunked path's.
+    With ``jobs <= 1`` (or a single task) everything runs in-process:
+    no pool, no pickling, counters accrue directly — the serial
+    reference the pooled path is tested against.
+
+    ``on_result`` receives ``(index, result)`` as results arrive in
+    completion order, which is what an incremental campaign checkpoint
+    needs (results must be journaled under their task index to be
+    resumable in any completion order).  Per-task worker counters merge
+    into the parent's.
 
     Fault tolerance (pooled path only; the serial path is the plain
     reference loop):

@@ -26,9 +26,9 @@ Move enumeration comes in **three modes**, all served by one core
 ``open``
     Every sync half fires alone — the network models a component whose
     partners all live outside (``c?`` on an input channel is an input
-    move, ``c!`` on an output channel an output move).  Sound only for
-    single-automaton plants; kept as the legacy
-    :meth:`System.open_moves_from`.
+    move, ``c!`` on an output channel an output move; on a broadcast
+    channel the emitting half is an output, the receiving half an
+    input).  Sound only for single-automaton plants.
 ``partial``
     Composition against the network's *interface partition*
     (:meth:`repro.ta.model.Network.set_interface`): synchronizations the
@@ -408,30 +408,6 @@ class System:
         moves = self._enumerate_moves(locs, vars, mode)
         self._moves_cache[key] = moves
         return moves
-
-    def open_moves_from(
-        self, locs: Tuple[int, ...], vars: Tuple[int, ...]
-    ) -> List[Move]:
-        """Moves of an *open* system: sync edges fire alone.
-
-        Used when a network models a single component (the plant spec for
-        the tioco monitor, or a simulated implementation) whose partners
-        live outside the model: an edge ``c?`` on an input channel is an
-        input move, ``c!`` on an output channel is an output move.  On a
-        broadcast channel the *edge* decides: the emitting half ``c!`` is
-        an (observable, uncontrollable) output of the component, the
-        receiving half ``c?`` an input the environment may trigger.
-
-        Equivalent to ``moves_from(locs, vars, mode=OPEN)`` — and, for a
-        single-automaton network, to the partial semantics.
-        """
-        return self.moves_from(locs, vars, OPEN)
-
-    def partial_moves_from(
-        self, locs: Tuple[int, ...], vars: Tuple[int, ...]
-    ) -> List[Move]:
-        """Moves of the partial composition (``moves_from`` in PARTIAL mode)."""
-        return self.moves_from(locs, vars, PARTIAL)
 
     def partial_hides_syncs(self) -> bool:
         """Whether partial-mode enumeration can produce hidden sync moves.
@@ -890,8 +866,7 @@ class System:
         self,
         state: ConcreteState,
         *,
-        open_system: bool = False,
-        mode: Optional[str] = None,
+        mode: str = CLOSED,
         directions: Optional[Tuple[str, ...]] = None,
     ) -> List[Tuple[Move, DelayInterval]]:
         """Moves enabled from ``state`` after *some* legal delay.
@@ -901,10 +876,8 @@ class System:
         is the shared enumeration primitive of the tioco/rtioco monitors,
         the simulated implementations, and the random-run machinery of
         :mod:`repro.gen`.  ``mode`` selects the enumeration semantics
-        explicitly; the legacy ``open_system`` flag maps to ``OPEN``.
+        (closed, open or partial; see :meth:`moves_from`).
         """
-        if mode is None:
-            mode = OPEN if open_system else CLOSED
         moves = self.moves_from(state.locs, state.vars, mode)
         options: List[Tuple[Move, DelayInterval]] = []
         for move in moves:
@@ -929,8 +902,7 @@ class System:
         self,
         state: ConcreteState,
         *,
-        open_system: bool = False,
-        mode: Optional[str] = None,
+        mode: str = CLOSED,
         directions: Optional[Tuple[str, ...]] = None,
     ) -> List[Tuple[Move, DelayInterval]]:
         """Moves enabled at the current instant (zero delay)."""
@@ -938,7 +910,7 @@ class System:
         return [
             (move, interval)
             for move, interval in self.move_options(
-                state, open_system=open_system, mode=mode, directions=directions
+                state, mode=mode, directions=directions
             )
             if interval.contains(zero)
         ]

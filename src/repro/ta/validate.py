@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from ..dbm import Federation
 from ..graph.explorer import SimulationGraph
-from ..semantics.system import System
+from ..semantics.system import OPEN, System
 
 
 @dataclass
@@ -52,12 +52,12 @@ class ValidationReport:
 def check_determinism(
     system: System,
     *,
-    open_system: bool = True,
+    mode: str = OPEN,
     max_nodes: Optional[int] = 20_000,
 ) -> ValidationReport:
     """Check that same-label moves never overlap with different effects."""
     report = ValidationReport()
-    graph = SimulationGraph(system, open_system=open_system, max_nodes=max_nodes)
+    graph = SimulationGraph(system, mode=mode, max_nodes=max_nodes)
     graph.explore_all()
     report.nodes_checked = graph.node_count
     channels = system.network.channels
@@ -127,7 +127,7 @@ def check_input_enabledness(
     of enabled receiving edges must cover the node's whole zone.
     """
     report = ValidationReport()
-    graph = SimulationGraph(system, open_system=True, max_nodes=max_nodes)
+    graph = SimulationGraph(system, mode=OPEN, max_nodes=max_nodes)
     graph.explore_all()
     report.nodes_checked = graph.node_count
     inputs = set(system.network.channel_names("input"))

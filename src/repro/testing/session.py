@@ -81,9 +81,6 @@ class SessionConfig:
     policies: Optional[Tuple[str, ...]] = None
     #: Runs per (purpose, policy) combination in campaigns.
     repetitions: int = 1
-    #: Wall-clock guard (seconds) a network driver applies per wait in
-    #: virtual-clock mode; None = wait for the peer indefinitely.
-    observe_timeout: Optional[float] = None
 
     def replace(self, **overrides) -> "SessionConfig":
         return replace(self, **overrides)

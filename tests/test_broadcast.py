@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.semantics.system import System
+from repro.semantics.system import OPEN, System
 from repro.ta.builder import NetworkBuilder
 from repro.ta.dot import network_to_dot
 from repro.ta.model import BROADCAST, ModelError
@@ -214,7 +214,7 @@ def test_broadcast_open_directions():
     system = System(net.build())
     state = system.initial_concrete()
     by_direction = {
-        m.direction: m for m in system.open_moves_from(state.locs, state.vars)
+        m.direction: m for m in system.moves_from(state.locs, state.vars, OPEN)
     }
     assert by_direction["output"].label == "b"
     assert not by_direction["output"].controllable

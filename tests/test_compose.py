@@ -397,11 +397,11 @@ class TestStateEstimate:
         system = estimate.system
         locs = system.network.initial_locations()
         (go,) = [
-            m for m in system.partial_moves_from(locs, ()) if m.label == "go"
+            m for m in system.moves_from(locs, (), PARTIAL) if m.label == "go"
         ]
         (fin,) = [
             m
-            for m in system.partial_moves_from((2, 1), ())
+            for m in system.moves_from((2, 1), (), PARTIAL)
             if m.label == "fin"
         ]
         assert not estimate.observe_move(fin)  # not enabled initially

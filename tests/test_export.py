@@ -13,15 +13,9 @@ from repro.game import (
     strategy_from_dict,
     strategy_to_dict,
 )
-from repro.game.export import (
-    dbm_from_list,
-    dbm_to_list,
-    federation_from_obj,
-    federation_to_obj,
-    load_strategy,
-    model_fingerprint,
-    save_strategy,
-)
+from repro.dbm import Federation, ZoneFormatError, le, zone_from_obj
+from repro.game.export import _compact_obj, load_strategy, save_strategy
+from repro.models import smartlight
 from repro.models.smartlight import smartlight_network, smartlight_plant
 from repro.semantics.system import System
 from repro.tctl import parse_query
@@ -38,45 +32,48 @@ def strategy():
     return Strategy(result)
 
 
+#: Zone records the shared codec must reject: ``x1 >= 5 && x1 <= 3``
+#: (no valuation satisfies it), and a clock index past the dimension.
+BAD_ZONES = [
+    pytest.param([[0, 1, le(-5)], [1, 0, le(3)]], "empty", id="empty"),
+    pytest.param([[0, 9, le(1)]], "clock pair", id="out-of-range"),
+]
+
+
 class TestZoneCodec:
-    def test_dbm_round_trip(self):
-        zone = box(3, [(1, 5), (2, 4)])
-        assert dbm_from_list(3, dbm_to_list(zone)).equals(zone)
+    """Strategy files use the shared codec of :mod:`repro.dbm.minform`;
+    its round trips are properties in ``test_warm.py``."""
 
     def test_dbm_wrong_size(self):
-        with pytest.raises(StrategyFormatError):
-            dbm_from_list(3, [0, 1, 2])
+        with pytest.raises(ZoneFormatError, match="malformed"):
+            zone_from_obj(3, [[0, 1]])
 
-    def test_federation_round_trip(self):
-        from repro.dbm import Federation
-
-        fed = Federation(3, [box(3, [(0, 1), (0, 9)]), box(3, [(4, 6), (0, 9)])])
-        restored = federation_from_obj(3, federation_to_obj(fed))
-        assert restored.equals(fed)
+    @pytest.mark.parametrize("record,why", BAD_ZONES)
+    def test_rejects_bad_record(self, record, why):
+        with pytest.raises(ZoneFormatError, match=why):
+            zone_from_obj(3, record)
 
     def test_federation_compacted_on_save(self):
-        from repro.dbm import Federation
-
         fed = Federation(3, [box(3, [(0, 4), (0, 9)]), box(3, [(4, 8), (0, 9)]),
                              box(3, [(2, 6), (0, 9)])])
-        obj = federation_to_obj(fed)
+        obj = _compact_obj(fed)
         assert len(obj) == 2  # the middle zone is covered by the others
 
 
 class TestFingerprint:
-    def test_stable_across_rebuilds(self):
-        a = model_fingerprint(System(smartlight_network()))
-        b = model_fingerprint(System(smartlight_network()))
-        assert a == b
+    """A strategy is keyed by the network's ``structural_hash``."""
+
+    def test_stable_across_rebuilds(self, strategy):
+        a = System(smartlight_network()).network.structural_hash()
+        b = System(smartlight_network()).network.structural_hash()
+        assert a == b == strategy_to_dict(strategy)["structural_hash"]
 
     def test_differs_for_mutants(self):
         from repro.testing.mutants import widen_invariant
 
-        original = model_fingerprint(System(smartlight_plant()))
-        mutated = model_fingerprint(
-            System(widen_invariant(smartlight_plant(), "IUT", "L1", 1))
-        )
-        assert original != mutated
+        original = smartlight_plant().structural_hash()
+        mutated = widen_invariant(smartlight_plant(), "IUT", "L1", 1)
+        assert original != mutated.structural_hash()
 
 
 class TestRoundTrip:
@@ -128,8 +125,22 @@ class TestValidation:
 
     def test_rejects_tampered_fingerprint(self, strategy):
         data = strategy_to_dict(strategy)
-        data["fingerprint"] = "0" * 16
+        data["structural_hash"] = "0" * 64
         with pytest.raises(StrategyFormatError):
+            strategy_from_dict(System(smartlight_network()), data)
+
+    def test_rejects_changed_declaration(self, strategy, monkeypatch):
+        # Same automata and edges, different constant: Tsw=7, not 4.
+        monkeypatch.setattr(smartlight, "TSW", 7)
+        data = strategy_to_dict(strategy)
+        with pytest.raises(StrategyFormatError, match="structural hash"):
+            strategy_from_dict(System(smartlight_network()), data)
+
+    @pytest.mark.parametrize("record,why", BAD_ZONES)
+    def test_rejects_bad_zone_record(self, strategy, record, why):
+        data = strategy_to_dict(strategy)
+        data["nodes"][0]["win"] = [record]
+        with pytest.raises(StrategyFormatError, match=why):
             strategy_from_dict(System(smartlight_network()), data)
 
     def test_rejects_unknown_format(self, strategy):

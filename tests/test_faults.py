@@ -328,18 +328,22 @@ class TestStoreDegradation:
         store = Corpus(root)
         with faults.injected("corpus.store.write:1"):
             store.add(_entry(0))
-        # a rotten warm-cache entry
-        warm_dir = os.path.join(root, "warm-cache")
-        os.makedirs(warm_dir)
-        with open(os.path.join(warm_dir, "bad.json"), "w") as handle:
-            handle.write('{"sha": "0000000000000000", "win": []}')
+        # a journal with a rotten middle line
+        ck = CampaignCheckpoint(os.path.join(root, "checkpoint.jsonl"))
+        ck.start({"count": 3, "mutations": []})
+        ck.close()
+        with open(ck.path, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+            handle.write('{"kind": "report", "index": 0, "report": {}}\n')
         report = fsck_tree(root)
         assert not report["clean"]
         assert len(report["entries"]["corrupt"]) == 1
-        assert report["warm_cache"]["corrupt"] == ["bad.json"]
+        assert report["checkpoint"]["corrupt_line"] == 2
+        assert set(report) == {"root", "entries", "checkpoint", "clean"}
         repaired = fsck_tree(root, repair=True)
-        assert repaired["clean"]
-        assert fsck_tree(root)["clean"]
+        assert repaired["clean"] and repaired["checkpoint"]["truncated"]
+        after = fsck_tree(root)
+        assert after["clean"] and after["checkpoint"]["lines"] == 1
 
     def test_fsck_cli_exit_codes(self, tmp_path):
         root = str(tmp_path)

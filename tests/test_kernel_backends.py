@@ -382,12 +382,6 @@ def test_hash_key_distinguishes_zones():
     assert a.hash_key() != DBM.empty(DIM).hash_key()
 
 
-def test_warm_reexports_minform():
-    from repro.game import warm
-
-    assert warm.minimal_constraints is minimal_constraints
-
-
 # ----------------------------------------------------------------------
 # Explorer zone interning
 # ----------------------------------------------------------------------

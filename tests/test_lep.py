@@ -5,7 +5,7 @@ import pytest
 from repro.game import Strategy, solve_reachability_game
 from repro.graph import check_reachable
 from repro.models.lep import TEST_PURPOSES, TP1, TP2, TP3, lep_network, lep_plant
-from repro.semantics.system import System
+from repro.semantics.system import OPEN, System
 from repro.tctl import GoalPredicate, parse_query
 
 
@@ -126,7 +126,7 @@ class TestPlantModel:
     def test_plant_is_open_system(self):
         plant = System(lep_plant(3))
         init = plant.initial_symbolic()
-        moves = plant.open_moves_from(init.locs, init.vars)
+        moves = plant.moves_from(init.locs, init.vars, OPEN)
         labels = {m.label for m in moves}
         assert "recv" in labels
         # Timeout not yet enabled at w == 0 (integer guard holds; the

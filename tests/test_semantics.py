@@ -6,7 +6,7 @@ import pytest
 
 from repro.dbm import Federation
 from repro.semantics.state import ConcreteState
-from repro.semantics.system import System
+from repro.semantics.system import OPEN, System
 from repro.ta import NetworkBuilder
 
 
@@ -66,7 +66,7 @@ class TestMoves:
     def test_open_moves(self):
         sys_ = System(open_plant())
         init = sys_.initial_symbolic()
-        moves = sys_.open_moves_from(init.locs, init.vars)
+        moves = sys_.moves_from(init.locs, init.vars, OPEN)
         assert [(m.label, m.direction) for m in moves] == [("inp", "input")]
 
 
@@ -163,9 +163,9 @@ class TestConcrete:
     def test_enabled_interval_upper_bound_from_invariant(self):
         sys_ = System(open_plant())
         state = sys_.initial_concrete()
-        inp = sys_.open_moves_from(state.locs, state.vars)[0]
+        inp = sys_.moves_from(state.locs, state.vars, OPEN)[0]
         mid = sys_.fire(state, inp)
-        out = sys_.open_moves_from(mid.locs, mid.vars)[0]
+        out = sys_.moves_from(mid.locs, mid.vars, OPEN)[0]
         interval = sys_.enabled_interval(mid, out)
         assert interval.lo == 1
         assert interval.hi == 2 and not interval.hi_strict
@@ -193,7 +193,7 @@ class TestConcrete:
     def test_max_delay_bounded_by_invariant(self):
         sys_ = System(open_plant())
         state = sys_.initial_concrete()
-        inp = sys_.open_moves_from(state.locs, state.vars)[0]
+        inp = sys_.moves_from(state.locs, state.vars, OPEN)[0]
         mid = sys_.fire(state, inp)
         bound, strict = sys_.max_delay(mid)
         assert bound == 2 and not strict

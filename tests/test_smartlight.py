@@ -12,7 +12,7 @@ from repro.models.smartlight import (
     smartlight_network,
     smartlight_plant,
 )
-from repro.semantics.system import System
+from repro.semantics.system import OPEN, System
 from repro.ta.validate import check_input_enabledness, validate_plant
 from repro.tctl import GoalPredicate, parse_query
 
@@ -64,7 +64,7 @@ class TestPlantSanity:
     def test_all_levels_reachable(self, plant):
         for loc in ("Dim", "Bright", "Off"):
             goal = GoalPredicate(plant, parse_query(f"E<> IUT.{loc}").predicate)
-            assert check_reachable(plant, goal.federation, open_system=True)
+            assert check_reachable(plant, goal.federation, mode=OPEN)
 
     def test_input_enabled(self, plant):
         report = check_input_enabledness(plant)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.semantics.system import System
+from repro.semantics.system import OPEN, System
 from repro.ta.builder import NetworkBuilder
 from repro.ta.validate import check_input_enabledness, check_urgent_escapes
 from repro.tctl import parse_query
@@ -79,7 +79,7 @@ def test_urgent_blocks_delay_in_all_semantics():
     state = system.initial_concrete()
     (kick,) = [
         m
-        for m, _ in system.enabled_now(state, open_system=True, directions=("input",))
+        for m, _ in system.enabled_now(state, mode=OPEN, directions=("input",))
         if m.label == "kick" and m.edges[0][1].target == "U"
     ]
     state = system.fire(state, kick)

@@ -11,28 +11,27 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
-from repro.dbm import DBM, le
-from repro.game import TwoPhaseSolver, warm_solve
-from repro.game.warm import (
-    WinSetCache,
-    effective_caps,
+from repro.dbm import (
+    DBM,
+    Federation,
     federation_from_obj,
     federation_to_obj,
+    le,
     minimal_constraints,
-    resolve_cache,
     zone_from_obj,
     zone_to_obj,
 )
+from repro.game import TwoPhaseSolver, warm_solve
+from repro.game.warm import WinSetCache, effective_caps, resolve_cache
 from repro.gen.networks import generate_instance
 from repro.models.smartlight import smartlight_network
 from repro.semantics.system import System
 from repro.tctl import parse_query
 from repro.util import counters
 
-from tests.zone_strategies import DIM, big_federations, diagonal_zones, zones
+from tests.zone_strategies import DIM, big_federations, box, diagonal_zones, zones
 
 QUERY = "control: A<> IUT.Bright"
 
@@ -61,6 +60,7 @@ def _win_map(result):
 
 @settings(max_examples=200, deadline=None)
 @given(zones())
+@example(box(3, [(1, 5), (2, 4)]))
 def test_zone_roundtrip_exact(zone):
     if zone.is_empty():
         return
@@ -87,6 +87,7 @@ def test_minimal_constraints_no_larger_than_nontrivial(zone):
 
 @settings(max_examples=100, deadline=None)
 @given(big_federations())
+@example(Federation(3, [box(3, [(0, 1), (0, 9)]), box(3, [(4, 6), (0, 9)])]))
 def test_federation_roundtrip_exact(fed):
     obj = federation_to_obj(fed)
     back = federation_from_obj(fed.dim, obj)
@@ -174,8 +175,8 @@ def _foreign_format(entry):
 
 
 def _unsigned_bad_steps(entry):
-    """No ``sha`` to catch it, and a ``steps`` that is no integer."""
-    entry = {k: v for k, v in entry.items() if k != "sha"}
+    """No ``checksum`` to catch it, and a ``steps`` that is no integer."""
+    entry = {k: v for k, v in entry.items() if k != "checksum"}
     entry["steps"] = "x"
     return entry
 
