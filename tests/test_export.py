@@ -13,7 +13,7 @@ from repro.game import (
     strategy_from_dict,
     strategy_to_dict,
 )
-from repro.dbm import Federation, ZoneFormatError, le, zone_from_obj
+from repro.dbm import Federation, ZoneFormatError, federation_from_obj, le, zone_from_obj, zone_to_obj
 from repro.game.export import _compact_obj, load_strategy, save_strategy
 from repro.models import smartlight
 from repro.models.smartlight import smartlight_network, smartlight_plant
@@ -42,7 +42,11 @@ BAD_ZONES = [
 
 class TestZoneCodec:
     """Strategy files use the shared codec of :mod:`repro.dbm.minform`;
-    its round trips are properties in ``test_warm.py``."""
+    its round trips over random zones are properties in ``test_warm.py``."""
+
+    def test_dbm_round_trip(self):
+        zone = box(3, [(1, 5), (2, 4)])
+        assert zone_from_obj(3, zone_to_obj(zone)).equals(zone)
 
     def test_dbm_wrong_size(self):
         with pytest.raises(ZoneFormatError, match="malformed"):
@@ -52,6 +56,10 @@ class TestZoneCodec:
     def test_rejects_bad_record(self, record, why):
         with pytest.raises(ZoneFormatError, match=why):
             zone_from_obj(3, record)
+
+    def test_federation_round_trip(self):
+        fed = Federation(3, [box(3, [(0, 1), (0, 9)]), box(3, [(4, 6), (0, 9)])])
+        assert federation_from_obj(3, _compact_obj(fed)).equals(fed)
 
     def test_federation_compacted_on_save(self):
         fed = Federation(3, [box(3, [(0, 4), (0, 9)]), box(3, [(4, 8), (0, 9)]),

@@ -45,6 +45,57 @@ def count_and_square(x):
     return x * x
 
 
+def scaled(x, k):
+    return x * k
+
+
+def boom_at(x, bad):
+    if x == bad:
+        raise ValueError(f"boom {x}")
+    return x
+
+
+def count_and_scale(x, k):
+    counters.inc("par.test_ops")
+    counters.observe("par.test_sizes", x * k)
+    return x * k
+
+
+class TestStarmap:
+    """``steal_map`` is a star-map: each task tuple is unpacked into
+    ``fn(*t)``, so multi-argument tasks keep their meaning in the pool."""
+
+    def test_serial_matches_parallel_in_order(self):
+        tasks = [(i, i % 3 + 1) for i in range(23)]
+        expected = [scaled(*t) for t in tasks]
+        assert steal_map(scaled, tasks, jobs=1) == expected
+        assert steal_map(scaled, tasks, jobs=3) == expected
+
+    def test_on_result_fires_once_per_task(self):
+        seen = []
+        steal_map(
+            scaled,
+            [(i, 2) for i in range(10)],
+            jobs=2,
+            on_result=lambda index, result: seen.append(index),
+        )
+        assert sorted(seen) == list(range(10))
+
+    def test_worker_exception_propagates(self):
+        with pytest.raises(ValueError, match="boom 5"):
+            steal_map(boom_at, [(i, 5) for i in range(8)], jobs=2)
+
+    def test_counters_identical_to_serial(self):
+        tasks = [(i, 3) for i in range(12)]
+        counters.reset()
+        steal_map(count_and_scale, tasks, jobs=1)
+        serial = counters.export()
+        counters.reset()
+        steal_map(count_and_scale, tasks, jobs=4)
+        assert counters.export() == serial
+        assert serial["stats"]["par.test_sizes"][1] == 3 * sum(range(12))
+
+
 class TestStealMap:
     """Work-stealing dispatch must match the serial list comprehension."""
 

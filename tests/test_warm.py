@@ -11,11 +11,10 @@ import json
 import threading
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from repro.dbm import (
     DBM,
-    Federation,
     federation_from_obj,
     federation_to_obj,
     le,
@@ -31,7 +30,7 @@ from repro.semantics.system import System
 from repro.tctl import parse_query
 from repro.util import counters
 
-from tests.zone_strategies import DIM, big_federations, box, diagonal_zones, zones
+from tests.zone_strategies import DIM, big_federations, diagonal_zones, zones
 
 QUERY = "control: A<> IUT.Bright"
 
@@ -60,7 +59,6 @@ def _win_map(result):
 
 @settings(max_examples=200, deadline=None)
 @given(zones())
-@example(box(3, [(1, 5), (2, 4)]))
 def test_zone_roundtrip_exact(zone):
     if zone.is_empty():
         return
@@ -87,7 +85,6 @@ def test_minimal_constraints_no_larger_than_nontrivial(zone):
 
 @settings(max_examples=100, deadline=None)
 @given(big_federations())
-@example(Federation(3, [box(3, [(0, 1), (0, 9)]), box(3, [(4, 6), (0, 9)])]))
 def test_federation_roundtrip_exact(fed):
     obj = federation_to_obj(fed)
     back = federation_from_obj(fed.dim, obj)
