@@ -13,9 +13,8 @@ from .bounds import (
     le,
     lt,
     negate,
-    satisfies,
 )
-from .dbm import DBM, Constraint
+from .dbm import DBM, Constraint, fold_delay_window, scale
 from .federation import Federation, subtract_zone
 from .minform import (
     ZoneFormatError,
@@ -40,9 +39,10 @@ __all__ = [
     "le",
     "lt",
     "negate",
-    "satisfies",
     "DBM",
     "Constraint",
+    "fold_delay_window",
+    "scale",
     "Federation",
     "subtract_zone",
     "ZoneFormatError",

@@ -116,10 +116,3 @@ def bound_as_string(enc: int, lhs: str = "x", rhs: str = "") -> str:
     left = f"{lhs} - {rhs}" if rhs else lhs
     return f"{left} {op} {value}"
 
-
-def satisfies(difference, enc: int) -> bool:
-    """Whether a concrete difference (int/float/Fraction) satisfies a bound."""
-    if enc >= INF:
-        return True
-    value, strict = decode(enc)
-    return difference < value if strict else difference <= value

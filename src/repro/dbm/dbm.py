@@ -13,6 +13,8 @@ pointwise comparisons.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,10 +28,80 @@ from .bounds import (
     add_bounds,
     bound_as_string,
     decode,
-    satisfies,
 )
 
 Constraint = Tuple[int, int, int]  # (i, j, encoded bound): x_i - x_j ≺ b
+
+#: A decoded finite bound ``(i, j, b, strict)``: ``x_i - x_j < b`` when
+#: strict, else ``x_i - x_j <= b``.
+Bound = Tuple[int, int, int, bool]
+
+#: Delays ``lo (<|<=) d (<|<=) hi`` as integer numerators over the
+#: valuation's denominator: ``(lo, lo_strict, hi, hi_strict)``, ``hi``
+#: None meaning unbounded.
+Window = Tuple[int, bool, Optional[int], bool]
+
+
+def scale(valuation) -> Tuple[Tuple[int, ...], int]:
+    """A clock valuation as integer numerators over one denominator.
+
+    Returns ``(nums, den)`` with ``valuation[k] == nums[k] / den`` for
+    every real clock ``k >= 1``; ``nums[0]`` is 0, the reference clock,
+    whatever ``valuation[0]`` holds.  Exact for ints and Fractions; any
+    other value (a float, a numpy scalar) is first converted with
+    ``Fraction(x)``, so a float stands for the binary rational it
+    denotes exactly (``0.1`` is ``3602879701896397 / 2**55``), not for
+    the decimal it was written as.
+    """
+    values = [
+        v if isinstance(v, (int, Fraction)) else Fraction(v)
+        for v in valuation[1:]
+    ]
+    den = 1
+    for v in values:
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return (0, *[v.numerator * (den // v.denominator) for v in values]), den
+
+
+def fold_delay_window(
+    bounds: Iterable[Bound],
+    nums: Sequence[int],
+    den: int,
+    hi: Optional[int] = None,
+    hi_strict: bool = False,
+) -> Optional[Window]:
+    """The delays ``d >= 0`` after which a scaled valuation meets ``bounds``.
+
+    ``nums``/``den`` is a valuation in :func:`scale` form and the result
+    is a :data:`Window` over the same ``den``; ``hi``/``hi_strict`` is an
+    upper limit already known (an invariant).  Delay moves every real
+    clock together, so a bound between two real clocks either holds for
+    every delay or for none (then the result is None), an upper bound
+    ``x_i ≺ b`` caps ``d``, and a lower bound ``-x_j ≺ b`` raises it.
+    None also when the window is empty.
+    """
+    lo = 0
+    lo_strict = False
+    for i, j, b, strict in bounds:
+        if i and j:
+            # Violated iff b*den - (n_i - n_j) < 0, or == 0 when strict.
+            if b * den - nums[i] + nums[j] < strict:
+                return None
+        elif j == 0:
+            # (v_i + d) ≺ b  ->  d ≺ b - v_i
+            slack = b * den - nums[i]
+            if hi is None or slack < hi or (slack == hi and strict):
+                hi, hi_strict = slack, strict
+        else:
+            # -(v_j + d) ≺ b  ->  d ≻ -b - v_j
+            need = -b * den - nums[j]
+            if need > lo or (need == lo and strict):
+                lo, lo_strict = need, strict
+    if hi is not None and (hi < lo or (hi == lo and (lo_strict or hi_strict))):
+        return None
+    return lo, lo_strict, hi, hi_strict
 
 
 def _saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,7 +124,7 @@ _EMPTY: Dict[int, "DBM"] = {}
 class DBM:
     """A canonical difference bound matrix (a convex clock zone)."""
 
-    __slots__ = ("m", "dim", "_empty", "_hash", "_key")
+    __slots__ = ("m", "dim", "_empty", "_hash", "_key", "_bounds")
 
     def __init__(self, matrix: np.ndarray, *, empty: bool = False):
         self.m = matrix
@@ -60,6 +132,7 @@ class DBM:
         self._empty = empty
         self._hash: Optional[int] = None
         self._key: Optional[bytes] = None
+        self._bounds: Optional[Tuple[Bound, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -343,20 +416,48 @@ class DBM:
     # Concrete valuations
     # ------------------------------------------------------------------
 
+    @property
+    def finite_bounds(self) -> Tuple[Bound, ...]:
+        """The finite off-diagonal bounds ``(i, j, b, strict)``.
+
+        Built on first use and kept, so zones that are never tested
+        against a concrete valuation never pay for it.
+        """
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = tuple(
+                (i, j, enc >> 1, not (enc & 1))
+                for i, row in enumerate(self.m.tolist())
+                for j, enc in enumerate(row)
+                if i != j and enc < INF
+            )
+        return bounds
+
     def contains(self, valuation: Sequence) -> bool:
-        """Whether a concrete valuation (indexable by clock id, [0]=0) lies
-        in the zone.  Values may be ints, floats or Fractions."""
+        """Whether a concrete valuation (indexable by clock id; entry 0,
+        the reference clock, is taken as 0) lies in the zone.
+
+        Values may be ints or Fractions, compared exactly; anything else
+        is converted with ``Fraction(x)`` first, so a float is tested as
+        the binary rational it denotes (see :func:`scale`).
+        """
+        return self.contains_scaled(*scale(valuation))
+
+    def contains_scaled(self, nums: Sequence[int], den: int) -> bool:
+        """:meth:`contains` for a valuation already in :func:`scale` form."""
         if self._empty:
             return False
-        for i in range(self.dim):
-            vi = valuation[i] if i else 0
-            for j in range(self.dim):
-                if i == j:
-                    continue
-                vj = valuation[j] if j else 0
-                if not satisfies(vi - vj, int(self.m[i, j])):
-                    return False
+        for i, j, b, strict in self.finite_bounds:
+            # x_i - x_j ≺ b  iff  b*den - (n_i - n_j) > 0, or >= 0 if <=.
+            if b * den - nums[i] + nums[j] < strict:
+                return False
         return True
+
+    def delay_window(self, nums: Sequence[int], den: int) -> Optional[Window]:
+        """Delays ``d >= 0`` putting a scaled valuation in the zone."""
+        if self._empty:
+            return None
+        return fold_delay_window(self.finite_bounds, nums, den)
 
     def _feasible_interval(self, point, x):
         """The feasible interval of clock ``x`` given fixed clocks ``< x``.

@@ -55,7 +55,7 @@ import numpy as np
 from ..util import counters
 from . import stack as _sk
 from .bounds import INF, LE_ZERO, negate
-from .dbm import DBM
+from .dbm import DBM, scale
 
 def _use_batched(batched: bool) -> bool:
     """Record a batched-vs-scalar dispatch decision as it is made.
@@ -174,8 +174,17 @@ class Federation:
         return iter(self.zones)
 
     def contains(self, valuation) -> bool:
-        """Whether a concrete valuation lies in some member zone."""
-        return any(z.contains(valuation) for z in self.zones)
+        """Whether a concrete valuation lies in some member zone (values
+        as in :meth:`DBM.contains`)."""
+        return self.contains_scaled(*scale(valuation))
+
+    def contains_scaled(self, nums, den: int) -> bool:
+        """:meth:`contains` for a valuation already in
+        :func:`~repro.dbm.dbm.scale` form."""
+        for zone in self.zones:
+            if zone.contains_scaled(nums, den):
+                return True
+        return False
 
     def sample(self):
         """A rational point of the federation (None if empty)."""

@@ -80,7 +80,7 @@ class CooperativeStrategy:
         return [
             node
             for node in graph._by_key.get(state.key, ())
-            if node.zone.contains(state.clocks)
+            if node.zone.contains_scaled(*state.scaled)
         ]
 
     def decide(self, state: ConcreteState) -> Decision:
@@ -92,7 +92,7 @@ class CooperativeStrategy:
                 return decision
         # Goal reached outright?
         for node in self._matching_nodes(state):
-            if self.result.goal.federation(node.sym).contains(state.clocks):
+            if self.result.goal.federation(node.sym).contains_scaled(*state.scaled):
                 return Decision(Verdictish.DONE)
         # Cooperative steering.
         best: Optional[Tuple[int, GraphEdge]] = None
@@ -110,7 +110,7 @@ class CooperativeStrategy:
             guard = edge.source.zone.constrained(
                 self.system.guard_constraints(move, edge.source.sym.vars)
             )
-            interval = zone_delay_interval(guard, state.clocks)
+            interval = zone_delay_interval(guard, *state.scaled)
             if interval is None:
                 return Decision(Verdictish.WAIT, delay=None)
             d = interval.pick()

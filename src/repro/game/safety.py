@@ -236,11 +236,12 @@ class SafetyStrategy:
             self._by_key.setdefault(node.key, []).append(node)
 
     def _matching(self, state):
+        nums, den = state.scaled
         return [
             node
             for node in self._by_key.get(state.key, ())
-            if node.zone.contains(state.clocks)
-            and self.result.safe_of(node).contains(state.clocks)
+            if node.zone.contains_scaled(nums, den)
+            and self.result.safe_of(node).contains_scaled(nums, den)
         ]
 
     def decide(self, state):
@@ -252,6 +253,7 @@ class SafetyStrategy:
         matching = self._matching(state)
         if not matching:
             return Decision(Verdictish.LOST)
+        nums, den = state.scaled
         # How long can we safely wait?  Find the first instant at which
         # some unsafe zone is entered along the delay.
         horizon: Optional[Fraction] = None
@@ -260,7 +262,7 @@ class SafetyStrategy:
             if lose is None:
                 continue
             for zone in lose.zones:
-                interval = zone_delay_interval(zone, state.clocks)
+                interval = zone_delay_interval(zone, nums, den)
                 if interval is None:
                     continue
                 entry = interval.lo
@@ -277,7 +279,7 @@ class SafetyStrategy:
                 target_safe = self.result.safe_of(edge.target)
                 fed = self.system.pred(node.sym, edge.move, target_safe)
                 for zone in fed.zones:
-                    interval = zone_delay_interval(zone, state.clocks)
+                    interval = zone_delay_interval(zone, nums, den)
                     if interval is None:
                         continue
                     at = interval.pick()

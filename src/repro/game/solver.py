@@ -73,10 +73,11 @@ class NodeWin:
     layers: List[Tuple[int, Federation]] = field(default_factory=list)
     version: int = 0  # fixpoint step of the latest growth
 
-    def rank_of(self, valuation) -> Optional[int]:
-        """The fixpoint step at which this concrete state became winning."""
+    def rank_of(self, nums, den: int) -> Optional[int]:
+        """The fixpoint step at which a concrete state became winning
+        (its valuation in :func:`~repro.dbm.scale` form)."""
         for step, fed in self.layers:
-            if fed.contains(valuation):
+            if fed.contains_scaled(nums, den):
                 return step
         return None
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from ..dbm import DBM, Federation, INF, decode
+from ..dbm import DBM, Federation
 from ..graph.explorer import GraphEdge, GraphNode
 from ..semantics.state import ConcreteState
 from ..semantics.system import DelayInterval, Move
@@ -36,57 +36,27 @@ from .solver import GameResult, NodeWin
 # ----------------------------------------------------------------------
 
 
-def zone_delay_interval(zone: DBM, clocks: Sequence[Fraction]) -> Optional[DelayInterval]:
-    """Delays ``d >= 0`` with ``clocks + d ∈ zone`` (None if never)."""
-    if zone.is_empty():
+def zone_delay_interval(
+    zone: DBM, nums: Sequence[int], den: int
+) -> Optional[DelayInterval]:
+    """Delays ``d >= 0`` with ``v + d ∈ zone`` (None if never), for the
+    valuation ``v`` in :func:`~repro.dbm.scale` form ``nums``/``den``."""
+    window = zone.delay_window(nums, den)
+    if window is None:
         return None
-    lo = Fraction(0)
-    lo_strict = False
-    hi: Optional[Fraction] = None
-    hi_strict = False
-    for i in range(zone.dim):
-        for j in range(zone.dim):
-            if i == j:
-                continue
-            enc = int(zone.m[i, j])
-            if enc >= INF:
-                continue
-            value, strict = decode(enc)
-            vi = clocks[i] if i else Fraction(0)
-            vj = clocks[j] if j else Fraction(0)
-            if i != 0 and j != 0:
-                diff = vi - vj
-                if diff > value or (diff == value and strict):
-                    return None
-                continue
-            if j == 0:
-                slack = Fraction(value) - vi
-                if hi is None or slack < hi or (slack == hi and strict and not hi_strict):
-                    hi, hi_strict = slack, strict
-            else:
-                need = -Fraction(value) - vj
-                if need > lo or (need == lo and strict and not lo_strict):
-                    lo, lo_strict = need, strict
-    interval = DelayInterval(lo, lo_strict, hi, hi_strict)
-    if interval.is_empty():
-        return None
-    return interval
+    return DelayInterval.from_window(window, den)
 
 
 def federation_delay_candidates(
-    fed: Federation, clocks: Sequence[Fraction]
+    fed: Federation, nums: Sequence[int], den: int
 ) -> List[Fraction]:
-    """Representative positive delays entering each zone of a federation."""
+    """Representative delays entering each zone of a federation (the
+    :meth:`DelayInterval.pick` of each zone's delay interval)."""
     out: List[Fraction] = []
     for zone in fed.zones:
-        interval = zone_delay_interval(zone, clocks)
-        if interval is None:
-            continue
-        pick = interval.pick()
-        if pick > 0:
-            out.append(pick)
-        elif interval.contains(Fraction(0)):
-            out.append(Fraction(0))
+        interval = zone_delay_interval(zone, nums, den)
+        if interval is not None:
+            out.append(interval.pick())
     return out
 
 
@@ -151,58 +121,50 @@ class DecisionEngine:
     system = None  # type: ignore[assignment]
     _by_key: Dict[tuple, List[NodeStrategy]]
 
-    def _matching(self, state: ConcreteState) -> List[NodeStrategy]:
+    def _matching(self, key: tuple, nums, den: int) -> List[NodeStrategy]:
         return [
             ns
-            for ns in self._by_key.get(state.key, ())
-            if ns.win.win.contains(state.clocks)
+            for ns in self._by_key.get(key, ())
+            if ns.win.win.contains_scaled(nums, den)
         ]
-
-    def rank(self, state: ConcreteState) -> Optional[int]:
-        """The fixpoint step at which the state became winning."""
-        ranks = [
-            r
-            for ns in self._matching(state)
-            if (r := ns.win.rank_of(state.clocks)) is not None
-        ]
-        return min(ranks) if ranks else None
 
     def decide(self, state: ConcreteState) -> Decision:
         """The strategy's move at a concrete state (paper Def. 6 lookup)."""
-        matching = self._matching(state)
+        nums, den = state.scaled
+        matching = self._matching(state.key, nums, den)
         if not matching:
             return Decision(Verdictish.LOST)
-        immediate = self._immediate(matching, state.clocks)
+        immediate = self._immediate(matching, nums, den)
         if immediate is not None:
             return immediate
         # Wait: find the earliest future instant where an action (or goal)
         # decision applies, staying inside the winning set.
         candidates: List[Fraction] = []
         for ns in matching:
-            candidates.extend(federation_delay_candidates(ns.goal, state.clocks))
+            candidates.extend(federation_delay_candidates(ns.goal, nums, den))
             for decision in ns.actions:
                 candidates.extend(
-                    federation_delay_candidates(decision.fed, state.clocks)
+                    federation_delay_candidates(decision.fed, nums, den)
                 )
         for d in sorted(set(c for c in candidates if c > 0)):
-            future = state.delayed(d)
-            future_matching = self._matching(future)
+            f_nums, f_den = state.delayed(d).scaled
+            future_matching = self._matching(state.key, f_nums, f_den)
             if not future_matching:
                 continue
-            if self._immediate(future_matching, future.clocks) is not None:
+            if self._immediate(future_matching, f_nums, f_den) is not None:
                 return Decision(Verdictish.WAIT, delay=d)
         return Decision(Verdictish.WAIT, delay=None)
 
     def _immediate(
-        self, matching: List[NodeStrategy], clocks: Sequence[Fraction]
+        self, matching: List[NodeStrategy], nums, den: int
     ) -> Optional[Decision]:
         for ns in matching:
-            if ns.goal.contains(clocks):
+            if ns.goal.contains_scaled(nums, den):
                 return Decision(Verdictish.DONE)
         best: Optional[ActionDecision] = None
         rank = None
         for ns in matching:
-            node_rank = ns.win.rank_of(clocks)
+            node_rank = ns.win.rank_of(nums, den)
             if node_rank is None:
                 continue
             if rank is None or node_rank < rank:
@@ -213,7 +175,7 @@ class DecisionEngine:
             for decision in ns.actions:
                 if decision.step >= rank:
                     continue
-                if decision.fed.contains(clocks):
+                if decision.fed.contains_scaled(nums, den):
                     if best is None or decision.step < best.step:
                         best = decision
         if best is not None:

@@ -4,16 +4,20 @@
   both plain tuples of ints — hashable and cheap to compare.
 * A **symbolic state** adds a zone (DBM) over the network's clocks.
 * A **concrete state** adds an exact rational clock valuation instead;
-  concrete states drive test execution and simulation.
+  concrete states drive test execution and simulation.  Its ``clocks``
+  (Fractions) are its identity and what traces print; zone tests and
+  delay intervals run on :attr:`ConcreteState.scaled`, the same
+  valuation as integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
-from ..dbm import DBM
+from ..dbm import DBM, scale
 
 DiscreteKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -54,6 +58,11 @@ class ConcreteState:
     def key(self) -> DiscreteKey:
         return (self.locs, self.vars)
 
+    @cached_property
+    def scaled(self) -> Tuple[Tuple[int, ...], int]:
+        """``clocks`` in :func:`repro.dbm.scale` form, computed once."""
+        return scale(self.clocks)
+
     def delayed(self, d: Fraction) -> "ConcreteState":
         """The state after ``d`` time units (clocks advance together)."""
         if d < 0:
@@ -64,7 +73,7 @@ class ConcreteState:
         return ConcreteState(self.locs, self.vars, new_clocks)
 
     def in_zone(self, zone: DBM) -> bool:
-        return zone.contains(self.clocks)
+        return zone.contains_scaled(*self.scaled)
 
 
 def zero_valuation(dim: int) -> Tuple[Fraction, ...]:

@@ -62,7 +62,8 @@ from operator import itemgetter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..dbm import DBM, Federation, decode, INF
+from ..dbm import DBM, Federation, INF, fold_delay_window
+from ..dbm.dbm import Window
 from ..expr.env import Declarations
 from ..expr.eval import Context, EvalError, apply_assignments
 from ..ta.model import Automaton, Edge, ModelError, Network
@@ -131,6 +132,17 @@ class DelayInterval:
         if self.hi is None:
             return self.lo + 1
         return (self.lo + self.hi) / 2
+
+    @classmethod
+    def from_window(cls, window: Window, den: int) -> "DelayInterval":
+        """The interval of an integer window (numerators over ``den``)."""
+        lo, lo_strict, hi, hi_strict = window
+        return cls(
+            Fraction(lo, den),
+            lo_strict,
+            None if hi is None else Fraction(hi, den),
+            hi_strict,
+        )
 
 
 class System:
@@ -810,17 +822,21 @@ class System:
         self, state: ConcreteState
     ) -> Tuple[Optional[Fraction], bool]:
         """Largest delay allowed by invariants: (bound, strict); None = inf."""
+        hi, hi_strict = self._delay_limit(state)
+        return (None if hi is None else Fraction(hi, state.scaled[1])), hi_strict
+
+    def _delay_limit(self, state: ConcreteState) -> Tuple[Optional[int], bool]:
+        """:meth:`max_delay` as a numerator over ``state.scaled``'s denominator."""
         if not self.can_delay(state.locs):
-            return Fraction(0), False
-        zone = self.invariant_zone(state.locs, state.vars)
-        hi: Optional[Fraction] = None
+            return 0, False
+        nums, den = state.scaled
+        hi: Optional[int] = None
         hi_strict = False
-        for i in range(1, self.dim):
-            enc = int(zone.m[i, 0])
-            if enc >= INF:
+        invariant = self.invariant_zone(state.locs, state.vars)
+        for i, j, b, strict in invariant.finite_bounds:
+            if j or not i:
                 continue
-            value, strict = decode(enc)
-            slack = Fraction(value) - state.clocks[i]
+            slack = b * den - nums[i]
             if hi is None or slack < hi or (slack == hi and strict):
                 hi, hi_strict = slack, strict
         return hi, hi_strict
@@ -833,34 +849,21 @@ class System:
         Integer guards were already checked by :meth:`moves_from`.  Returns
         None when no delay enables the move.
         """
-        lo = Fraction(0)
-        lo_strict = False
-        hi, hi_strict = self.max_delay(state)
-        for i, j, enc in self.guard_constraints(move, state.vars):
-            if enc >= INF:
-                continue
-            value, strict = decode(enc)
-            vi = state.clocks[i] if i else Fraction(0)
-            vj = state.clocks[j] if j else Fraction(0)
-            if i != 0 and j != 0:
-                diff = vi - vj
-                if diff > value or (diff == value and strict):
-                    return None
-                continue
-            if j == 0:
-                # (v_i + d) ≺ value  ->  d ≺ value - v_i
-                slack = Fraction(value) - vi
-                if hi is None or slack < hi or (slack == hi and strict and not hi_strict):
-                    hi, hi_strict = slack, strict
-            else:
-                # -(v_j + d) ≺ value  ->  d ≻ -value - v_j
-                need = -Fraction(value) - vj
-                if need > lo or (need == lo and strict and not lo_strict):
-                    lo, lo_strict = need, strict
-        interval = DelayInterval(lo, lo_strict, hi, hi_strict)
-        if interval.is_empty():
+        window = self._enabled_window(state, move)
+        if window is None:
             return None
-        return interval
+        return DelayInterval.from_window(window, state.scaled[1])
+
+    def _enabled_window(self, state: ConcreteState, move: Move) -> Optional[Window]:
+        """:meth:`enabled_interval` over ``state.scaled``'s denominator."""
+        nums, den = state.scaled
+        hi, hi_strict = self._delay_limit(state)
+        guards = (
+            (i, j, enc >> 1, not (enc & 1))
+            for i, j, enc in self.guard_constraints(move, state.vars)
+            if enc < INF
+        )
+        return fold_delay_window(guards, nums, den, hi, hi_strict)
 
     def move_options(
         self,
@@ -917,8 +920,10 @@ class System:
 
     def fire(self, state: ConcreteState, move: Move) -> Optional[ConcreteState]:
         """Fire a move from a concrete state (delay 0); None if disabled."""
-        interval = self.enabled_interval(state, move)
-        if interval is None or not interval.contains(Fraction(0)):
+        window = self._enabled_window(state, move)
+        # A window's lo is never negative: delay 0 is in it iff lo is a
+        # non-strict 0.
+        if window is None or window[0] or window[1]:
             return None
         new_vars = self.apply_move_vars(state.vars, move)
         if new_vars is None:

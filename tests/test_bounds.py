@@ -19,8 +19,9 @@ from repro.dbm.bounds import (
     le,
     lt,
     negate,
-    satisfies,
 )
+
+from tests.fraction_reference import satisfies
 
 
 class TestEncoding:

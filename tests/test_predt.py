@@ -47,12 +47,14 @@ def reference_predt(point, goal: Federation, bad: Federation, lenient: bool) -> 
     of each bad zone — grid scanning would miss open intervals like
     ``(0, 1/4)`` that contain no grid point.
     """
+    from repro.dbm import scale
     from repro.game.strategy import zone_delay_interval
 
+    scaled = scale(point)
     bad_intervals = [
         interval
         for zone in bad.zones
-        if (interval := zone_delay_interval(zone, point)) is not None
+        if (interval := zone_delay_interval(zone, *scaled)) is not None
     ]
 
     def blocked(d):

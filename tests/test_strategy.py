@@ -13,7 +13,7 @@ import pytest
 
 from repro.game import Strategy, Verdictish, solve_reachability_game
 from repro.game.strategy import federation_delay_candidates, zone_delay_interval
-from repro.dbm import DBM, Federation, le, lt
+from repro.dbm import DBM, Federation, le, lt, scale
 from repro.semantics.system import System
 from repro.tctl import parse_query
 
@@ -29,28 +29,30 @@ from tests.zone_strategies import box
 class TestZoneDelayGeometry:
     def test_interval_into_box(self):
         zone = box(2, [(3, 5)])
-        interval = zone_delay_interval(zone, [Fraction(0), Fraction(1)])
+        interval = zone_delay_interval(zone, *scale([Fraction(0), Fraction(1)]))
         assert interval.lo == 2 and not interval.lo_strict
         assert interval.hi == 4 and not interval.hi_strict
 
     def test_interval_when_inside(self):
         zone = box(2, [(3, 5)])
-        interval = zone_delay_interval(zone, [Fraction(0), Fraction(4)])
+        interval = zone_delay_interval(zone, *scale([Fraction(0), Fraction(4)]))
         assert interval.contains(Fraction(0))
 
     def test_interval_after_zone(self):
         zone = box(2, [(3, 5)])
-        assert zone_delay_interval(zone, [Fraction(0), Fraction(6)]) is None
+        assert zone_delay_interval(zone, *scale([Fraction(0), Fraction(6)])) is None
 
     def test_diagonal_blocks(self):
         zone = DBM.from_constraints(3, [(1, 2, le(0)), (2, 1, le(0))])  # x == y
-        assert zone_delay_interval(zone, [Fraction(0), Fraction(1), Fraction(2)]) is None
-        assert zone_delay_interval(zone, [Fraction(0), Fraction(2), Fraction(2)]) is not None
+        apart = scale([Fraction(0), Fraction(1), Fraction(2)])
+        together = scale([Fraction(0), Fraction(2), Fraction(2)])
+        assert zone_delay_interval(zone, *apart) is None
+        assert zone_delay_interval(zone, *together) is not None
 
     def test_strict_entry_candidate_positive(self):
         zone = DBM.from_constraints(2, [(0, 1, lt(-3))])  # x > 3
         fed = Federation.from_zone(zone)
-        candidates = federation_delay_candidates(fed, [Fraction(0), Fraction(0)])
+        candidates = federation_delay_candidates(fed, *scale([0, 0]))
         assert candidates and all(c > 3 for c in candidates)
 
 
