@@ -14,7 +14,7 @@ from .bounds import (
     lt,
     negate,
 )
-from .dbm import DBM, Constraint, fold_delay_window, scale
+from .dbm import DBM, Constraint, scale
 from .federation import Federation, subtract_zone
 from .minform import (
     ZoneFormatError,
@@ -41,7 +41,6 @@ __all__ = [
     "negate",
     "DBM",
     "Constraint",
-    "fold_delay_window",
     "scale",
     "Federation",
     "subtract_zone",

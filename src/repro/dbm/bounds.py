@@ -15,7 +15,7 @@ closure) is ``(b1 + b2, <= iff both <=)``, implemented on encodings by
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 #: Sentinel for "no constraint" (x - y < infinity).  Large enough that no
 #: model constant can reach it, small enough that sums never overflow int64.
@@ -43,6 +43,10 @@ LE_ZERO = 1
 
 #: Encoding of the bound (0, <): used for strict non-negativity.
 LT_ZERO = 0
+
+#: A decoded finite bound ``(i, j, b, strict)``: ``x_i - x_j < b`` when
+#: strict, else ``x_i - x_j <= b``.
+Bound = Tuple[int, int, int, bool]
 
 
 def check_const(value: int) -> int:
@@ -83,6 +87,11 @@ def is_strict(enc: int) -> bool:
 def decode(enc: int) -> Tuple[int, bool]:
     """Decode to ``(value, strict)``; INF decodes to ``(INF >> 1, True)``."""
     return enc >> 1, (enc & 1) == 0
+
+
+def decoded(constraints: Iterable[Tuple[int, int, int]]) -> Tuple[Bound, ...]:
+    """The finite ``(i, j, enc)`` constraints as :data:`Bound` tuples."""
+    return tuple((i, j, *decode(enc)) for i, j, enc in constraints if enc < INF)
 
 
 def add_bounds(a: int, b: int) -> int:

@@ -25,16 +25,14 @@ from .backends.base import CHANGED, UNCHANGED
 from .bounds import (
     INF,
     LE_ZERO,
+    Bound,
     add_bounds,
     bound_as_string,
     decode,
+    decoded,
 )
 
 Constraint = Tuple[int, int, int]  # (i, j, encoded bound): x_i - x_j ≺ b
-
-#: A decoded finite bound ``(i, j, b, strict)``: ``x_i - x_j < b`` when
-#: strict, else ``x_i - x_j <= b``.
-Bound = Tuple[int, int, int, bool]
 
 #: Delays ``lo (<|<=) d (<|<=) hi`` as integer numerators over the
 #: valuation's denominator: ``(lo, lo_strict, hi, hi_strict)``, ``hi``
@@ -425,12 +423,7 @@ class DBM:
         """
         bounds = self._bounds
         if bounds is None:
-            bounds = self._bounds = tuple(
-                (i, j, enc >> 1, not (enc & 1))
-                for i, row in enumerate(self.m.tolist())
-                for j, enc in enumerate(row)
-                if i != j and enc < INF
-            )
+            bounds = self._bounds = decoded(self.constraints())
         return bounds
 
     def contains(self, valuation: Sequence) -> bool:
@@ -452,12 +445,6 @@ class DBM:
             if b * den - nums[i] + nums[j] < strict:
                 return False
         return True
-
-    def delay_window(self, nums: Sequence[int], den: int) -> Optional[Window]:
-        """Delays ``d >= 0`` putting a scaled valuation in the zone."""
-        if self._empty:
-            return None
-        return fold_delay_window(self.finite_bounds, nums, den)
 
     def _feasible_interval(self, point, x):
         """The feasible interval of clock ``x`` given fixed clocks ``< x``.
@@ -556,12 +543,12 @@ class DBM:
 
     def constraints(self) -> List[Constraint]:
         """All finite off-diagonal constraints of the canonical form."""
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j and self.m[i, j] < INF:
-                    out.append((i, j, int(self.m[i, j])))
-        return out
+        return [
+            (i, j, enc)
+            for i, row in enumerate(self.m.tolist())
+            for j, enc in enumerate(row)
+            if i != j and enc < INF
+        ]
 
     def nontrivial_constraints(self) -> List[Constraint]:
         """Finite constraints excluding the implicit ``x >= 0`` bounds."""

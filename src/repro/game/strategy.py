@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from ..dbm import DBM, Federation
+from ..dbm.dbm import fold_delay_window
 from ..graph.explorer import GraphEdge, GraphNode
 from ..semantics.state import ConcreteState
 from ..semantics.system import DelayInterval, Move
@@ -41,7 +42,9 @@ def zone_delay_interval(
 ) -> Optional[DelayInterval]:
     """Delays ``d >= 0`` with ``v + d ∈ zone`` (None if never), for the
     valuation ``v`` in :func:`~repro.dbm.scale` form ``nums``/``den``."""
-    window = zone.delay_window(nums, den)
+    if zone.is_empty():
+        return None
+    window = fold_delay_window(zone.finite_bounds, nums, den)
     if window is None:
         return None
     return DelayInterval.from_window(window, den)

@@ -62,8 +62,9 @@ from operator import itemgetter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..dbm import DBM, Federation, INF, fold_delay_window
-from ..dbm.dbm import Window
+from ..dbm import DBM, Federation
+from ..dbm.bounds import decoded
+from ..dbm.dbm import Window, fold_delay_window
 from ..expr.env import Declarations
 from ..expr.eval import Context, EvalError, apply_assignments
 from ..ta.model import Automaton, Edge, ModelError, Network
@@ -858,11 +859,7 @@ class System:
         """:meth:`enabled_interval` over ``state.scaled``'s denominator."""
         nums, den = state.scaled
         hi, hi_strict = self._delay_limit(state)
-        guards = (
-            (i, j, enc >> 1, not (enc & 1))
-            for i, j, enc in self.guard_constraints(move, state.vars)
-            if enc < INF
-        )
+        guards = decoded(self.guard_constraints(move, state.vars))
         return fold_delay_window(guards, nums, den, hi, hi_strict)
 
     def move_options(

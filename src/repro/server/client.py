@@ -19,6 +19,7 @@ from typing import Optional, Tuple, Union
 
 from ..testing.implementation import SimulatedImplementation
 from ..testing.session import SessionConfig
+from ..testing.trace import FAIL, INCONCLUSIVE, PASS
 from ..util import counters
 from .protocol import (
     PROTOCOL_VERSION,
@@ -36,6 +37,40 @@ __all__ = ["IUTClient", "run_remote_test", "session_config_payload"]
 #: The synthetic terminal frame for a connection that died without a
 #: verdict — the one outcome :func:`run_remote_test` retries.
 _CONN_LOST = "connection closed without a verdict"
+
+#: The field names and enumerated values of terminal frames.  Callers
+#: keep the frame :meth:`IUTClient.run_session` returns (a load generator
+#: keeps one per session), so it is rebuilt on these strings instead of
+#: holding its own decoded copies.  The table is fixed: reasons, traces,
+#: unknown keys and any other text the peer chooses stay as decoded.
+_TERMINAL_WORDS = {
+    word: word
+    for word in (
+        "type",
+        "session",
+        "verdict",
+        "reason",
+        "iterations",
+        "trace",
+        "evicted",
+        "stalled",
+        "profile",
+        "error",
+        "message",
+        PASS,
+        FAIL,
+        INCONCLUSIVE,
+    )
+}
+
+
+def _terminal(frame: dict) -> dict:
+    """``frame`` with its known words replaced by :data:`_TERMINAL_WORDS`."""
+    word = _TERMINAL_WORDS.get
+    return {
+        word(key, key): word(value, value) if type(value) is str else value
+        for key, value in frame.items()
+    }
 
 
 def session_config_payload(
@@ -175,7 +210,7 @@ class IUTClient:
             if kind in ("ready", "pong"):
                 continue
             if kind in ("verdict", "error"):
-                return frame
+                return _terminal(frame)
             if kind == "input":
                 label = frame_field(frame, "label", str)
                 updates = updates_from_wire(frame.get("updates"))

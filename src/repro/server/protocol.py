@@ -35,7 +35,6 @@ connection — never the server, never another session.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -70,30 +69,12 @@ def encode_frame(frame: dict) -> bytes:
     ).encode("utf-8")
 
 
-def _shared_strings(pairs: list) -> dict:
-    """A decoded JSON object whose keys and string values are interned.
-
-    Frames repeat a small vocabulary (field names, frame types, verdicts,
-    reasons, labels, the trace of each scenario), so a peer that keeps
-    the frames it receives, such as a load generator keeping every
-    verdict, holds one copy of each string instead of one per frame.
-    """
-    intern = sys.intern
-    return {
-        intern(key): intern(value) if type(value) is str else value
-        for key, value in pairs
-    }
-
-
-_DECODER = json.JSONDecoder(object_pairs_hook=_shared_strings)
-
-
 def decode_frame(line: bytes) -> dict:
     """Parse one received line into a frame dict, strictly."""
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
-        frame = _DECODER.decode(line.decode("utf-8"))
+        frame = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ProtocolError(f"malformed frame: {err}") from err
     if not isinstance(frame, dict):

@@ -11,6 +11,7 @@ per-session op-counter scoping.
 """
 
 import asyncio
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from repro.server import (
     TestServer,
     run_remote_test,
 )
+from repro.server.client import _TERMINAL_WORDS, _terminal
 from repro.server.clocks import RealTimeClock, VirtualClock, make_clock
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
@@ -78,6 +80,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="exceeds"):
             decode_frame(huge)
 
+    def test_decode_does_not_intern(self):
+        # Interned strings can outlive every frame (on CPython 3.12 they
+        # are never freed), so text a peer chooses must stay private to
+        # the frame it came in.
+        key = sys.intern("".join(["x-", "unknown"]))
+        delay = sys.intern("".join(["37", "/", "12"]))
+        line = encode_frame({"type": "quiet", key: 1, "delay": delay})
+        frame = decode_frame(line.rstrip(b"\n"))
+        assert frame == {"type": "quiet", key: 1, "delay": delay}
+        assert frame["delay"] is not delay
+        assert all(k is not key for k in frame)
+
     def test_updates_roundtrip(self):
         updates = [("flag", None, 1), ("buf", 2, 7)]
         assert updates_from_wire(updates_to_wire(updates)) == updates
@@ -87,6 +101,36 @@ class TestProtocol:
         for bad in ("x", [["a", 0]], [["a", "b", 1]], [[1, None, 2]]):
             with pytest.raises(ProtocolError):
                 updates_from_wire(bad)
+
+
+class TestTerminalFrame:
+    def test_known_words_shared_other_text_kept(self):
+        size = len(_TERMINAL_WORDS)
+        decoded = decode_frame(
+            encode_frame(
+                {
+                    "type": "verdict",
+                    "session": 4,
+                    "verdict": "fail",
+                    "reason": "unexpected output bright! at 3/2",
+                    "trace": "1 . touch? . 3/2 . bright!",
+                    "x-extra": "y",
+                }
+            ).rstrip(b"\n")
+        )
+        frame = _terminal(decoded)
+        assert frame == decoded
+        for key, value in frame.items():
+            if key in _TERMINAL_WORDS:
+                assert key is _TERMINAL_WORDS[key]
+        assert frame["type"] is _TERMINAL_WORDS["verdict"]
+        assert frame["verdict"] is _TERMINAL_WORDS["fail"]
+        assert frame["reason"] is decoded["reason"]
+        assert frame["trace"] is decoded["trace"]
+        assert [k for k in frame if k == "x-extra"][0] is [
+            k for k in decoded if k == "x-extra"
+        ][0]
+        assert len(_TERMINAL_WORDS) == size
 
 
 class TestClocks:
