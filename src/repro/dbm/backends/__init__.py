@@ -73,11 +73,12 @@ class GuardedBackend:
     Soundness of replaying on the same buffers: catchable compiled-path
     failures happen during argument marshalling or FFI dispatch —
     *before* the C kernel writes — and injected faults fire at call
-    entry, so the demoted call sees pristine inputs.  The per-zone
-    kernels never write their input matrix at all, and take their
-    constraints as a sequence, which a replay reads again intact.  (A
-    fault inside the C body itself is a segfault, which no guard can
-    catch.)
+    entry, so the demoted call sees pristine inputs.  The per-zone and
+    fused step kernels never write their input matrices at all, and
+    take their constraints as a sequence or a
+    :class:`~repro.dbm.backends.base.MovePlan`, which a replay reads
+    again intact.  (A fault inside the C body itself is a segfault,
+    which no guard can catch.)
     """
 
     def __init__(self, inner: KernelBackend):
@@ -111,6 +112,12 @@ class GuardedBackend:
 
     def zone_extrapolate(self, m, max_consts):
         return self._call("zone_extrapolate", m, max_consts)
+
+    def zone_successor(self, m, plan):
+        return self._call("zone_successor", m, plan)
+
+    def zone_pred(self, m, plan, source):
+        return self._call("zone_pred", m, plan, source)
 
     def close(self, stack):
         return self._call("close", stack)

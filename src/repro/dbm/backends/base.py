@@ -2,14 +2,22 @@
 
 A backend supplies implementations of the *hot* DBM kernels — the
 operations profiling shows every solver fixpoint, state-estimate
-closure, and explorer subsumption scan bottoms out in.  Two families:
+closure, and explorer subsumption scan bottoms out in.  Three families:
 
 * the **stacked** kernels over ``(k, dim, dim)`` arrays, called by
   :mod:`repro.dbm.stack` (``close``, ``extrapolate``, ...);
 * the **per-zone** kernels over one canonical ``(dim, dim)`` matrix,
   called by :class:`~repro.dbm.DBM` (``zone_close``,
-  ``zone_constrain``, ``zone_extrapolate``) — the forward exploration
-  path, where per-call numpy dispatch costs more than the arithmetic.
+  ``zone_constrain``, ``zone_extrapolate``);
+* the **fused step** kernels, called by
+  :class:`~repro.semantics.system.System`: ``zone_successor`` runs one
+  whole forward step of the zone graph (guard, clock assignments,
+  target invariant, delay closure, ExtraM) and ``zone_pred`` one
+  backward step (assignment pre-image, guard, source zone), each on a
+  :class:`MovePlan` compiled once per move and discrete state.  One
+  call per symbolic step instead of one per zone operation: on the
+  explorer and solver paths the crossing into the backend costs more
+  than the arithmetic.
 
 Everything else (gathers, masks, cheap per-entry updates) is shared
 plumbing and stays numpy regardless of the backend.
@@ -30,6 +38,11 @@ of them early) and callers must never read them.  The per-zone
 input and report a verdict, :data:`UNCHANGED`, :data:`CHANGED` or
 :data:`EMPTY`, which must equal the reference's; only a
 :data:`CHANGED` result matrix is read, and it must be byte-identical.
+The fused step kernels never write their inputs either; they return
+None for the empty zone, else a fresh canonical matrix (``zone_pred``
+returns its ``source`` argument itself when the answer is all of it),
+and the verdict, that identity and the matrix must all equal the
+reference's.
 
 The contract is not a convention but a theorem for any correct
 implementation — kept rows are canonical, and canonical forms are
@@ -50,7 +63,10 @@ stacked kernels to ``int64`` arrays (``(n, 3)`` for ``(i, j, enc)``
 constraint rows, ``(n, 2)`` for ``(clock, value)`` pairs, via
 :func:`marshal_constraints` / :func:`marshal_pairs`), the per-zone
 kernels to a flat list of ints — so the numpy reference path pays no
-conversion cost at all.
+conversion cost at all.  A :class:`MovePlan` carries both forms: the
+tuples the reference reads and :attr:`MovePlan.flat`, one ``int64``
+vector marshalled once when the plan is built, so a fused call
+marshals nothing.
 """
 
 from __future__ import annotations
@@ -64,6 +80,108 @@ Constraint = Tuple[int, int, int]
 #: Per-zone kernel verdicts: nothing tightened or widened (the input zone
 #: stands), a new canonical matrix, or the empty zone.
 UNCHANGED, CHANGED, EMPTY = 0, 1, 2
+
+
+class MovePlan:
+    """One symbolic step of a move, compiled once for the fused kernels.
+
+    ``guard`` and ``invariant`` (the target's) are ``(i, j, enc)``
+    constraint tuples, ``assigns`` the move's ``(clock, value)`` clock
+    assignments, sorted by clock (a reset assigns 0), ``delay`` whether
+    the target lets time pass and ``caps`` the ExtraM max-constant
+    vector (None: no extrapolation).  ``resets`` (every assigned clock)
+    and ``shifts`` (the nonzero assignments) split ``assigns`` the way
+    the kernels apply it: reset all, then shift.
+
+    :attr:`flat` packs everything into one ``int64`` vector for compiled
+    backends: the counts ``[ng, nr, ns, ni, delay, ncaps]``, then the
+    guard triples, the reset clocks, the shift pairs, the invariant
+    triples and the caps (``caps[0]`` zeroed: the reference clock is
+    never widened).  :attr:`native` is free for a compiled backend to
+    keep its own handle on ``flat`` in; the plan itself stays
+    backend-neutral, so a demoted call replays it on the reference.
+
+    Plans are immutable.  :meth:`bare` and :meth:`extrapolating` derive
+    the variants the callers need from one compiled plan, and memoize
+    them on it.
+    """
+
+    __slots__ = (
+        "guard", "assigns", "invariant", "delay", "caps", "resets",
+        "shifts", "flat", "native", "_bare", "_capped",
+    )
+
+    def __init__(
+        self,
+        guard: Tuple[Constraint, ...],
+        assigns: Tuple[Tuple[int, int], ...],
+        invariant: Tuple[Constraint, ...],
+        delay: bool,
+        caps: Optional[Tuple[int, ...]] = None,
+    ):
+        self.guard = guard
+        self.assigns = assigns
+        self.invariant = invariant
+        self.delay = delay
+        self.caps = caps
+        self.resets = tuple(x for x, _ in assigns)
+        self.shifts = tuple((x, c) for x, c in assigns if c)
+        flat = [
+            len(guard), len(self.resets), len(self.shifts), len(invariant),
+            int(delay), 0 if caps is None else len(caps),
+        ]
+        for row in guard:
+            flat.extend(row)
+        flat.extend(self.resets)
+        for row in self.shifts:
+            flat.extend(row)
+        for row in invariant:
+            flat.extend(row)
+        if caps is not None:
+            flat.append(0)
+            flat.extend(caps[1:])
+        self.flat = np.asarray(flat, dtype=np.int64)
+        self.native = None
+        self._bare: Optional["MovePlan"] = None
+        self._capped: Optional[tuple] = None
+
+    def bare(self) -> "MovePlan":
+        """This step with delay and extrapolation off: the discrete post."""
+        if not (self.delay or self.caps is not None):
+            return self
+        if self._bare is None:
+            self._bare = MovePlan(self.guard, self.assigns, self.invariant, False)
+        return self._bare
+
+    def extrapolating(self, caps: Optional[Tuple[int, ...]]) -> "MovePlan":
+        """This step followed by ExtraM against ``caps`` (None: unchanged).
+
+        Memoized for the last ``caps`` object seen: an explorer passes
+        the same tuple on every step.
+        """
+        if caps is None or caps is self.caps:
+            return self
+        capped = self._capped
+        if capped is None or capped[0] is not caps:
+            capped = self._capped = (
+                caps,
+                MovePlan(self.guard, self.assigns, self.invariant, self.delay, caps),
+            )
+        return capped[1]
+
+    def __reduce__(self):
+        # Rebuilt from its parts: ``native`` is a process-local handle.
+        return (
+            MovePlan,
+            (self.guard, self.assigns, self.invariant, self.delay, self.caps),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"MovePlan(guard={self.guard}, assigns={self.assigns},"
+            f" invariant={self.invariant}, delay={self.delay},"
+            f" caps={self.caps})"
+        )
 
 
 @runtime_checkable
@@ -97,6 +215,30 @@ class KernelBackend(Protocol):
         self, m: np.ndarray, max_consts: Sequence[int]
     ) -> Tuple[int, Optional[np.ndarray]]:
         """ExtraM widening of a canonical zone, then reclosure."""
+        ...
+
+    def zone_successor(
+        self, m: np.ndarray, plan: MovePlan
+    ) -> Optional[np.ndarray]:
+        """One forward step of a canonical zone, in one call.
+
+        Guard, reset and shift, target invariant, then with
+        ``plan.delay`` up and the invariant again, then with
+        ``plan.caps`` ExtraM.  The successor's canonical matrix, or None
+        if a constraint empties the zone.
+        """
+        ...
+
+    def zone_pred(
+        self, m: np.ndarray, plan: MovePlan, source: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """One backward step: the states of ``source`` that ``plan``
+        takes into the canonical zone ``m``.
+
+        Fix every assigned clock to its value, free it, apply the guard,
+        intersect with ``source``.  The canonical matrix, or None; when
+        the pre-image includes all of ``source``, ``source`` itself.
+        """
         ...
 
     def close(self, stack: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
-The hot kernels, stacked and per-zone, as ~300 lines of portable C,
-compiled on first use with the host toolchain::
+The hot kernels, stacked, per-zone and fused step, as ~430 lines of
+portable C, compiled on first use with the host toolchain::
 
     cc -O2 -shared -fPIC
 
@@ -54,6 +54,7 @@ from .base import (
     CHANGED,
     UNCHANGED,
     BackendUnavailable,
+    MovePlan,
     marshal_clocks,
     marshal_constraints,
     marshal_pairs,
@@ -261,6 +262,33 @@ void k_subsume(const int64_t *nw, int64_t kn, const int64_t *seen,
     }
 }
 
+/* One discrete step and, with delay, its time closure, in place on one
+ * canonical matrix: guard, resets, shifts, target invariant, then up and
+ * the invariant again.  0 iff a constraint empties the zone (m is then
+ * scratch).  The body of the stacked hidden-post kernels and of
+ * k_zone_successor. */
+static int step_one(int64_t *m, int64_t dim,
+                    const int64_t *guard, int64_t ng,
+                    const int64_t *resets, int64_t nr,
+                    const int64_t *shifts, int64_t ns,
+                    const int64_t *inv, int64_t ni, int64_t delay)
+{
+    int64_t i;
+    if (ng && !tighten_close(m, guard, ng, dim))
+        return 0;
+    reset_one(m, resets, nr, dim);
+    shift_one(m, shifts, ns, dim);
+    if (ni && !tighten_close(m, inv, ni, dim))
+        return 0;
+    if (delay) {
+        for (i = 1; i < dim; i++)
+            m[i * dim] = INF;
+        if (ni && !tighten_close(m, inv, ni, dim))
+            return 0;
+    }
+    return 1;
+}
+
 void k_hidden_post(int64_t *stack, int64_t k, int64_t dim,
                    const int64_t *guard, int64_t ng,
                    const int64_t *resets, int64_t nr,
@@ -268,27 +296,10 @@ void k_hidden_post(int64_t *stack, int64_t k, int64_t dim,
                    const int64_t *inv, int64_t ni,
                    int64_t delay, uint8_t *keep)
 {
-    int64_t z, i, nn = dim * dim;
-    for (z = 0; z < k; z++) {
-        int64_t *m = stack + z * nn;
-        keep[z] = 1;
-        if (ng && !tighten_close(m, guard, ng, dim)) {
-            keep[z] = 0;
-            continue;
-        }
-        reset_one(m, resets, nr, dim);
-        shift_one(m, shifts, ns, dim);
-        if (ni && !tighten_close(m, inv, ni, dim)) {
-            keep[z] = 0;
-            continue;
-        }
-        if (delay) {
-            for (i = 1; i < dim; i++)
-                m[i * dim] = INF;
-            if (ni && !tighten_close(m, inv, ni, dim))
-                keep[z] = 0;
-        }
-    }
+    int64_t z, nn = dim * dim;
+    for (z = 0; z < k; z++)
+        keep[z] = (uint8_t)step_one(stack + z * nn, dim, guard, ng, resets,
+                                    nr, shifts, ns, inv, ni, delay);
 }
 
 int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
@@ -298,17 +309,10 @@ int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
                           const int64_t *inv, int64_t ni)
 {
     int64_t z, nn = dim * dim;
-    for (z = 0; z < k; z++) {
-        int64_t *m = stack + z * nn;
-        if (ng && !tighten_close(m, guard, ng, dim))
-            continue;
-        if (!ni)
+    for (z = 0; z < k; z++)
+        if (step_one(stack + z * nn, dim, guard, ng, resets, nr, shifts, ns,
+                     inv, ni, 0))
             return 1;
-        reset_one(m, resets, nr, dim);
-        shift_one(m, shifts, ns, dim);
-        if (tighten_close(m, inv, ni, dim))
-            return 1;
-    }
     return 0;
 }
 /* ---- Per-zone kernels: 0 unchanged, 1 changed (dst holds the closed
@@ -379,6 +383,120 @@ int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
         dst[t] = src[t];
     return extrapolate_one(dst, dim, caps);
 }
+
+/* ---- Fused step kernels over a move plan (MovePlan.flat): the counts
+ * [ng, nr, ns, ni, delay, ncaps], then guard triples, reset clocks,
+ * shift pairs, invariant triples and caps.  1 nonempty (dst holds the
+ * canonical result), 0 empty, -1 a plan that does not fit dim (the
+ * caller demotes to numpy).  The input matrices are never written. */
+
+typedef struct {
+    const int64_t *guard, *resets, *shifts, *inv, *caps;
+    int64_t ng, nr, ns, ni, delay, ncaps;
+} plan_t;
+
+static int in_dim(const int64_t *v, int64_t n, int64_t stride, int64_t w,
+                  int64_t dim)
+{
+    int64_t c, t;
+    for (c = 0; c < n; c++)
+        for (t = 0; t < w; t++)
+            if (v[c * stride + t] < 0 || v[c * stride + t] >= dim)
+                return 0;
+    return 1;
+}
+
+static int parse_plan(const int64_t *flat, int64_t dim, plan_t *p)
+{
+    p->ng = flat[0];
+    p->nr = flat[1];
+    p->ns = flat[2];
+    p->ni = flat[3];
+    p->delay = flat[4];
+    p->ncaps = flat[5];
+    p->guard = flat + 6;
+    p->resets = p->guard + 3 * p->ng;
+    p->shifts = p->resets + p->nr;
+    p->inv = p->shifts + 2 * p->ns;
+    p->caps = p->inv + 3 * p->ni;
+    return p->ng >= 0 && p->nr >= 0 && p->ns >= 0 && p->ni >= 0
+        && (p->ncaps == 0 || p->ncaps == dim)
+        && in_dim(p->guard, p->ng, 3, 2, dim)
+        && in_dim(p->resets, p->nr, 1, 1, dim)
+        && in_dim(p->shifts, p->ns, 2, 1, dim)
+        && in_dim(p->inv, p->ni, 3, 2, dim);
+}
+
+int64_t k_zone_successor(const int64_t *src, int64_t *dst, int64_t dim,
+                         const int64_t *flat)
+{
+    plan_t p;
+    int64_t t;
+    if (!parse_plan(flat, dim, &p))
+        return -1;
+    for (t = 0; t < dim * dim; t++)
+        dst[t] = src[t];
+    if (!step_one(dst, dim, p.guard, p.ng, p.resets, p.nr, p.shifts, p.ns,
+                  p.inv, p.ni, p.delay))
+        return 0;
+    if (p.ncaps && extrapolate_one(dst, dim, p.caps) == 2)
+        return 0;
+    return 1;
+}
+
+/* Pre-image of one target zone: fix every assigned clock to its value
+ * (0 for a reset, the shift's value otherwise), free it, apply the guard,
+ * intersect with the source zone.  2 when that pre-image includes the
+ * whole source zone (the answer is src itself; dst is scratch). */
+int64_t k_zone_pred(const int64_t *tgt, int64_t *dst, const int64_t *src,
+                    int64_t dim, const int64_t *flat)
+{
+    plan_t p;
+    int64_t r, s, t, i, j;
+    int changed = 0;
+    if (!parse_plan(flat, dim, &p))
+        return -1;
+    for (t = 0; t < dim * dim; t++)
+        dst[t] = tgt[t];
+    for (r = 0; r < p.nr; r++) {
+        int64_t x = p.resets[r], c = 0;
+        for (s = 0; s < p.ns; s++)
+            if (p.shifts[s * 2] == x)
+                c = p.shifts[s * 2 + 1];
+        if (dst[x * dim] > c * 2 + 1) {
+            dst[x * dim] = c * 2 + 1;
+            changed = 1;
+        }
+        if (dst[x] > (-c) * 2 + 1) {
+            dst[x] = (-c) * 2 + 1;
+            changed = 1;
+        }
+    }
+    if (changed && !close_one(dst, dim))
+        return 0;
+    for (r = 0; r < p.nr; r++) {
+        int64_t x = p.resets[r];
+        for (j = 0; j < dim; j++)
+            dst[x * dim + j] = INF;
+        for (i = 0; i < dim; i++)
+            dst[i * dim + x] = dst[i * dim];
+        dst[x * dim + x] = LE_ZERO;
+        dst[x] = LE_ZERO;
+    }
+    if (p.ng && !tighten_close(dst, p.guard, p.ng, dim))
+        return 0;
+    changed = 0;
+    for (t = 0; t < dim * dim; t++)
+        if (src[t] < dst[t]) {
+            dst[t] = src[t];
+            changed |= 1;
+        } else if (src[t] > dst[t]) {
+            changed |= 2;
+        }
+    if (!(changed & 2))
+        return 2;
+    return (changed & 1) ? close_one(dst, dim) : 1;
+}
 """
 
 _DECLS = """
@@ -405,6 +523,10 @@ int64_t k_zone_constrain(const int64_t *src, int64_t *dst, int64_t dim,
                          const int64_t *cons, int64_t nc);
 int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
                            const int64_t *caps);
+int64_t k_zone_successor(const int64_t *src, int64_t *dst, int64_t dim,
+                         const int64_t *flat);
+int64_t k_zone_pred(const int64_t *tgt, int64_t *dst, const int64_t *src,
+                    int64_t dim, const int64_t *flat);
 """
 
 _BINDING = None
@@ -431,6 +553,8 @@ _SIGNATURES = {
     ),
     "k_zone_constrain": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
     "k_zone_extrapolate": (_I64, [_PTR, _PTR, _I64, _PTR]),
+    "k_zone_successor": (_I64, [_PTR, _PTR, _I64, _PTR]),
+    "k_zone_pred": (_I64, [_PTR, _PTR, _PTR, _I64, _PTR]),
 }
 
 
@@ -627,6 +751,45 @@ class CExtBackend:
             b._i64(src), b._i64(dst), src.shape[0], b._i64(caps)
         )
         return status, (dst if status == CHANGED else None)
+
+    def _plan_ptr(self, plan: MovePlan):
+        """The FFI handle on ``plan.flat``, made once per plan and binding."""
+        native = plan.native
+        if native is None or native[0] is not self._b:
+            native = plan.native = (self._b, self._b._i64(plan.flat))
+        return native[1]
+
+    def zone_successor(
+        self, m: np.ndarray, plan: MovePlan
+    ) -> Optional[np.ndarray]:
+        b = self._b
+        src = _ro_i64(m)
+        dst = np.empty(src.shape, dtype=np.int64)
+        status = b.k_zone_successor(
+            b._i64(src), b._i64(dst), src.shape[0], self._plan_ptr(plan)
+        )
+        if status < 0:
+            raise IndexError(f"plan does not fit a {src.shape[0]}-dim zone")
+        return dst if status else None
+
+    def zone_pred(
+        self, m: np.ndarray, plan: MovePlan, source: np.ndarray
+    ) -> Optional[np.ndarray]:
+        b = self._b
+        tgt = _ro_i64(m)
+        src = _ro_i64(source)
+        if src.shape != tgt.shape:
+            raise ValueError(f"source {src.shape} vs target {tgt.shape}")
+        dst = np.empty(tgt.shape, dtype=np.int64)
+        status = b.k_zone_pred(
+            b._i64(tgt), b._i64(dst), b._i64(src), tgt.shape[0],
+            self._plan_ptr(plan),
+        )
+        if status < 0:
+            raise IndexError(f"plan does not fit a {tgt.shape[0]}-dim zone")
+        if status == 2:
+            return source
+        return dst if status else None
 
     def close(self, stack: np.ndarray) -> np.ndarray:
         b = self._b

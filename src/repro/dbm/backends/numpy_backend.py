@@ -4,7 +4,10 @@ A thin class over the ``_*_ref`` bodies in :mod:`repro.dbm.stack` plus
 the per-zone reference kernels below — the exact code every other
 backend is differentially fuzzed against.  It adds nothing to the
 stacked kernels: no marshalling, no copies, no extra counters beyond
-the dispatch layer's.
+the dispatch layer's.  The fused step kernels compose this class's own
+per-zone kernels with the stack module's reset/shift/free/up plumbing,
+one operation at a time, so the reference for a fused call is the
+sequence of zone operations it stands for.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .. import stack as _sk
 from ..bounds import INF, INF_SOFT, LE_ZERO, add_bounds
-from .base import CHANGED, EMPTY, UNCHANGED
+from .base import CHANGED, EMPTY, UNCHANGED, MovePlan
 
 Constraint = Tuple[int, int, int]
 
@@ -103,6 +106,62 @@ class NumpyBackend:
         if lower.any():
             m[0, lower] = low_repl[lower]
         return (CHANGED, m) if self.zone_close(m) else (EMPTY, None)
+
+    def _constrain_into(self, m: np.ndarray, constraints) -> Optional[np.ndarray]:
+        """``zone_constrain`` as a matrix: ``m`` itself when unchanged."""
+        status, out = self.zone_constrain(m, constraints)
+        if status == EMPTY:
+            return None
+        return m if status == UNCHANGED else out
+
+    def zone_successor(
+        self, m: np.ndarray, plan: MovePlan
+    ) -> Optional[np.ndarray]:
+        out = self._constrain_into(m, plan.guard)
+        if out is None:
+            return None
+        out = out.copy()  # the plumbing below works in place
+        stacked = out[None]
+        _sk.reset(stacked, plan.resets)
+        _sk.shift(stacked, plan.shifts)
+        out = self._constrain_into(out, plan.invariant)
+        if out is None:
+            return None
+        if plan.delay:
+            _sk.up(out[None])
+            out = self._constrain_into(out, plan.invariant)
+            if out is None:
+                return None
+        if plan.caps is not None:
+            status, widened = self.zone_extrapolate(out, plan.caps)
+            if status == EMPTY:
+                return None
+            if status == CHANGED:
+                out = widened
+        return out
+
+    def zone_pred(
+        self, m: np.ndarray, plan: MovePlan, source: np.ndarray
+    ) -> Optional[np.ndarray]:
+        out = m
+        if plan.assigns:
+            fixed = [(x, 0, (c << 1) | 1) for x, c in plan.assigns] + [
+                (0, x, ((-c) << 1) | 1) for x, c in plan.assigns
+            ]
+            out = self._constrain_into(m, fixed)
+            if out is None:
+                return None
+            out = out.copy()
+            _sk.free(out[None], plan.resets)
+        out = self._constrain_into(out, plan.guard)
+        if out is None:
+            return None
+        if (out >= source).all():
+            return source
+        met = np.minimum(out, source)
+        if np.array_equal(met, out):
+            return out.copy() if out is m else out
+        return met if self.zone_close(met) else None
 
     def close(self, stack: np.ndarray) -> np.ndarray:
         return _sk._close_ref(stack)

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..util import counters
 from . import stack as _sk
-from .bounds import INF, LE_ZERO, negate
+from .bounds import INF, negate
 from .dbm import DBM, scale
 
 def _use_batched(batched: bool) -> bool:
@@ -419,20 +419,6 @@ class Federation:
         _sk.free(stacked, clocks)
         return Federation._from_stack(self.dim, stacked)
 
-    def reset_pred(self, clocks: Sequence[int]) -> "Federation":
-        """Pre-image of a reset-to-zero of the given clocks."""
-        if not self.zones or not clocks:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.reset_pred(clocks))
-        stacked = self._stack()
-        keep = _sk.constrain(stacked, [(x, 0, LE_ZERO) for x in clocks])
-        if not keep.any():
-            return Federation.empty(self.dim)
-        stacked = stacked[keep]
-        _sk.free(stacked, clocks)
-        return Federation._from_stack(self.dim, stacked)
-
     def assign_clocks(self, pairs) -> "Federation":
         """Assign constants to clocks in every member zone."""
         if not self.zones or not pairs:
@@ -444,23 +430,6 @@ class Federation:
         shifts = [(x, c) for x, c in pairs if c != 0]
         if shifts:
             _sk.shift(stacked, shifts)
-        return Federation._from_stack(self.dim, stacked)
-
-    def assign_pred(self, pairs) -> "Federation":
-        """Pre-image of constant clock assignments."""
-        if not self.zones or not pairs:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.assign_pred(pairs))
-        fixed = [(x, 0, (c << 1) | 1) for x, c in pairs] + [
-            (0, x, ((-c) << 1) | 1) for x, c in pairs
-        ]
-        stacked = self._stack()
-        keep = _sk.constrain(stacked, fixed)
-        if not keep.any():
-            return Federation.empty(self.dim)
-        stacked = stacked[keep]
-        _sk.free(stacked, [x for x, _ in pairs])
         return Federation._from_stack(self.dim, stacked)
 
     def constrained(self, constraints) -> "Federation":

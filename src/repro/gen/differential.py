@@ -71,10 +71,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..dbm import INF, Federation, bound
+from ..dbm import DBM, INF, LE_ZERO, Federation, bound, negate
 from ..dbm import backends as dbm_backends
 from ..dbm import stack as _sk
-from ..dbm.backends.base import CHANGED
+from ..dbm.backends.base import CHANGED, MovePlan
 from ..dbm.backends.numpy_backend import NumpyBackend
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
 from ..graph.explorer import ExplorationLimit, SimulationGraph
@@ -854,6 +854,123 @@ def _zone_kernel_mismatch(rng: random.Random, backend) -> Optional[str]:
     got_ok = backend.zone_close(got_m)
     if ref_ok != got_ok or (ref_ok and not np.array_equal(ref_m, got_m)):
         return f"zone_close: ref={ref_ok} got={got_ok}"
+    return _fused_kernel_mismatch(rng, backend)
+
+
+#: The fused-step shapes :func:`_fused_kernel_mismatch` draws from.
+SUCCESSOR_CASES = (
+    "guard_empties", "invariant_empties_after_reset", "assignments",
+    "noop_extrapolation", "random",
+)
+PRED_CASES = ("disjoint_source", "random")
+
+
+def _random_plan(rng: random.Random, dim: int) -> MovePlan:
+    clocks = rng.sample(range(1, dim), rng.randint(0, dim - 1))
+    assigns = tuple(sorted((x, rng.choice((0, 0, 1, 3, 5))) for x in clocks))
+    return MovePlan(
+        tuple(_random_kernel_constraints(rng, dim, 3)),
+        assigns,
+        tuple(_random_kernel_constraints(rng, dim, 3)),
+        rng.random() < 0.5,
+    )
+
+
+def _fused_kernel_mismatch(
+    rng: random.Random,
+    backend,
+    successor_case: Optional[str] = None,
+    pred_case: Optional[str] = None,
+) -> Optional[str]:
+    """Run ``zone_successor`` and ``zone_pred`` once each against the
+    numpy reference; the first mismatch, or None.
+
+    Verdicts (empty or not) must agree and nonempty results must be
+    byte-identical; no input matrix may be written.  Each call draws one
+    case of :data:`SUCCESSOR_CASES` and one of :data:`PRED_CASES` unless
+    given, with delay on or off at random.
+    """
+    dim = rng.randint(2, 6)
+    zone = _kernel_stack(rng, dim, 1)[0]
+    pristine = zone.copy()
+    case = successor_case or rng.choice(SUCCESSOR_CASES)
+    base = _random_plan(rng, dim)
+    guard, assigns, invariant = base.guard, base.assigns, base.invariant
+    caps = None
+    if rng.random() < 0.5:
+        caps = tuple(rng.randint(0, 8) for _ in range(dim))
+    if case == "guard_empties":
+        i, j = rng.sample(range(dim), 2)
+        back = int(zone[j, i])
+        if back >= INF:
+            # Nothing bounds x_j - x_i: bound it, then contradict it.
+            guard += ((j, i, bound(rng.randint(0, 4), False)),)
+            back = guard[-1][2]
+        guard += ((i, j, bound(-(back >> 1), True)),)
+    elif case == "invariant_empties_after_reset":
+        # x := c, then an invariant x >= c + 1: empty only because of
+        # the assignment, never because of the guard.
+        x = rng.randrange(1, dim)
+        c = rng.choice((0, 2))
+        guard = ()
+        assigns = tuple(sorted({**dict(assigns), x: c}.items()))
+        invariant += ((0, x, bound(-(c + 1), False)),)
+    elif case == "assignments":
+        clocks = rng.sample(range(1, dim), rng.randint(1, dim - 1))
+        assigns = tuple(sorted((x, rng.randint(1, 6)) for x in clocks))
+    elif case == "noop_extrapolation":
+        # Caps above every constant in play: ExtraM must change nothing.
+        caps = (64,) * dim
+    plan = MovePlan(guard, assigns, invariant, base.delay, caps)
+    ref_m = _REFERENCE.zone_successor(zone, plan)
+    got_m = backend.zone_successor(zone, plan)
+    if (ref_m is None) != (got_m is None) or (
+        ref_m is not None and not np.array_equal(ref_m, got_m)
+    ):
+        return (
+            f"zone_successor ({case}): ref={'empty' if ref_m is None else 'zone'}"
+            f" got={'empty' if got_m is None else 'zone'} {plan!r}"
+        )
+    if not np.array_equal(zone, pristine):
+        return f"zone_successor wrote its input zone ({case})"
+
+    case = pred_case or rng.choice(PRED_CASES)
+    plan = _random_plan(rng, dim)
+    source = _kernel_stack(rng, dim, 1)[0]
+    if case == "disjoint_source":
+        # A source zone disjoint from the whole pre-image, so the answer
+        # is empty whatever the source zone's own shape.
+        universal = DBM.universal(dim).m
+        with dbm_backends.use_backend(_REFERENCE):
+            image = _REFERENCE.zone_pred(zone, plan, universal)
+            if image is not None:
+                bounds = [
+                    (i, j, int(image[i, j]))
+                    for i in range(dim)
+                    for j in range(dim)
+                    if i != j and image[i, j] < INF
+                    and not (i == 0 and image[i, j] == LE_ZERO)
+                ]
+                if bounds:
+                    i, j, enc = rng.choice(bounds)
+                    source = DBM.universal(dim).tighten(j, i, negate(enc)).m
+    source_pristine = source.copy()
+    ref_m = _REFERENCE.zone_pred(zone, plan, source)
+    got_m = backend.zone_pred(zone, plan, source)
+    if (
+        (ref_m is None) != (got_m is None)
+        or (ref_m is source) != (got_m is source)
+        or (ref_m is not None and not np.array_equal(ref_m, got_m))
+    ):
+        return (
+            f"zone_pred ({case}): ref={'empty' if ref_m is None else 'zone'}"
+            f" got={'empty' if got_m is None else 'zone'} {plan!r}"
+        )
+    if not (
+        np.array_equal(zone, pristine)
+        and np.array_equal(source, source_pristine)
+    ):
+        return f"zone_pred wrote an input zone ({case})"
     return None
 
 

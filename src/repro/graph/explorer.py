@@ -10,6 +10,11 @@ that node.  With ExtraM extrapolation (diagonal-free models) the graph is
 finite; for models with diagonal guards extrapolation is disabled and
 termination relies on bounded clocks (checked by the caller via
 ``max_nodes``).
+
+Each edge costs one backend call, :meth:`System.successor` (guard,
+clock assignments, target invariant, delay closure and extrapolation,
+fused), and nodes are interned by the bytes of the extrapolated
+canonical zone.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +46,15 @@ class _ZoneIndex:
         self.buf = np.empty((4, dim, dim), dtype=np.int64)
         self.count = 0
 
-    def add(self, matrix: Optional[np.ndarray]) -> None:
-        """Append a zone matrix; None appends a never-matching sentinel
-        (used for empty zones, whose matrix comparison is meaningless)."""
+    def add(self, matrix: np.ndarray) -> None:
+        """Append a (nonempty, canonical) zone matrix."""
         if self.count == self.buf.shape[0]:
             grown = np.empty(
                 (2 * self.count,) + self.buf.shape[1:], dtype=np.int64
             )
             grown[: self.count] = self.buf
             self.buf = grown
-        if matrix is None:
-            self.buf[self.count] = np.iinfo(np.int64).min
-        else:
-            self.buf[self.count] = matrix
+        self.buf[self.count] = matrix
         self.count += 1
 
     def find_superset(self, matrix: np.ndarray) -> int:
@@ -124,7 +125,7 @@ class SimulationGraph:
         self._zone_index: Dict[DiscreteKey, _ZoneIndex] = {}
         # Exact-zone memo: a state reached over k edges is interned k
         # times with byte-identical zones; remembering the resolved node
-        # skips extrapolation and the subsumption scan for repeats.
+        # skips the subsumption scan for repeats.
         self._intern_memo: Dict[tuple, GraphNode] = {}
         # Canonical-zone table keyed by the canonical matrix bytes
         # (:meth:`repro.dbm.DBM.hash_key`, unique per zone): equal
@@ -139,49 +140,53 @@ class SimulationGraph:
             base = network.max_constants()
             if extra_max_consts is not None:
                 base = [max(a, b) for a, b in zip(base, extra_max_consts)]
-            self.max_consts: Optional[List[int]] = base
+            self.max_consts: Optional[Tuple[int, ...]] = tuple(base)
         else:
             self.max_consts = None
-        self.initial = self._intern(system.initial_symbolic())
+        initial = system.initial_symbolic()
+        zone = initial.zone
+        if self.max_consts is not None:
+            zone = zone.extrapolate(self.max_consts)
+        self.initial = self._intern(initial.locs, initial.vars, zone.m)
 
     # ------------------------------------------------------------------
     # Node interning
     # ------------------------------------------------------------------
 
-    def _intern(self, sym: SymbolicState) -> GraphNode:
-        memo_key = (sym.key, sym.zone.hash_key())
-        memoized = self._intern_memo.get(memo_key)
-        if memoized is not None:
-            return memoized
-        if self.max_consts is not None:
-            sym = SymbolicState(sym.locs, sym.vars, sym.zone.extrapolate(self.max_consts))
-        zone = self._zone_intern.setdefault(sym.zone.hash_key(), sym.zone)
-        if zone is not sym.zone:
-            sym = SymbolicState(sym.locs, sym.vars, zone)
-        index = self._zone_index.get(sym.key)
-        node: Optional[GraphNode] = None
-        if index is not None:
-            if sym.zone.is_empty():
-                # Empty zones fold into any existing node of the key.
-                for existing in self._by_key[sym.key]:
-                    if existing.zone.includes(sym.zone):
-                        node = existing
-                        break
-            else:
-                hit = index.find_superset(sym.zone.m)
-                if hit >= 0:
-                    node = self._by_key[sym.key][hit]
+    def _intern(
+        self, locs: Tuple[int, ...], vars: Tuple[int, ...], matrix: np.ndarray
+    ) -> GraphNode:
+        """The node of a nonempty, extrapolated canonical zone at a
+        discrete state: an existing node whose zone includes it, or a new
+        one."""
+        zkey = matrix.tobytes()
+        zone = self._zone_intern.get(zkey)
+        if zone is None:
+            zone = self._zone_intern[zkey] = DBM(matrix)
+        key = (locs, vars)
+        # Keyed by the interned zone's bytes, one object per distinct zone.
+        memo_key = (key, zone.hash_key())
+        node = self._intern_memo.get(memo_key)
         if node is not None:
-            self._intern_memo[memo_key] = node
             return node
-        node = GraphNode(next(self._counter), sym)
-        self.nodes.append(node)
-        self._by_key.setdefault(sym.key, []).append(node)
-        if index is None:
-            index = self._zone_index[sym.key] = _ZoneIndex(sym.zone.dim)
-        index.add(None if sym.zone.is_empty() else sym.zone.m)
+        index = self._zone_index.get(key)
+        if index is not None:
+            hit = index.find_superset(zone.m)
+            if hit >= 0:
+                node = self._by_key[key][hit]
+        created = node is None
+        if created:
+            node = GraphNode(
+                next(self._counter), SymbolicState(locs, vars, zone)
+            )
+            self.nodes.append(node)
+            self._by_key.setdefault(key, []).append(node)
+            if index is None:
+                index = self._zone_index[key] = _ZoneIndex(zone.dim)
+            index.add(zone.m)
         self._intern_memo[memo_key] = node
-        if self.max_nodes is not None and len(self.nodes) > self.max_nodes:
+        limit = self.max_nodes
+        if created and limit is not None and len(self.nodes) > limit:
             raise ExplorationLimit(
                 f"simulation graph exceeded {self.max_nodes} nodes"
             )
@@ -201,12 +206,12 @@ class SimulationGraph:
         if self._expanded.get(node.id):
             return node.out_edges
         self._expanded[node.id] = True
+        successor = self.system.successor
         for move in self.moves_from(node):
-            post = self.system.post(node.sym, move)
-            if post is None:
+            step = successor(node.sym, move, self.max_consts)
+            if step is None:
                 continue
-            post = self.system.delay_closure(post)
-            target = self._intern(post)
+            target = self._intern(*step)
             edge = GraphEdge(node, move, target)
             node.out_edges.append(edge)
             target.in_edges.append(edge)

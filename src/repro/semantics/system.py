@@ -3,9 +3,13 @@
 This is the TIOTS of Definition 4, in two flavours:
 
 * **symbolic** — zones (DBMs) per discrete state, with ``post`` (discrete
-  successor), ``delay_closure`` (time successor within invariants) and
+  successor), ``delay_closure`` (time successor within invariants),
+  ``successor`` (the explorer's step: both, then extrapolation) and
   ``pred`` (discrete predecessor of a federation), the building blocks of
-  the zone-graph explorer and the game solver;
+  the zone-graph explorer and the game solver.  ``post``, ``successor``
+  and ``pred`` each run one fused backend kernel per zone on a
+  :class:`~repro.dbm.backends.base.MovePlan` compiled once per move and
+  discrete state (:meth:`System.step_plan`);
 * **concrete** — exact rational valuations with enabled-delay intervals,
   used by the test executor and the simulated implementations.
 
@@ -57,12 +61,16 @@ handling treat urgent states uniformly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..dbm import DBM, Federation
+from ..dbm import backends as _backends
+from ..dbm.backends.base import MovePlan
 from ..dbm.bounds import decoded
 from ..dbm.dbm import Window, fold_delay_window
 from ..expr.env import Declarations
@@ -89,6 +97,13 @@ class Move:
     direction: str  # 'input' | 'output' | 'internal'
     controllable: bool
     edges: Tuple[Tuple[int, Edge], ...]  # (automaton index, edge); emitter first
+    #: The participating edges' indices: the move's identity in caches.
+    key: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "key", tuple(edge.index for _, edge in self.edges)
+        )
 
     @property
     def observable(self) -> bool:
@@ -178,7 +193,8 @@ class System:
                 "inv_int": {},
                 "resets": {},
                 "assign": {},
-                "delay": {},
+                "steps": {},
+                "plans": {},
                 "ctx": {},
                 "edge_int_slots": {},
                 "guard_slots": {},
@@ -201,7 +217,11 @@ class System:
             Tuple[int, ...], Tuple[Tuple[int, int], ...]
         ] = shared["resets"]
         self._assign_cache: Dict[tuple, tuple] = shared["assign"]
-        self._delay_cache: Dict[tuple, DBM] = shared["delay"]
+        # (move, source locs, source vars) -> (target or None, plan); the
+        # plans themselves are interned by content, so moves and states
+        # that compile to the same step share one plan.
+        self._step_cache: Dict[tuple, tuple] = shared["steps"]
+        self._plans: Dict[tuple, MovePlan] = shared["plans"]
         self._ctx_cache: Dict[Tuple[int, ...], Context] = shared["ctx"]
         self._edge_int_slots: Dict[int, object] = shared["edge_int_slots"]
         self._guard_slots: Dict[Tuple[int, ...], object] = shared["guard_slots"]
@@ -691,7 +711,7 @@ class System:
         """
         if not any(edge.int_assigns for _, edge in move.edges):
             return vars
-        key = (tuple(edge.index for _, edge in move.edges), vars)
+        key = (move.key, vars)
         cached = self._assign_cache.get(key)
         if cached is None:
             state: Optional[Tuple[int, ...]] = vars
@@ -710,7 +730,7 @@ class System:
 
     def guard_constraints(self, move: Move, vars: Tuple[int, ...]):
         """Encoded clock constraints of a move's guards (memoized)."""
-        idxs = tuple(edge.index for _, edge in move.edges)
+        idxs = move.key
         project = self._guard_slots.get(idxs)
         if project is None:
             project = self._projector(
@@ -734,7 +754,7 @@ class System:
 
     def resets_of(self, move: Move) -> Tuple[Tuple[int, int], ...]:
         """Clock assignments of a move, emitter first (later wins); memoized."""
-        key = tuple(edge.index for _, edge in move.edges)
+        key = move.key
         cached = self._resets_cache.get(key)
         if cached is None:
             merged: Dict[int, int] = {}
@@ -764,38 +784,84 @@ class System:
     def delay_closure(self, sym: SymbolicState) -> SymbolicState:
         if not self.can_delay(sym.locs):
             return sym
-        # Memoized on the zone's canonical bytes: distinct source nodes
-        # frequently post into byte-identical zones (resets collapse
-        # differences), repeating the same up-and-constrain.
-        key = (
-            sym.locs,
-            self._inv_projectors(sym.locs)[1](sym.vars),
-            sym.zone.hash_key(),
+        zone = sym.zone.up().constrained(
+            self.invariant_constraints(sym.locs, sym.vars)
         )
-        zone = self._delay_cache.get(key)
-        if zone is None:
-            zone = sym.zone.up().constrained(
-                self.invariant_constraints(sym.locs, sym.vars)
-            )
-            self._delay_cache[key] = zone
         return SymbolicState(sym.locs, sym.vars, zone)
+
+    def step_plan(
+        self, locs: Tuple[int, ...], vars: Tuple[int, ...], move: Move
+    ) -> Tuple[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]], MovePlan]:
+        """The compiled symbolic step of ``move`` from a discrete state.
+
+        Returns ``(target, plan)``: ``target`` is the successor's
+        ``(locs, vars)``, or None when the discrete part blocks the move
+        (a variable update out of range, or a violated integer
+        invariant).  The plan holds the guard (under ``vars``), the clock
+        assignments, the target's clock invariant and whether the target
+        can delay; with a None target only its guard and assignments
+        mean anything (enough for :meth:`pred`).  Memoized per (move,
+        discrete state); plans are shared by content.
+        """
+        key = (move.key, locs, vars)
+        step = self._step_cache.get(key)
+        if step is None:
+            target = None
+            invariant: tuple = ()
+            delay = False
+            new_vars = self.apply_move_vars(vars, move)
+            if new_vars is not None:
+                new_locs = self.target_locs(locs, move)
+                if self.invariant_int_ok(new_locs, new_vars):
+                    target = (new_locs, new_vars)
+                    invariant = tuple(
+                        self.invariant_constraints(new_locs, new_vars)
+                    )
+                    delay = self.can_delay(new_locs)
+            content = (
+                tuple(self.guard_constraints(move, vars)),
+                self.resets_of(move),
+                invariant,
+                delay,
+            )
+            plan = self._plans.get(content)
+            if plan is None:
+                plan = self._plans[content] = MovePlan(*content)
+            step = self._step_cache[key] = (target, plan)
+        return step
 
     def post(self, sym: SymbolicState, move: Move) -> Optional[SymbolicState]:
         """Discrete successor (no delay closure); None if disabled/empty."""
-        new_vars = self.apply_move_vars(sym.vars, move)
-        if new_vars is None:
+        target, plan = self.step_plan(sym.locs, sym.vars, move)
+        if target is None or sym.zone.is_empty():
             return None
-        new_locs = self.target_locs(sym.locs, move)
-        if not self.invariant_int_ok(new_locs, new_vars):
+        m = _backends.active().zone_successor(sym.zone.m, plan.bare())
+        if m is None:
             return None
-        zone = sym.zone.constrained(self.guard_constraints(move, sym.vars))
-        if zone.is_empty():
+        return SymbolicState(target[0], target[1], DBM(m))
+
+    def successor(
+        self,
+        sym: SymbolicState,
+        move: Move,
+        caps: Optional[Tuple[int, ...]] = None,
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray]]:
+        """The zone-graph step: :meth:`post`, :meth:`delay_closure`, then
+        ExtraM against ``caps`` (None: none), as one kernel call.
+
+        Returns the target ``(locs, vars, matrix)`` — the canonical
+        matrix, not yet wrapped, so the explorer can intern it by its
+        bytes first — or None if the move is disabled.
+        """
+        target, plan = self.step_plan(sym.locs, sym.vars, move)
+        if target is None or sym.zone.is_empty():
             return None
-        zone = zone.assign_clocks(self.resets_of(move))
-        zone = zone.constrained(self.invariant_constraints(new_locs, new_vars))
-        if zone.is_empty():
+        m = _backends.active().zone_successor(
+            sym.zone.m, plan.extrapolating(caps)
+        )
+        if m is None:
             return None
-        return SymbolicState(new_locs, new_vars, zone)
+        return target[0], target[1], m
 
     def pred(
         self,
@@ -803,12 +869,24 @@ class System:
         move: Move,
         target_fed: Federation,
     ) -> Federation:
-        """States of ``source`` whose ``move``-successor lies in ``target_fed``."""
-        if target_fed.is_empty():
+        """States of ``source`` whose ``move``-successor lies in ``target_fed``.
+
+        One ``zone_pred`` kernel call per target zone (assignment
+        pre-image, guard, source zone) and one federation at the end.
+        """
+        if target_fed.is_empty() or source.zone.is_empty():
             return Federation.empty(self.dim)
-        fed = target_fed.assign_pred(self.resets_of(move))
-        fed = fed.constrained(self.guard_constraints(move, source.vars))
-        return fed.intersect_zone(source.zone)
+        _, plan = self.step_plan(source.locs, source.vars, move)
+        kernel = _backends.active().zone_pred
+        src = source.zone.m
+        zones = []
+        for zone in target_fed.zones:
+            m = kernel(zone.m, plan, src)
+            if m is src:
+                zones.append(source.zone)
+            elif m is not None:
+                zones.append(DBM(m))
+        return Federation(self.dim, zones)
 
     # ------------------------------------------------------------------
     # Concrete semantics

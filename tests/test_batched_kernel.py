@@ -63,16 +63,10 @@ OPS = [
     ("reset[1]", lambda f: f.reset([1]), lambda z: z.reset([1])),
     ("reset[1,2]", lambda f: f.reset([1, 2]), lambda z: z.reset([1, 2])),
     ("free[1]", lambda f: f.free([1]), lambda z: z.free([1])),
-    ("reset_pred[2]", lambda f: f.reset_pred([2]), lambda z: z.reset_pred([2])),
     (
         "assign[(1,3)]",
         lambda f: f.assign_clocks([(1, 3)]),
         lambda z: z.assign_clocks([(1, 3)]),
-    ),
-    (
-        "assign_pred[(2,1)]",
-        lambda f: f.assign_pred([(2, 1)]),
-        lambda z: z.assign_pred([(2, 1)]),
     ),
     (
         "constrained",
