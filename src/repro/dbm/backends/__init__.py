@@ -73,9 +73,9 @@ class GuardedBackend:
     Soundness of replaying on the same buffers: catchable compiled-path
     failures happen during argument marshalling or FFI dispatch —
     *before* the C kernel writes — and injected faults fire at call
-    entry, so the demoted call sees pristine inputs.  The per-zone and
-    fused step kernels never write their input matrices at all, and
-    take their constraints as a sequence or a
+    entry, so the demoted call sees pristine inputs.  The per-zone,
+    fused step and federation kernels never write their input matrices
+    at all, and take their constraints as a sequence or a
     :class:`~repro.dbm.backends.base.MovePlan`, which a replay reads
     again intact.  (A fault inside the C body itself is a segfault,
     which no guard can catch.)
@@ -88,6 +88,8 @@ class GuardedBackend:
         self.counter = inner.counter
         self._site = f"dbm.{inner.name}.compute"
         self._reference: Optional[KernelBackend] = None
+        for kernel in KERNELS:
+            setattr(self, kernel, self._guarded(kernel))
 
     def _demote(self):
         counters.inc("dbm.backend_demotions")
@@ -97,52 +99,31 @@ class GuardedBackend:
             self._reference = NumpyBackend()
         return self._reference
 
-    def _call(self, kernel: str, *args):
-        try:
-            faults.fire(self._site)
-            return getattr(self._inner, kernel)(*args)
-        except Exception:
-            return getattr(self._demote(), kernel)(*args)
+    def _guarded(self, kernel: str):
+        """``kernel`` of the compiled backend, rerun on the reference on
+        any exception (bound once: this wraps every kernel call)."""
+        compiled = getattr(self._inner, kernel)
+        site = self._site
+        fire = faults.fire
 
-    def zone_close(self, m):
-        return self._call("zone_close", m)
+        def call(*args):
+            try:
+                fire(site)
+                return compiled(*args)
+            except Exception:
+                return getattr(self._demote(), kernel)(*args)
 
-    def zone_constrain(self, m, constraints):
-        return self._call("zone_constrain", m, constraints)
+        call.__name__ = kernel
+        return call
 
-    def zone_extrapolate(self, m, max_consts):
-        return self._call("zone_extrapolate", m, max_consts)
 
-    def zone_successor(self, m, plan):
-        return self._call("zone_successor", m, plan)
-
-    def zone_pred(self, m, plan, source):
-        return self._call("zone_pred", m, plan, source)
-
-    def close(self, stack):
-        return self._call("close", stack)
-
-    def extrapolate(self, stack, caps):
-        return self._call("extrapolate", stack, caps)
-
-    def inclusion_matrix(self, a, b):
-        return self._call("inclusion_matrix", a, b)
-
-    def reduce_indices(self, stack):
-        return self._call("reduce_indices", stack)
-
-    def subsume_frontier(self, new, seen):
-        return self._call("subsume_frontier", new, seen)
-
-    def hidden_post_step(self, stack, guard, resets, shifts, invariant, delay):
-        return self._call(
-            "hidden_post_step", stack, guard, resets, shifts, invariant, delay
-        )
-
-    def any_hidden_post(self, stack, guard, resets, shifts, invariant):
-        return self._call(
-            "any_hidden_post", stack, guard, resets, shifts, invariant
-        )
+#: Every kernel of the :class:`KernelBackend` protocol.
+KERNELS = (
+    "zone_close", "zone_constrain", "zone_extrapolate", "zone_successor",
+    "zone_pred", "fed_subtract", "fed_predt", "fixpoint_body", "close",
+    "extrapolate", "inclusion_matrix", "reduce_indices", "subsume_frontier",
+    "hidden_post_step", "any_hidden_post",
+)
 
 
 def _load(name: str) -> KernelBackend:

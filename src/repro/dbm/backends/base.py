@@ -17,7 +17,14 @@ closure, and explorer subsumption scan bottoms out in.  Three families:
   :class:`MovePlan` compiled once per move and discrete state.  One
   call per symbolic step instead of one per zone operation: on the
   explorer and solver paths the crossing into the backend costs more
-  than the arithmetic.
+  than the arithmetic;
+* the **federation** kernels, called by
+  :class:`~repro.dbm.Federation` and the game solvers, over
+  ``(k, dim, dim)`` stacks of canonical zones: ``fed_subtract`` (exact
+  difference), ``fed_predt`` (strict or lenient ``Predt``) and
+  ``fixpoint_body`` (the reachability fixpoint equation of one node).
+  Solver federations hold about one zone, so one call per operation
+  replaces a Python-level loop of tiny zone operations.
 
 Everything else (gathers, masks, cheap per-entry updates) is shared
 plumbing and stays numpy regardless of the backend.
@@ -42,7 +49,11 @@ The fused step kernels never write their inputs either; they return
 None for the empty zone, else a fresh canonical matrix (``zone_pred``
 returns its ``source`` argument itself when the answer is all of it),
 and the verdict, that identity and the matrix must all equal the
-reference's.
+reference's.  The federation kernels never write their inputs and
+return a stack whose zones, *and their order*, must equal the
+reference's (``fed_subtract`` returns its first operand itself exactly
+when the reference does): the order fixes the solver's rank layers and
+so the strategies built on them.
 
 The contract is not a convention but a theorem for any correct
 implementation — kept rows are canonical, and canonical forms are
@@ -238,6 +249,52 @@ class KernelBackend(Protocol):
         Fix every assigned clock to its value, free it, apply the guard,
         intersect with ``source``.  The canonical matrix, or None; when
         the pre-image includes all of ``source``, ``source`` itself.
+        """
+        ...
+
+    def fed_subtract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a \\ b`` for two stacks of canonical zones, reduced.
+
+        Subtracts the zones of ``b`` one at a time: each zone of the
+        minuend disjoint from the subtrahend stays, one inside it goes,
+        any other is split on the subtrahend's finite constraints in
+        row-major order (the ``x >= 0`` bounds skipped), and the list is
+        reduced after every subtrahend that removed something.  Returns
+        ``a`` itself when nothing was removed.
+        """
+        ...
+
+    def fed_predt(
+        self, goal: np.ndarray, bad: np.ndarray, lenient: bool
+    ) -> np.ndarray:
+        """``Predt(goal, bad)`` (:mod:`repro.game.predt`), reduced: per bad
+        zone ``b``, ``goal↓ \\ b↓`` plus ``((goal ∩ b↓) \\ b')↓`` with
+        ``b'`` the strict future of ``b`` when ``lenient`` and ``b``
+        itself otherwise, plus ``goal`` when ``lenient``; the results
+        for the bad zones intersected pairwise in order."""
+        ...
+
+    def fixpoint_body(
+        self,
+        zone: np.ndarray,
+        invariant: np.ndarray,
+        goal: np.ndarray,
+        g_act: np.ndarray,
+        bad: np.ndarray,
+        u_enabled: np.ndarray,
+        can_delay: bool,
+    ) -> np.ndarray:
+        """One node's reachability fixpoint equation
+        (:mod:`repro.game.solver`), compacted.
+
+        ``Forced`` is ``u_enabled`` minus ``bad`` within the boundary:
+        the faces ``x == c`` of ``zone`` for every non-strict upper bound
+        ``x <= c`` of the ``invariant`` matrix when the node can delay,
+        all of ``u_enabled`` when it cannot.  Then, with
+        ``G_goal = goal ∪ Forced``, the win set is
+        ``(Predt(g_act, bad) ∪ Predt_lenient(G_goal, bad)) ∩ zone`` when
+        the node can delay and ``((g_act ∪ G_goal) \\ bad) ∪ goal`` when
+        it cannot; the result is that united with ``goal``, compacted.
         """
         ...
 

@@ -1,7 +1,7 @@
 """C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
-The hot kernels, stacked, per-zone and fused step, as ~430 lines of
-portable C, compiled on first use with the host toolchain::
+The hot kernels, stacked, per-zone, fused step and federation, as ~940
+lines of portable C, compiled on first use with the host toolchain::
 
     cc -O2 -shared -fPIC
 
@@ -32,9 +32,12 @@ because dead-row content is scratch.  The in-place Floyd-Warshall is
 byte-identical to the reference's per-``via`` snapshot form on
 consistent rows because the pivot row and column are fixed points of
 their own iteration (the diagonal stays at ``LE_ZERO``, the additive
-identity of the bound encoding).  The always-on ``kernel`` differential
-check (:mod:`repro.gen.differential`) fuzzes this argument against the
-numpy reference.
+identity of the bound encoding).  The federation kernels follow the
+reference's algorithms step for step (split order, reductions, zone
+order) on heap-grown zone lists; an allocation failure returns -1, which
+the wrapper turns into an exception, and so a demotion.  The always-on
+``kernel`` differential check (:mod:`repro.gen.differential`) fuzzes
+this argument against the numpy reference.
 """
 
 from __future__ import annotations
@@ -62,8 +65,21 @@ from .base import (
 
 Constraint = Tuple[int, int, int]
 
+_NO_ROWS = {}
+
+
+def _no_rows(dim: int) -> np.ndarray:
+    """The empty ``(0, dim, dim)`` stack, one read-only array per dim."""
+    rows = _NO_ROWS.get(dim)
+    if rows is None:
+        rows = _NO_ROWS[dim] = np.empty((0, dim, dim), dtype=np.int64)
+        rows.setflags(write=False)
+    return rows
+
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define INF      ((int64_t)1 << 40)
 #define INF_SOFT ((int64_t)1 << 39)
@@ -497,6 +513,511 @@ int64_t k_zone_pred(const int64_t *tgt, int64_t *dst, const int64_t *src,
         return 2;
     return (changed & 1) ? close_one(dst, dim) : 1;
 }
+
+/* ---- Federation kernels: the solver's federation algebra over lists of
+ * canonical matrices, step for step the numpy reference's: the same
+ * split order in subtraction, the same reductions, the same zone order.
+ * Lists live on the heap; -1 reports an allocation failure (the caller
+ * demotes to numpy).  The input matrices are never written. */
+
+typedef struct {
+    int64_t *m;
+    int64_t k, cap, nn;
+} fed_t;
+
+static void fed_init(fed_t *f, int64_t nn)
+{
+    f->m = 0;
+    f->k = 0;
+    f->cap = 0;
+    f->nn = nn;
+}
+
+static void fed_free(fed_t *f)
+{
+    free(f->m);
+    fed_init(f, f->nn);
+}
+
+/* Room for one more zone at the end of the list; 0 when out of memory. */
+static int64_t *fed_slot(fed_t *f)
+{
+    if (f->k == f->cap) {
+        int64_t cap = f->cap ? 2 * f->cap : 4;
+        int64_t *m = realloc(f->m, (size_t)(cap * f->nn) * sizeof(int64_t));
+        if (!m)
+            return 0;
+        f->m = m;
+        f->cap = cap;
+    }
+    return f->m + f->nn * f->k++;
+}
+
+/* Append k zones. */
+static int fed_add(fed_t *f, const int64_t *zs, int64_t k)
+{
+    int64_t x;
+    for (x = 0; x < k; x++) {
+        int64_t *slot = fed_slot(f);
+        if (!slot)
+            return -1;
+        memcpy(slot, zs + x * f->nn, (size_t)f->nn * sizeof(int64_t));
+    }
+    return 0;
+}
+
+/* Subsumption reduction in place, in order: k_reduce's rule. */
+static int fed_reduce(fed_t *f, int64_t dim)
+{
+    uint8_t *keep;
+    int64_t x, w = 0;
+    if (f->k < 2)
+        return 0;
+    keep = malloc((size_t)f->k);
+    if (!keep)
+        return -1;
+    k_reduce(f->m, f->k, dim, keep);
+    for (x = 0; x < f->k; x++)
+        if (keep[x]) {
+            if (w != x)
+                memcpy(f->m + w * f->nn, f->m + x * f->nn,
+                       (size_t)f->nn * sizeof(int64_t));
+            w++;
+        }
+    f->k = w;
+    free(keep);
+    return 0;
+}
+
+/* f := f union zs: no reduction when either side is empty. */
+static int fed_union(fed_t *f, const int64_t *zs, int64_t k, int64_t dim)
+{
+    int was_empty = f->k == 0;
+    if (!k)
+        return 0;
+    if (fed_add(f, zs, k) < 0)
+        return -1;
+    return was_empty ? 0 : fed_reduce(f, dim);
+}
+
+static int disjoint(const int64_t *a, const int64_t *b, int64_t dim)
+{
+    int64_t i, j;
+    for (i = 0; i < dim; i++)
+        for (j = 0; j < dim; j++) {
+            int64_t x = a[i * dim + j], y = b[j * dim + i];
+            if (x < INF && y < INF && x + y - ((x | y) & 1) < LE_ZERO)
+                return 1;
+        }
+    return 0;
+}
+
+/* k_zone_constrain for one constraint, in place: 0 unchanged, 1 changed,
+ * 2 empty (m untouched). */
+static int tighten1(int64_t *m, int64_t dim, int64_t i, int64_t j,
+                    int64_t enc)
+{
+    int64_t back = m[j * dim + i];
+    if (enc >= m[i * dim + j])
+        return 0;
+    if (back < INF && back + enc - ((back | enc) & 1) < LE_ZERO)
+        return 2;
+    m[i * dim + j] = enc;
+    reclose_through(m, dim, i, j, enc);
+    return 1;
+}
+
+/* a \ b: 0 when a survives whole (nothing appended), else 1 with the
+ * pieces appended to out.  Splits the remainder of a on each finite
+ * constraint of b in row-major order, skipping the x >= 0 bounds; rem is
+ * dim*dim scratch. */
+static int split(const int64_t *a, const int64_t *b, int64_t dim, fed_t *out,
+                 int64_t *rem)
+{
+    int64_t i, j, nn = dim * dim;
+    if (incl(b, a, nn))
+        return 1;
+    if (disjoint(a, b, dim))
+        return 0;
+    memcpy(rem, a, (size_t)nn * sizeof(int64_t));
+    for (i = 0; i < dim; i++)
+        for (j = 0; j < dim; j++) {
+            int64_t enc = b[i * dim + j], neg, *piece;
+            if (i == j || enc >= INF || (i == 0 && enc == LE_ZERO))
+                continue;
+            neg = -(enc >> 1) * 2 + (1 - (enc & 1));
+            piece = fed_slot(out);
+            if (!piece)
+                return -1;
+            memcpy(piece, rem, (size_t)nn * sizeof(int64_t));
+            if (tighten1(piece, dim, j, i, neg) == 2)
+                out->k--;
+            if (tighten1(rem, dim, i, j, enc) == 2)
+                return 1;
+        }
+    return 1;
+}
+
+/* f := f \ zs[0..kb), one subtrahend at a time, reducing after each one
+ * that removed something: 1 if anything was removed, else 0. */
+static int fed_sub(fed_t *f, const int64_t *zs, int64_t kb, int64_t dim,
+                   int64_t *rem)
+{
+    int64_t x, y, nn = dim * dim;
+    int changed = 0;
+    for (y = 0; y < kb && f->k; y++) {
+        fed_t nxt;
+        int touched = 0;
+        fed_init(&nxt, nn);
+        for (x = 0; x < f->k; x++) {
+            const int64_t *a = f->m + x * nn;
+            int r = split(a, zs + y * nn, dim, &nxt, rem);
+            if (r == 0)
+                r = fed_add(&nxt, a, 1);
+            else if (r == 1)
+                touched = 1;
+            if (r < 0) {
+                fed_free(&nxt);
+                return -1;
+            }
+        }
+        if (!touched) {
+            fed_free(&nxt);
+            continue;
+        }
+        if (fed_reduce(&nxt, dim) < 0) {
+            fed_free(&nxt);
+            return -1;
+        }
+        fed_free(f);
+        *f = nxt;
+        changed = 1;
+    }
+    return changed;
+}
+
+static void down_one(int64_t *m, int64_t dim)
+{
+    int64_t j;
+    for (j = 1; j < dim; j++)
+        m[j] = LE_ZERO;
+    close_one(m, dim);
+}
+
+/* Append a ∩ b to out unless it is empty. */
+static int meet_into(fed_t *out, const int64_t *a, const int64_t *b,
+                     int64_t dim)
+{
+    int64_t t, *slot = fed_slot(out);
+    if (!slot)
+        return -1;
+    for (t = 0; t < dim * dim; t++)
+        slot[t] = a[t] < b[t] ? a[t] : b[t];
+    if (!close_one(slot, dim))
+        out->k--;
+    return 0;
+}
+
+/* Predt(goal, bad) into res, which must be empty: the goal's past minus
+ * each bad zone's past, plus the part of the goal inside a bad zone's past
+ * that delays into it avoiding the bad zone (its strict future when
+ * lenient), plus with lenient the goal itself; the results for the bad
+ * zones intersected.  scr is 3*dim*dim scratch. */
+static int predt_into(fed_t *res, const int64_t *goal, int64_t kg,
+                      const int64_t *bad, int64_t kb, int lenient,
+                      int64_t dim, int64_t *scr)
+{
+    int64_t nn = dim * dim, x, y, z;
+    int64_t *rem = scr, *bdown = scr + nn, *blocker = scr + 2 * nn;
+    fed_t gd, acc, over, met;
+    int first = 1;
+    if (!kg)
+        return 0;
+    fed_init(&gd, nn);
+    fed_init(&acc, nn);
+    fed_init(&over, nn);
+    fed_init(&met, nn);
+    if (fed_add(&gd, goal, kg) < 0)
+        goto fail;
+    for (x = 0; x < gd.k; x++)
+        down_one(gd.m + x * nn, dim);
+    if (fed_reduce(&gd, dim) < 0)
+        goto fail;
+    if (!kb) {
+        *res = gd;
+        return 0;
+    }
+    for (y = 0; y < kb; y++) {
+        const int64_t *b = bad + y * nn;
+        memcpy(bdown, b, (size_t)nn * sizeof(int64_t));
+        down_one(bdown, dim);
+        if (fed_add(&acc, gd.m, gd.k) < 0
+            || fed_sub(&acc, bdown, 1, dim, rem) < 0)
+            goto fail;
+        for (x = 0; x < kg; x++)
+            if (meet_into(&over, goal + x * nn, bdown, dim) < 0)
+                goto fail;
+        if (fed_reduce(&over, dim) < 0)
+            goto fail;
+        if (over.k) {
+            const int64_t *blk = b;
+            if (lenient) {
+                memcpy(blocker, b, (size_t)nn * sizeof(int64_t));
+                for (z = 1; z < dim; z++) {
+                    blocker[z * dim] = INF;
+                    if (blocker[z] < INF)
+                        blocker[z] &= ~(int64_t)1;
+                }
+                blk = blocker;
+            }
+            if (fed_sub(&over, blk, 1, dim, rem) < 0)
+                goto fail;
+            for (x = 0; x < over.k; x++)
+                down_one(over.m + x * nn, dim);
+            if (fed_reduce(&over, dim) < 0
+                || fed_union(&acc, over.m, over.k, dim) < 0)
+                goto fail;
+        }
+        fed_free(&over);
+        if (lenient && fed_union(&acc, goal, kg, dim) < 0)
+            goto fail;
+        if (!first) {
+            for (x = 0; x < res->k; x++)
+                for (z = 0; z < acc.k; z++)
+                    if (meet_into(&met, res->m + x * nn, acc.m + z * nn,
+                                  dim) < 0)
+                        goto fail;
+            if (fed_reduce(&met, dim) < 0)
+                goto fail;
+            fed_free(&acc);
+            acc = met;
+            fed_init(&met, nn);
+        }
+        fed_free(res);
+        *res = acc;
+        fed_init(&acc, nn);
+        first = 0;
+        if (!res->k)
+            break;
+    }
+    fed_free(&gd);
+    return 0;
+fail:
+    fed_free(&gd);
+    fed_free(&acc);
+    fed_free(&over);
+    fed_free(&met);
+    return -1;
+}
+
+/* 1 iff z is inside the union of f's zones other than number skip. */
+static int covered(const int64_t *z, const fed_t *f, int64_t skip,
+                   int64_t dim, int64_t *rem)
+{
+    int64_t x, p, nn = dim * dim;
+    int inside;
+    fed_t left, nxt;
+    fed_init(&left, nn);
+    if (fed_add(&left, z, 1) < 0)
+        return -1;
+    for (x = 0; x < f->k; x++) {
+        if (x == skip)
+            continue;
+        fed_init(&nxt, nn);
+        for (p = 0; p < left.k; p++) {
+            const int64_t *piece = left.m + p * nn;
+            int r = split(piece, f->m + x * nn, dim, &nxt, rem);
+            if (r == 0)
+                r = fed_add(&nxt, piece, 1);
+            if (r < 0) {
+                fed_free(&nxt);
+                fed_free(&left);
+                return -1;
+            }
+        }
+        fed_free(&left);
+        left = nxt;
+        if (!left.k)
+            break;
+    }
+    inside = left.k == 0;
+    fed_free(&left);
+    return inside;
+}
+
+/* Drop, in one pass, every zone covered by the union of the others. */
+static int compact(fed_t *f, int64_t dim, int64_t *rem)
+{
+    int64_t idx = 0, nn = dim * dim;
+    while (f->k > 1 && idx < f->k) {
+        int r = covered(f->m + idx * nn, f, idx, dim, rem);
+        if (r < 0)
+            return -1;
+        if (r) {
+            memmove(f->m + idx * nn, f->m + (idx + 1) * nn,
+                    (size_t)((f->k - idx - 1) * nn) * sizeof(int64_t));
+            f->k--;
+        } else {
+            idx++;
+        }
+    }
+    return 0;
+}
+
+/* Hand a result list out: its zone count, the zones copied to out only
+ * when they fit in cap.  Frees the list. */
+static int64_t emit(fed_t *f, int64_t *out, int64_t cap)
+{
+    int64_t k = f->k;
+    if (k && k <= cap)
+        memcpy(out, f->m, (size_t)(k * f->nn) * sizeof(int64_t));
+    fed_free(f);
+    return k;
+}
+
+/* a \ b, with a's ka zones then b's kb zones packed in one buffer: the
+ * zone count (zones written when they fit in cap), -2 when nothing of a
+ * was removed (a stands; nothing written), -1 out of memory. */
+int64_t k_fed_subtract(const int64_t *in, int64_t ka, int64_t kb,
+                       int64_t dim, int64_t *out, int64_t cap)
+{
+    int64_t nn = dim * dim;
+    const int64_t *a = in, *b = in + ka * nn;
+    int64_t *rem = dim > 0 ? malloc((size_t)nn * sizeof(int64_t)) : 0;
+    fed_t f;
+    int r;
+    fed_init(&f, nn);
+    if (!rem)
+        return -1;
+    r = fed_add(&f, a, ka);
+    if (r == 0)
+        r = fed_sub(&f, b, kb, dim, rem);
+    free(rem);
+    if (r <= 0) {
+        fed_free(&f);
+        return r < 0 ? -1 : -2;
+    }
+    return emit(&f, out, cap);
+}
+
+/* Predt(goal, bad), the kg goal zones then the kb bad zones packed in
+ * one buffer.  Returns as k_fed_subtract, never -2. */
+int64_t k_fed_predt(const int64_t *in, int64_t kg, int64_t kb,
+                    int64_t lenient, int64_t dim, int64_t *out, int64_t cap)
+{
+    const int64_t *goal = in, *bad = in + kg * dim * dim;
+    int64_t *scr =
+        dim > 0 ? malloc((size_t)(3 * dim * dim) * sizeof(int64_t)) : 0;
+    fed_t res;
+    int r;
+    fed_init(&res, dim * dim);
+    if (!scr)
+        return -1;
+    r = predt_into(&res, goal, kg, bad, kb, (int)lenient, dim, scr);
+    free(scr);
+    if (r < 0) {
+        fed_free(&res);
+        return -1;
+    }
+    return emit(&res, out, cap);
+}
+
+/* The boundary of a zone that can delay: for each clock the invariant
+ * bounds by a non-strict x <= c, the face x == c of the zone (a strict
+ * bound has no last instant), reduced. */
+static int boundary_into(fed_t *f, const int64_t *zone, const int64_t *inv,
+                         int64_t dim)
+{
+    int64_t i;
+    for (i = 1; i < dim; i++) {
+        int64_t enc = inv[i * dim], c, *face;
+        if (enc >= INF || !(enc & 1))
+            continue;
+        c = enc >> 1;
+        face = fed_slot(f);
+        if (!face)
+            return -1;
+        memcpy(face, zone, (size_t)f->nn * sizeof(int64_t));
+        if (tighten1(face, dim, i, 0, c * 2 + 1) == 2
+            || tighten1(face, dim, 0, i, -c * 2 + 1) == 2)
+            f->k--;
+    }
+    return fed_reduce(f, dim);
+}
+
+/* The solver's fixpoint equation for one node with zone Z and invariant I:
+ *   Forced = (Boundary(Z, I) ∩ U) \ B when Z can delay, else U \ B,
+ *   G_goal = goal ∪ Forced,
+ *   win = Predt(G_act, B) ∪ Predt_lenient(G_goal, B), ∩ Z   (can delay)
+ *   win = ((G_act ∪ G_goal) \ B) ∪ goal                      (cannot)
+ * then compact(win ∪ goal), U being where some uncontrollable move is
+ * enabled.  The input buffer packs Z, I, then the kg goal, ka G_act, kb B
+ * and ku U zones.  Returns as k_fed_predt. */
+int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
+                        int64_t kb, int64_t ku, int64_t can_delay,
+                        int64_t dim, int64_t *out, int64_t cap)
+{
+    int64_t x, y, nn = dim * dim;
+    const int64_t *zone = in, *inv = in + nn, *goal = in + 2 * nn;
+    const int64_t *gact = goal + kg * nn, *bad = gact + ka * nn;
+    const int64_t *uen = bad + kb * nn;
+    int64_t *scr = dim > 0 ? malloc((size_t)(3 * nn) * sizeof(int64_t)) : 0;
+    fed_t gg, s, l, win;
+    fed_init(&gg, nn);
+    fed_init(&s, nn);
+    fed_init(&l, nn);
+    fed_init(&win, nn);
+    if (!scr)
+        return -1;
+    if (can_delay && ku) {
+        if (boundary_into(&l, zone, inv, dim) < 0)
+            goto fail;
+        for (x = 0; x < l.k; x++)
+            for (y = 0; y < ku; y++)
+                if (meet_into(&s, l.m + x * nn, uen + y * nn, dim) < 0)
+                    goto fail;
+        if (fed_reduce(&s, dim) < 0)
+            goto fail;
+        fed_free(&l);
+    } else if (!can_delay && fed_add(&s, uen, ku) < 0) {
+        goto fail;
+    }
+    if (fed_sub(&s, bad, kb, dim, scr) < 0 || fed_add(&gg, goal, kg) < 0
+        || fed_union(&gg, s.m, s.k, dim) < 0)
+        goto fail;
+    fed_free(&s);
+    if (can_delay) {
+        if (predt_into(&s, gact, ka, bad, kb, 0, dim, scr) < 0
+            || predt_into(&l, gg.m, gg.k, bad, kb, 1, dim, scr) < 0
+            || fed_union(&s, l.m, l.k, dim) < 0)
+            goto fail;
+        for (x = 0; x < s.k; x++)
+            if (meet_into(&win, s.m + x * nn, zone, dim) < 0)
+                goto fail;
+        if (fed_reduce(&win, dim) < 0)
+            goto fail;
+    } else {
+        if (fed_add(&win, gact, ka) < 0
+            || fed_union(&win, gg.m, gg.k, dim) < 0
+            || fed_sub(&win, bad, kb, dim, scr) < 0
+            || fed_union(&win, goal, kg, dim) < 0)
+            goto fail;
+    }
+    if (fed_union(&win, goal, kg, dim) < 0 || compact(&win, dim, scr) < 0)
+        goto fail;
+    free(scr);
+    fed_free(&gg);
+    fed_free(&s);
+    fed_free(&l);
+    return emit(&win, out, cap);
+fail:
+    free(scr);
+    fed_free(&gg);
+    fed_free(&s);
+    fed_free(&l);
+    fed_free(&win);
+    return -1;
+}
 """
 
 _DECLS = """
@@ -527,6 +1048,13 @@ int64_t k_zone_successor(const int64_t *src, int64_t *dst, int64_t dim,
                          const int64_t *flat);
 int64_t k_zone_pred(const int64_t *tgt, int64_t *dst, const int64_t *src,
                     int64_t dim, const int64_t *flat);
+int64_t k_fed_subtract(const int64_t *in, int64_t ka, int64_t kb,
+                       int64_t dim, int64_t *out, int64_t cap);
+int64_t k_fed_predt(const int64_t *in, int64_t kg, int64_t kb,
+                    int64_t lenient, int64_t dim, int64_t *out, int64_t cap);
+int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
+                        int64_t kb, int64_t ku, int64_t can_delay,
+                        int64_t dim, int64_t *out, int64_t cap);
 """
 
 _BINDING = None
@@ -555,6 +1083,11 @@ _SIGNATURES = {
     "k_zone_extrapolate": (_I64, [_PTR, _PTR, _I64, _PTR]),
     "k_zone_successor": (_I64, [_PTR, _PTR, _I64, _PTR]),
     "k_zone_pred": (_I64, [_PTR, _PTR, _PTR, _I64, _PTR]),
+    "k_fed_subtract": (_I64, [_PTR, _I64, _I64, _I64, _PTR, _I64]),
+    "k_fed_predt": (_I64, [_PTR, _I64, _I64, _I64, _I64, _PTR, _I64]),
+    "k_fixpoint_body": (
+        _I64, [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _I64]
+    ),
 }
 
 
@@ -790,6 +1323,67 @@ class CExtBackend:
         if status == 2:
             return source
         return dst if status else None
+
+    def _fed_call(self, fn, stacks, *args) -> Optional[np.ndarray]:
+        """Run a federation kernel on ``stacks``, packed into one buffer.
+
+        The kernel reports its zone count and writes the zones only when
+        they fit.  The first call offers room for one zone, the usual
+        size of a solver federation; a larger result is computed again
+        into an exact buffer.  Returns a ``(k, dim, dim)`` stack (the
+        empty one shared, read-only), or None when the kernel reports its
+        first input unchanged.
+        """
+        packed = np.concatenate(stacks, dtype=np.int64)
+        dim = packed.shape[-1]
+        if packed.ndim != 3 or packed.shape[1] != dim:
+            raise ValueError(f"not a stack of square matrices: {packed.shape}")
+        b = self._b
+        out = np.empty((1, dim, dim), dtype=np.int64)
+        k = fn(b._i64(packed), *args, dim, b._i64(out), 1)
+        if k == 1:
+            return out
+        if k == 0:
+            return _no_rows(dim)
+        if k == -2:
+            return None
+        if k > 1:
+            out = np.empty((k, dim, dim), dtype=np.int64)
+            k = fn(b._i64(packed), *args, dim, b._i64(out), k)
+        if k < 0:
+            raise MemoryError("federation kernel out of memory")
+        return out
+
+    def fed_subtract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = self._fed_call(
+            self._b.k_fed_subtract, (a, b), a.shape[0], b.shape[0]
+        )
+        return a if out is None else out
+
+    def fed_predt(
+        self, goal: np.ndarray, bad: np.ndarray, lenient: bool
+    ) -> np.ndarray:
+        return self._fed_call(
+            self._b.k_fed_predt, (goal, bad), goal.shape[0], bad.shape[0],
+            1 if lenient else 0,
+        )
+
+    def fixpoint_body(
+        self,
+        zone: np.ndarray,
+        invariant: np.ndarray,
+        goal: np.ndarray,
+        g_act: np.ndarray,
+        bad: np.ndarray,
+        u_enabled: np.ndarray,
+        can_delay: bool,
+    ) -> np.ndarray:
+        return self._fed_call(
+            self._b.k_fixpoint_body,
+            (zone[None], invariant[None], goal, g_act, bad, u_enabled),
+            goal.shape[0], g_act.shape[0], bad.shape[0], u_enabled.shape[0],
+            1 if can_delay else 0,
+        )
 
     def close(self, stack: np.ndarray) -> np.ndarray:
         b = self._b

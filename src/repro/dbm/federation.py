@@ -14,36 +14,36 @@ The public API hands out per-zone :class:`~repro.dbm.dbm.DBM` objects
 the members' matrices gathered into one ``(k, dim, dim)`` int64 array
 (:mod:`repro.dbm.stack`).  At game dimensions (dim <= 8) the cost of a
 per-zone numpy call is dominated by allocation and Python dispatch, so
-``up``/``down``/``reset``/``free``/``constrained``/``extrapolate``/
-``intersect`` each make **one** batched kernel call — a single
-Floyd-Warshall sweep closes every member at once — and subsumption
-reduction is one broadcast ``all(a >= b)`` comparison over all pairs
-instead of O(k^2) Python-level ``includes`` calls.  The zones handed
+``up``/``down``/``constrained``/``extrapolate``/``intersect`` each make
+**one** batched kernel call — a single Floyd-Warshall sweep closes every
+member at once — and subsumption reduction is one broadcast
+``all(a >= b)`` comparison over all pairs instead of O(k^2)
+Python-level ``includes`` calls.  The zones handed
 back out are views into the result stack, so no per-zone copies are made
 either.
 
-When are the subsumption pre-filters exact?  Pointwise matrix comparison
-(``stack.inclusion_matrix``) decides ``a ⊆ b`` *exactly* when both sides
-are single canonical zones — that is what reduction and the
-``includes``/``subtract`` pre-filters rely on.  It is only *sufficient*
-(never necessary) evidence for inclusion in a **union** of zones: a zone
-can be covered by several siblings jointly without being inside any one
-of them.  So :meth:`includes`, :meth:`subtract` and :meth:`compact`
-first discharge the cheap pointwise cases in bulk and fall back to exact
-zone subtraction — whose answer is definitive — only for the leftovers.
-Disjointness (``stack.disjoint_mask``) is exact in both roles and prunes
-the subtraction loops further.
+Set algebra on the kernel seam.  Subtraction and inclusion are each one
+``fed_subtract`` call on the active
+:class:`~repro.dbm.backends.base.KernelBackend`, and :meth:`compact` one
+per member zone (the solver's ``Predt`` and fixpoint body are
+``fed_predt`` and ``fixpoint_body``).  The kernel
+splits each zone on the subtrahend's constraints, skips pairs that are
+disjoint or where the zone lies inside the subtrahend, and reduces after
+every subtrahend.  The operands travel as the members' stack
+(:meth:`_rows`), built once per federation and shared.  A kernel's result
+stack is adopted as is: its zones are views of its rows.  Solver
+federations hold about one zone, so the cost of these operations was
+Python dispatch per tiny zone operation, not arithmetic; one call per
+operation removes it.  The numpy backend holds the reference algorithms,
+and the compiled backend returns the same zones in the same order.
 
-Hybrid dispatch: below ``stack.BATCH_MIN`` member zones the per-zone
-DBM path is used instead — at one or two members the stacked kernel's
-fixed cost (gather, masks, re-wrap) exceeds the dispatch overhead it
-amortizes, and solver federations on near-convex models stay that
-small.  Federation ops are all comparison-style (cheap scalar
-fallback), so the threshold is backend-independent.
-Every decision is recorded (``federation.batched_dispatch`` /
-``federation.scalar_dispatch``).  Both paths compute the same sets; the
-differential kernel tests drive each op through both and assert
-extensional equality.
+Hybrid dispatch for the remaining operations: below ``stack.BATCH_MIN``
+member zones the per-zone DBM path is used instead — at one or two
+members the stacked kernel's fixed cost (gather, masks, re-wrap) exceeds
+the dispatch overhead it amortizes.  Every such decision is recorded
+(``federation.batched_dispatch`` / ``federation.scalar_dispatch``).  Both
+paths compute the same sets; the differential kernel tests drive each op
+through both and assert extensional equality.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..util import counters
+from . import backends as _backends
 from . import stack as _sk
-from .bounds import INF, negate
 from .dbm import DBM, scale
 
 def _use_batched(batched: bool) -> bool:
@@ -76,44 +76,28 @@ def subtract_zone(a: DBM, b: DBM) -> List[DBM]:
 
     Splits ``a`` on each constraint of ``b``: the part of ``a`` violating
     the constraint is carved off, the remainder continues to the next
-    constraint.  Uses the cheap negative-cycle pre-test to avoid closing
-    empty pieces.
+    constraint.  One ``fed_subtract`` kernel call.
     """
     if a.is_empty():
         return []
     if b.is_empty():
         return [a]
-    if b.includes(a):
-        return []
-    if a.disjoint_from(b):
-        return [a]
-    counters.inc("federation.zone_subtractions")
-    pieces: List[DBM] = []
-    rem = a
-    for i, j, enc in b.nontrivial_constraints():
-        if enc >= INF:
-            continue
-        neg = negate(enc)
-        if not rem.would_be_empty_after(j, i, neg):
-            piece = rem.tighten(j, i, neg)
-            if not piece.is_empty():
-                pieces.append(piece)
-        rem = rem.tighten(i, j, enc)
-        if rem.is_empty():
-            break
-    return pieces
+    rows = a.m[None]
+    out = _backends.active().fed_subtract(rows, b.m[None])
+    return [a] if out is rows else [DBM(m) for m in out]
 
 
 class Federation:
     """An immutable union of convex zones over a common clock set."""
 
-    __slots__ = ("dim", "zones", "_hash_key")
+    __slots__ = ("dim", "zones", "_hash_key", "_rows_cache")
 
     def __init__(self, dim: int, zones: Iterable[DBM] = ()):
         self.dim = dim
         kept = [z for z in zones if not z.is_empty()]
         self.zones: List[DBM] = _reduce(kept) if len(kept) > 1 else kept
         self._hash_key: Optional[bytes] = None
+        self._rows_cache: Optional[np.ndarray] = None
         counters.observe("federation.zones", len(self.zones))
 
     @classmethod
@@ -123,7 +107,32 @@ class Federation:
         fed.dim = dim
         fed.zones = zones
         fed._hash_key = None
+        fed._rows_cache = None
         return fed
+
+    @classmethod
+    def _adopt(cls, dim: int, rows: np.ndarray) -> "Federation":
+        """Adopt a federation kernel's reduced ``(k, dim, dim)`` result:
+        the zones are views of its rows, and it is kept as :meth:`_rows`."""
+        fed = cls._wrap(dim, [DBM(m) for m in rows])
+        fed._rows_cache = rows
+        counters.observe("federation.zones", len(fed.zones))
+        return fed
+
+    def _rows(self) -> np.ndarray:
+        """The members' matrices as one ``(k, dim, dim)`` array, built
+        once and shared: the federation kernels only read it."""
+        rows = self._rows_cache
+        if rows is None:
+            zones = self.zones
+            if len(zones) == 1:
+                rows = zones[0].m[None]
+            elif zones:
+                rows = _sk.stack_of(zones)
+            else:
+                rows = np.empty((0, self.dim, self.dim), dtype=np.int64)
+            self._rows_cache = rows
+        return rows
 
     def _stack(self) -> np.ndarray:
         """The members' matrices as one ``(k, dim, dim)`` array (a copy)."""
@@ -199,61 +208,14 @@ class Federation:
         return rng.choice(self.zones).sample_random(rng)
 
     def includes(self, other: "Federation") -> bool:
-        """Exact set inclusion ``other ⊆ self``."""
+        """Exact set inclusion ``other ⊆ self``: ``other \\ self`` is empty
+        (one ``fed_subtract`` kernel call)."""
         if not other.zones:
             return True
         if not self.zones:
             return False
-        if len(self.zones) == 1:
-            # Inclusion in a single convex zone is pointwise, hence exact.
-            mine = self.zones[0]
-            return all(mine.includes(z) for z in other.zones)
-        # Pre-filter: zones of `other` pointwise-included in a single zone
-        # of `self` need no subtraction (exact per pair of convex zones).
-        if not _use_batched(
-            len(self.zones) + len(other.zones) >= 2 * _sk.BATCH_MIN
-        ):
-            for zone in other.zones:
-                if any(mine.includes(zone) for mine in self.zones):
-                    continue
-                counters.inc("federation.includes_exact_fallbacks")
-                if not self._covers_zone(zone):
-                    return False
-            return True
-        mine_stack = self._stack()
-        theirs = other._stack()
-        covered = _sk.inclusion_matrix(mine_stack, theirs).any(axis=0)
-        if covered.all():
-            counters.inc("federation.includes_prefilter_hits")
-            return True
-        counters.inc("federation.includes_exact_fallbacks")
-        for idx in np.flatnonzero(~covered):
-            if not self._covers_zone(other.zones[idx]):
-                return False
-        return True
-
-    def _covers_zone(self, zone: DBM) -> bool:
-        """Exact test ``zone ⊆ union(self.zones)`` via subtraction."""
-        leftover = [zone]
-        for mine in self.zones:
-            next_leftover: List[DBM] = []
-            for piece in leftover:
-                next_leftover.extend(subtract_zone(piece, mine))
-            leftover = next_leftover
-            if not leftover:
-                return True
-        return not leftover
-
-    def includes_zone(self, zone: DBM) -> bool:
-        """Exact test ``zone ⊆ self``."""
-        if zone.is_empty():
-            return True
-        if not self.zones:
-            return False
-        for mine in self.zones:
-            if mine.includes(zone):
-                return True
-        return self._covers_zone(zone)
+        left = _backends.active().fed_subtract(other._rows(), self._rows())
+        return not left.shape[0]
 
     def equals(self, other: "Federation") -> bool:
         """Exact set equality (mutual inclusion)."""
@@ -324,46 +286,24 @@ class Federation:
 
     def subtract_dbm(self, zone: DBM) -> "Federation":
         """Set difference ``self \\ zone`` (exact, possibly more zones)."""
-        if zone.is_empty() or not self.zones:
+        if zone.is_empty():
             return self
-        if not _use_batched(len(self.zones) >= _sk.BATCH_MIN):
-            out: List[DBM] = []
-            changed = False
-            for a in self.zones:
-                pieces = subtract_zone(a, zone)
-                out.extend(pieces)
-                changed = changed or len(pieces) != 1 or pieces[0] is not a
-            if not changed:
-                return self
-            return Federation(self.dim, out)
-        # Pre-filters: disjoint members survive whole; members pointwise
-        # inside `zone` vanish; only the rest need exact subtraction.
-        stacked = self._stack()
-        untouched = _sk.disjoint_mask(stacked, zone.m)
-        gone = _sk.inclusion_matrix(zone.m[None], stacked)[0]
-        out = []
-        changed = False
-        for idx, a in enumerate(self.zones):
-            if untouched[idx]:
-                out.append(a)
-            elif gone[idx]:
-                changed = True
-            else:
-                pieces = subtract_zone(a, zone)
-                out.extend(pieces)
-                changed = changed or len(pieces) != 1 or pieces[0] is not a
-        if not changed:
-            return self
-        return Federation(self.dim, out)
+        return self._minus(zone.m[None])
 
     def subtract(self, other: "Federation") -> "Federation":
         """Set difference ``self \\ other`` (exact)."""
-        result = self
-        for zone in other.zones:
-            result = result.subtract_dbm(zone)
-            if result.is_empty():
-                break
-        return result
+        if not other.zones:
+            return self
+        return self._minus(other._rows())
+
+    def _minus(self, rows: np.ndarray) -> "Federation":
+        """``self`` minus the zones of a stack: one ``fed_subtract`` call,
+        ``self`` itself when nothing is removed."""
+        if not self.zones:
+            return self
+        mine = self._rows()
+        out = _backends.active().fed_subtract(mine, rows)
+        return self if out is mine else Federation._adopt(self.dim, out)
 
     def complement_within(self, universe: DBM) -> "Federation":
         """``universe \\ self``."""
@@ -399,39 +339,6 @@ class Federation:
         keep = _sk.down(stacked)
         return Federation._from_stack(self.dim, stacked, keep)
 
-    def reset(self, clocks: Sequence[int]) -> "Federation":
-        """Reset the given clocks to 0 in every member zone."""
-        if not self.zones or not clocks:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.reset(clocks))
-        stacked = self._stack()
-        _sk.reset(stacked, clocks)
-        return Federation._from_stack(self.dim, stacked)
-
-    def free(self, clocks: Sequence[int]) -> "Federation":
-        """Drop all constraints on the given clocks."""
-        if not self.zones or not clocks:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.free(clocks))
-        stacked = self._stack()
-        _sk.free(stacked, clocks)
-        return Federation._from_stack(self.dim, stacked)
-
-    def assign_clocks(self, pairs) -> "Federation":
-        """Assign constants to clocks in every member zone."""
-        if not self.zones or not pairs:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.assign_clocks(pairs))
-        stacked = self._stack()
-        _sk.reset(stacked, [x for x, _ in pairs])
-        shifts = [(x, c) for x, c in pairs if c != 0]
-        if shifts:
-            _sk.shift(stacked, shifts)
-        return Federation._from_stack(self.dim, stacked)
-
     def constrained(self, constraints) -> "Federation":
         """Intersect every member zone with encoded constraints."""
         if not self.zones:
@@ -461,22 +368,21 @@ class Federation:
         Incremental single pass: dropping a covered zone never changes the
         union, so earlier coverage verdicts stay valid and no restart is
         needed (checks against the shrunken remainder are merely more
-        conservative, never wrong).
+        conservative, never wrong).  Each coverage test is one
+        ``fed_subtract`` kernel call.
         """
         if len(self.zones) <= 1:
             return self
+        kernel = _backends.active()
         kept: List[DBM] = list(self.zones)
         idx = 0
-        dropped = False
-        while idx < len(kept):
-            zone = kept[idx]
-            rest = Federation._wrap(self.dim, kept[:idx] + kept[idx + 1 :])
-            if rest.includes_zone(zone):
-                kept.pop(idx)
-                dropped = True
-            else:
+        while len(kept) > 1 and idx < len(kept):
+            rest = _sk.stack_of(kept[:idx] + kept[idx + 1 :])
+            if kernel.fed_subtract(kept[idx].m[None], rest).shape[0]:
                 idx += 1
-        if not dropped:
+            else:
+                kept.pop(idx)
+        if len(kept) == len(self.zones):
             return self
         return Federation._wrap(self.dim, kept)
 

@@ -23,23 +23,16 @@ Identities used (derived and property-tested in ``tests/test_predt.py``)::
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from ..dbm import DBM, Federation, INF
+from ..dbm import DBM, Federation
+from ..dbm import backends as _backends
+from ..dbm.backends.numpy_backend import up_strict_matrix
 
 
 def up_strict(zone: DBM) -> DBM:
     """``{v + d | v ∈ zone, d > 0}``: the strict future of a zone."""
     if zone.is_empty():
         return zone
-    m = zone.m.copy()
-    m[1:, 0] = INF
-    # Make every lower bound strict: (value, <=) becomes (value, <).
-    row = m[0, 1:]
-    m[0, 1:] = np.where(row < INF, row & ~np.int64(1), row)
-    return DBM(m)  # removing uppers / stricter lowers preserves canonicity
+    return DBM(up_strict_matrix(zone.m))
 
 
 def predt(goal: Federation, bad: Federation, *, lenient: bool = False) -> Federation:
@@ -49,30 +42,15 @@ def predt(goal: Federation, bad: Federation, *, lenient: bool = False) -> Federa
     (use for goal / forced-move targets); the start instant must avoid
     ``bad`` either way unless the delay is zero and ``lenient`` holds.
 
-    Works federation-at-a-time: ``Predt(∪_i g_i, b) = ∪_i Predt(g_i, b)``
-    lets the per-goal-zone loop collapse into batched federation kernels,
-    with ``goal↓`` computed once and shared across all bad zones.
+    One ``fed_predt`` kernel call: ``Predt(∪_i g_i, b) = ∪_i Predt(g_i,
+    b)`` lets the kernel work on the whole goal per bad zone, with
+    ``goal↓`` computed once and shared across all bad zones, and
+    intersect the per-bad-zone results.
     """
     if goal.is_empty():
         return goal
-    goal_down = goal.down()
-    if bad.is_empty():
-        return goal_down
-    result: Optional[Federation] = None
-    for b in bad.zones:
-        b_down = b.down()
-        acc = goal_down.subtract_dbm(b_down)
-        overlap = goal.intersect_zone(b_down)
-        if not overlap.is_empty():
-            blocker = up_strict(b) if lenient else b
-            acc = acc.union(overlap.subtract_dbm(blocker).down())
-        if lenient:
-            # Zero-delay arrival in the goal always wins under [0, δ).
-            acc = acc.union(goal)
-        result = acc if result is None else result.intersect(acc)
-        if result.is_empty():
-            break
-    return result
+    rows = _backends.active().fed_predt(goal._rows(), bad._rows(), lenient)
+    return Federation._adopt(goal.dim, rows)
 
 
 def predt_mixed(

@@ -51,13 +51,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..dbm import Federation, INF, decode
+from ..dbm import Federation
+from ..dbm import backends as _backends
 from ..graph.explorer import ExplorationLimit, GraphNode, SimulationGraph
 from ..semantics.system import CLOSED, System
 from ..tctl.goals import GoalPredicate
 from ..tctl.query import Query, REACH_GAME
 from ..util import counters
-from .predt import predt_mixed
 
 
 class GameError(RuntimeError):
@@ -147,7 +147,7 @@ class _BaseSolver:
         # *increment* through Pred_e when the successor grew.  Losing
         # sets ``Z(n') \ Win(n')`` shrink instead, so their preds are
         # cached per edge keyed by the successor version and recomputed
-        # on version change.  ``Pred_e(Z(n'))`` and the boundary are
+        # on version change.  ``Pred_e(Z(n'))`` and their union are
         # static per node and cached outright.  Keys use ``id(edge)`` —
         # edges are kept alive by their graph nodes.
         self._gact_acc: Dict[int, Federation] = {}  # node.id -> G_act
@@ -156,7 +156,6 @@ class _BaseSolver:
         self._bad_cache: Dict[int, Federation] = {}  # id(edge) -> B_e
         self._uen_edge: Dict[int, Federation] = {}  # id(edge) -> Pred(Z(n'))
         self._uen_cache: Dict[int, Federation] = {}  # node.id -> union
-        self._boundary_cache: Dict[int, Federation] = {}
         self._eval_sig: Dict[int, Tuple[int, ...]] = {}
         self._delta_cache: Dict[tuple, Federation] = {}
 
@@ -174,33 +173,6 @@ class _BaseSolver:
     def win_fed(self, node: GraphNode) -> Federation:
         entry = self.wins.get(node.id)
         return self._empty if entry is None else entry.win
-
-    def _boundary(self, node: GraphNode) -> Federation:
-        """States of the node where the invariant blocks any delay (cached:
-        depends only on the node's static zone and invariant)."""
-        cached = self._boundary_cache.get(node.id)
-        if cached is not None:
-            return cached
-        sym = node.sym
-        if not self.system.can_delay(sym.locs):
-            result = Federation.from_zone(sym.zone)
-        else:
-            inv = self.system.invariant_zone(sym.locs, sym.vars)
-            result = self._empty
-            for i in range(1, self.system.dim):
-                enc = int(inv.m[i, 0])
-                if enc >= INF:
-                    continue
-                value, strict = decode(enc)
-                if strict:
-                    continue  # no last instant under a strict bound
-                face = sym.zone.constrained(
-                    [(i, 0, (value << 1) | 1), (0, i, ((-value) << 1) | 1)]
-                )
-                if not face.is_empty():
-                    result = result.union_zone(face)
-        self._boundary_cache[node.id] = result
-        return result
 
     def win_version(self, node: GraphNode) -> int:
         """The fixpoint step at which the node's win last grew (0 = never)."""
@@ -236,18 +208,20 @@ class _BaseSolver:
         return cached
 
     def _assemble(self, node: GraphNode, g_act, bad, u_enabled) -> Federation:
-        """The fixpoint equation body, given the node's three edge terms."""
+        """The fixpoint equation body, given the node's three edge terms:
+        one ``fixpoint_body`` kernel call (Boundary and Forced, G_goal,
+        Predt, ∩ Z, ∪ Goal, compact)."""
         sym = node.sym
-        goal = self.goal_fed(node)
-        forced = self._empty
-        if not u_enabled.is_empty():
-            forced = self._boundary(node).intersect(u_enabled).subtract(bad)
-        g_goal = goal.union(forced)
-        if self.system.can_delay(sym.locs):
-            win = predt_mixed(g_act, g_goal, bad).intersect_zone(sym.zone)
-        else:
-            win = g_act.union(g_goal).subtract(bad).union(goal)
-        return win.union(goal).compact()
+        rows = _backends.active().fixpoint_body(
+            sym.zone.m,
+            self.system.invariant_zone(sym.locs, sym.vars).m,
+            self.goal_fed(node)._rows(),
+            g_act._rows(),
+            bad._rows(),
+            u_enabled._rows(),
+            self.system.can_delay(sym.locs),
+        )
+        return Federation._adopt(self.system.dim, rows)
 
     def _update(self, node: GraphNode) -> Federation:
         """Recompute the winning federation of a node from its successors.
@@ -327,8 +301,15 @@ class _BaseSolver:
 
     def recompute_node(self, node: GraphNode) -> Federation:
         """The fixpoint equation evaluated from scratch, bypassing every
-        incremental cache — the reference implementation ``_update`` must
-        agree with (used by the differential harness's fixpoint check)."""
+        incremental cache.
+
+        The reference for ``_update``'s incremental edge caches only (the
+        differential harness's fixpoint check): it builds ``G_act``,
+        ``B`` and the enabled set from the full successor wins, then
+        shares the equation body with ``_update``.  The reference for
+        that body is the numpy backend's ``fixpoint_body``, which the
+        ``kernel`` check holds every compiled backend to.
+        """
         sym = node.sym
         g_act = self._empty
         bad = self._empty
@@ -348,23 +329,14 @@ class _BaseSolver:
                 u_enabled = u_enabled.union(
                     self.system.pred(sym, edge.move, target_all)
                 )
-        forced = self._empty
-        if not u_enabled.is_empty():
-            forced = self._boundary(node).intersect(u_enabled).subtract(bad)
-        goal = self.goal_fed(node)
-        g_goal = goal.union(forced)
-        if self.system.can_delay(sym.locs):
-            win = predt_mixed(g_act, g_goal, bad).intersect_zone(sym.zone)
-        else:
-            win = g_act.union(g_goal).subtract(bad).union(goal)
-        return win.union(goal).compact()
+        return self._assemble(node, g_act, bad, u_enabled)
 
     def _record_growth(self, node: GraphNode, new_win: Federation) -> bool:
         entry = self.wins.get(node.id)
         old = self._empty if entry is None else entry.win
-        if old.includes(new_win):
-            return False
         increment = new_win.subtract(old)
+        if increment.is_empty():
+            return False
         self._step += 1
         if entry is None:
             entry = NodeWin(new_win, self.goal_fed(node))

@@ -876,6 +876,25 @@ def _random_plan(rng: random.Random, dim: int) -> MovePlan:
     )
 
 
+def _complement_of_some_bound(
+    rng: random.Random, zone: np.ndarray
+) -> Optional[np.ndarray]:
+    """A zone disjoint from ``zone``: the complement of one of its finite
+    bounds, the ``x >= 0`` ones aside (None when it has none)."""
+    dim = zone.shape[0]
+    bounds = [
+        (i, j, int(zone[i, j]))
+        for i in range(dim)
+        for j in range(dim)
+        if i != j and zone[i, j] < INF and not (i == 0 and zone[i, j] == LE_ZERO)
+    ]
+    if not bounds:
+        return None
+    i, j, enc = rng.choice(bounds)
+    with dbm_backends.use_backend(_REFERENCE):
+        return DBM.universal(dim).tighten(j, i, negate(enc)).m
+
+
 def _fused_kernel_mismatch(
     rng: random.Random,
     backend,
@@ -888,7 +907,8 @@ def _fused_kernel_mismatch(
     Verdicts (empty or not) must agree and nonempty results must be
     byte-identical; no input matrix may be written.  Each call draws one
     case of :data:`SUCCESSOR_CASES` and one of :data:`PRED_CASES` unless
-    given, with delay on or off at random.
+    given, with delay on or off at random; then, in half the calls, the
+    federation kernels (:func:`_federation_kernel_mismatch`).
     """
     dim = rng.randint(2, 6)
     zone = _kernel_stack(rng, dim, 1)[0]
@@ -940,20 +960,11 @@ def _fused_kernel_mismatch(
     if case == "disjoint_source":
         # A source zone disjoint from the whole pre-image, so the answer
         # is empty whatever the source zone's own shape.
-        universal = DBM.universal(dim).m
-        with dbm_backends.use_backend(_REFERENCE):
-            image = _REFERENCE.zone_pred(zone, plan, universal)
-            if image is not None:
-                bounds = [
-                    (i, j, int(image[i, j]))
-                    for i in range(dim)
-                    for j in range(dim)
-                    if i != j and image[i, j] < INF
-                    and not (i == 0 and image[i, j] == LE_ZERO)
-                ]
-                if bounds:
-                    i, j, enc = rng.choice(bounds)
-                    source = DBM.universal(dim).tighten(j, i, negate(enc)).m
+        image = _REFERENCE.zone_pred(zone, plan, DBM.universal(dim).m)
+        if image is not None:
+            outside = _complement_of_some_bound(rng, image)
+            if outside is not None:
+                source = outside
     source_pristine = source.copy()
     ref_m = _REFERENCE.zone_pred(zone, plan, source)
     got_m = backend.zone_pred(zone, plan, source)
@@ -971,6 +982,164 @@ def _fused_kernel_mismatch(
         and np.array_equal(source, source_pristine)
     ):
         return f"zone_pred wrote an input zone ({case})"
+    if rng.random() < 0.5:
+        # Every other trial on average: the federation kernels' numpy
+        # reference is the slowest code this check runs.
+        return _federation_kernel_mismatch(rng, backend)
+    return None
+
+
+#: The federation-kernel shapes :func:`_federation_kernel_mismatch`
+#: draws from: subtrahends disjoint from, including, or partly
+#: overlapping the minuend, or an empty operand; strict or lenient
+#: ``Predt`` where the two differ (a goal arrival on the instant the bad
+#: set starts), a bad set covering the goal, an empty operand, or random
+#: operands.
+SUBTRACT_CASES = ("disjoint", "included", "partial_overlap", "empty")
+PREDT_CASES = ("strict", "lenient", "bad_covers_goal", "empty", "random")
+
+
+def _kernel_pool(rng: random.Random, dim: int) -> List[DBM]:
+    """Random canonical zones to draw a trial's federations from (the one
+    zone of dim 1, the reference clock alone, when ``dim`` is 1)."""
+    if dim == 1:
+        return [DBM.universal(1)]
+    return [DBM(m) for m in _kernel_stack(rng, dim, 5)]
+
+
+def _kernel_fed(rng: random.Random, pool: List[DBM], k: int) -> np.ndarray:
+    """A reduced federation of up to ``k`` zones of ``pool``, as a stack."""
+    chosen = rng.sample(pool, min(k, len(pool)))
+    with dbm_backends.use_backend(_REFERENCE):
+        return np.array(Federation(pool[0].dim, chosen)._rows())
+
+
+def _kernel_invariant(rng: random.Random, zone: np.ndarray) -> np.ndarray:
+    """A clock invariant of upper bounds, strict or not, some of them at
+    the zone's own upper bound so that its boundary faces are nonempty."""
+    dim = zone.shape[0]
+    bounds = []
+    for x in range(1, dim):
+        if rng.random() < 0.3:
+            continue
+        c = rng.randint(0, 8)
+        if zone[x, 0] < INF and rng.random() < 0.5:
+            c = max(0, int(zone[x, 0]) >> 1)
+        bounds.append((x, 0, bound(c, rng.random() < 0.25)))
+    with dbm_backends.use_backend(_REFERENCE):
+        return DBM.from_constraints(dim, bounds).m.copy()
+
+
+def _federation_kernel_mismatch(
+    rng: random.Random,
+    backend,
+    subtract_case: Optional[str] = None,
+    predt_case: Optional[str] = None,
+) -> Optional[str]:
+    """Run ``fed_subtract``, ``fed_predt`` and ``fixpoint_body`` once
+    each against the numpy reference; the first mismatch, or None.
+
+    Results must be byte-identical, zone order included; ``fed_subtract``
+    must return its first operand itself exactly when the reference does;
+    no input may be written.  Draws one case of :data:`SUBTRACT_CASES`
+    and one of :data:`PREDT_CASES` unless given.
+    """
+    dim = rng.randint(1, 5)
+    pool = _kernel_pool(rng, dim)
+    case = subtract_case or rng.choice(SUBTRACT_CASES)
+    a = _kernel_fed(rng, pool, rng.randint(1, 3))
+    if case == "disjoint":
+        a = a[:1]
+        outside = [
+            _complement_of_some_bound(rng, a[0]) for _ in range(rng.randint(1, 2))
+        ]
+        universal = DBM.universal(dim).m  # no bound, nothing disjoint
+        b = np.stack([universal if m is None else m for m in outside])
+    elif case == "included":
+        b = np.concatenate((_kernel_fed(rng, pool, rng.randint(0, 2)), a))
+    elif case == "partial_overlap":
+        overlapping = [
+            z.m
+            for z in pool
+            if not (
+                (z.m >= a).all(axis=(1, 2)).any()
+                or _sk.disjoint_mask(a, z.m).all()
+            )
+        ]
+        b = _kernel_fed(rng, pool, 1)
+        if overlapping:
+            b = rng.choice(overlapping)[None].copy()
+    else:
+        b = _kernel_fed(rng, pool, rng.randint(0, 3))
+        if case == "empty":
+            if rng.random() < 0.5:
+                a = a[:0]
+            else:
+                b = b[:0]
+    inputs = [a, b]
+    pristine = [x.copy() for x in inputs]
+    ref = _REFERENCE.fed_subtract(a, b)
+    got = backend.fed_subtract(a, b)
+    if (ref is a) != (got is a) or not np.array_equal(ref, got):
+        return (
+            f"fed_subtract ({case}): ref={ref.shape[0]} zones"
+            f"{' (a)' if ref is a else ''} got={got.shape[0]} zones"
+            f"{' (a)' if got is a else ''} dim={dim}"
+        )
+
+    case = predt_case or rng.choice(PREDT_CASES)
+    goal = _kernel_fed(rng, pool, rng.randint(1, 3))
+    bad = _kernel_fed(rng, pool, rng.randint(1, 3))
+    lenient = rng.random() < 0.5
+    if case in ("strict", "lenient") and dim > 1:
+        # Goal zones pinned to x == c and a bad set from x >= c on: the
+        # arrival instant touches the bad set, where the conventions part.
+        lenient = case == "lenient"
+        x, c = rng.randrange(1, dim), rng.randint(0, 6)
+        with dbm_backends.use_backend(_REFERENCE):
+            pinned = [
+                DBM(m).constrained([(x, 0, bound(c, False)), (0, x, bound(-c, False))])
+                for m in goal
+            ]
+            goal = np.array(Federation(dim, pinned)._rows())
+            starts = DBM.universal(dim).tighten(0, x, bound(-c, False))
+            bad = np.array(Federation(dim, [starts, *map(DBM, bad[:1])])._rows())
+    elif case == "bad_covers_goal":
+        with dbm_backends.use_backend(_REFERENCE):
+            ups = Federation(dim, [DBM(m).up() for m in goal])
+        bad = np.concatenate((bad[: rng.randint(0, 1)], ups._rows()))
+    elif case == "empty":
+        if rng.random() < 0.5:
+            goal = goal[:0]
+        else:
+            bad = bad[:0]
+    inputs += [goal, bad]
+    pristine += [goal.copy(), bad.copy()]
+    ref = _REFERENCE.fed_predt(goal, bad, lenient)
+    got = backend.fed_predt(goal, bad, lenient)
+    if not np.array_equal(ref, got):
+        return (
+            f"fed_predt ({case}, lenient={lenient}): ref={ref.shape[0]}"
+            f" zones got={got.shape[0]} zones dim={dim}"
+        )
+
+    zone = _kernel_fed(rng, pool, 1)[0]
+    invariant = _kernel_invariant(rng, zone)
+    terms = [_kernel_fed(rng, pool, rng.randint(0, 2)) for _ in range(4)]
+    if rng.random() < 0.5:  # the enabled set holds the boundary
+        terms[3] = np.concatenate((terms[3], zone[None]))
+    can_delay = rng.random() < 0.5
+    inputs += [zone, invariant, *terms]
+    pristine += [zone.copy(), invariant.copy(), *(t.copy() for t in terms)]
+    ref = _REFERENCE.fixpoint_body(zone, invariant, *terms, can_delay)
+    got = backend.fixpoint_body(zone, invariant, *terms, can_delay)
+    if not np.array_equal(ref, got):
+        return (
+            f"fixpoint_body (can_delay={can_delay}): ref={ref.shape[0]}"
+            f" zones got={got.shape[0]} zones dim={dim}"
+        )
+    if not all(np.array_equal(x, y) for x, y in zip(inputs, pristine)):
+        return "a federation kernel wrote an input"
     return None
 
 

@@ -60,14 +60,6 @@ def sample_points(rng, dim, feds, count=4):
 OPS = [
     ("up", lambda f: f.up(), lambda z: z.up()),
     ("down", lambda f: f.down(), lambda z: z.down()),
-    ("reset[1]", lambda f: f.reset([1]), lambda z: z.reset([1])),
-    ("reset[1,2]", lambda f: f.reset([1, 2]), lambda z: z.reset([1, 2])),
-    ("free[1]", lambda f: f.free([1]), lambda z: z.free([1])),
-    (
-        "assign[(1,3)]",
-        lambda f: f.assign_clocks([(1, 3)]),
-        lambda z: z.assign_clocks([(1, 3)]),
-    ),
     (
         "constrained",
         lambda f: f.constrained([(1, 0, le(5)), (0, 2, le(-1))]),

@@ -133,11 +133,6 @@ class TestTimedOperators:
         f = Federation.from_zone(interval(2, 3))
         assert f.up().contains([0, Fraction(50)])
 
-    def test_reset(self):
-        f = Federation.from_zone(interval(5, 6)).reset([1])
-        assert f.contains([0, Fraction(0)])
-        assert not f.contains([0, Fraction(5)])
-
 
 class TestCompact:
     def test_compact_merges_cover(self):
