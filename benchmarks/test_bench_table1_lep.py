@@ -24,15 +24,13 @@ from repro.util import counters
 
 
 def _attach_counters(benchmark):
-    """Op-level profile of the run: closures, cache hits, federation sizes."""
+    """Op-level profile of the run: closures, updates, federation sizes."""
     snap = counters.snapshot()
     for key in (
         "dbm.closures",
         "stack.closures",
         "solver.updates",
         "solver.update_skipped",
-        "solver.pred_cache_hits",
-        "solver.pred_delta",
         "federation.zones",
     ):
         if key in snap:

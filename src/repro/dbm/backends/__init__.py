@@ -74,11 +74,12 @@ class GuardedBackend:
     failures happen during argument marshalling or FFI dispatch —
     *before* the C kernel writes — and injected faults fire at call
     entry, so the demoted call sees pristine inputs.  The per-zone,
-    fused step and federation kernels never write their input matrices
-    at all, and take their constraints as a sequence or a
-    :class:`~repro.dbm.backends.base.MovePlan`, which a replay reads
-    again intact.  (A fault inside the C body itself is a segfault,
-    which no guard can catch.)
+    fused step, federation and graph-node kernels never write their
+    input matrices at all, and take their constraints as a sequence, a
+    :class:`~repro.dbm.backends.base.MovePlan` or an
+    :class:`~repro.dbm.backends.base.ExpansionTable`, which a replay
+    reads again intact.  (A fault inside the C body itself is a
+    segfault, which no guard can catch.)
     """
 
     def __init__(self, inner: KernelBackend):
@@ -120,9 +121,10 @@ class GuardedBackend:
 #: Every kernel of the :class:`KernelBackend` protocol.
 KERNELS = (
     "zone_close", "zone_constrain", "zone_extrapolate", "zone_successor",
-    "zone_pred", "fed_subtract", "fed_predt", "fixpoint_body", "close",
-    "extrapolate", "inclusion_matrix", "reduce_indices", "subsume_frontier",
-    "hidden_post_step", "any_hidden_post",
+    "zone_pred", "fed_subtract", "fed_predt", "fixpoint_body", "zone_expand",
+    "first_superset", "node_equation", "close", "extrapolate",
+    "reduce_indices", "subsume_frontier", "hidden_post_step",
+    "any_hidden_post",
 )
 
 

@@ -2,7 +2,7 @@
 
 A backend supplies implementations of the *hot* DBM kernels — the
 operations profiling shows every solver fixpoint, state-estimate
-closure, and explorer subsumption scan bottoms out in.  Three families:
+closure, and explorer subsumption scan bottoms out in.  Five families:
 
 * the **stacked** kernels over ``(k, dim, dim)`` arrays, called by
   :mod:`repro.dbm.stack` (``close``, ``extrapolate``, ...);
@@ -24,7 +24,14 @@ closure, and explorer subsumption scan bottoms out in.  Three families:
   difference), ``fed_predt`` (strict or lenient ``Predt``) and
   ``fixpoint_body`` (the reachability fixpoint equation of one node).
   Solver federations hold about one zone, so one call per operation
-  replaces a Python-level loop of tiny zone operations.
+  replaces a Python-level loop of tiny zone operations;
+* the **graph-node** kernels, called by the zone-graph explorer and the
+  game solvers, over an :class:`ExpansionTable` (every enabled step
+  from one discrete state, compiled once): ``zone_expand`` runs
+  ``zone_successor`` for every step of a node, ``first_superset`` is
+  the explorer's subsumption probe, and ``node_equation`` builds a
+  node's edge terms with ``zone_pred`` and runs ``fixpoint_body`` on
+  them.  One call per graph node and direction.
 
 Everything else (gathers, masks, cheap per-entry updates) is shared
 plumbing and stays numpy regardless of the backend.
@@ -53,7 +60,10 @@ reference's.  The federation kernels never write their inputs and
 return a stack whose zones, *and their order*, must equal the
 reference's (``fed_subtract`` returns its first operand itself exactly
 when the reference does): the order fixes the solver's rank layers and
-so the strategies built on them.
+so the strategies built on them.  The graph-node kernels never write
+their inputs either: ``zone_expand``'s mask and kept rows,
+``first_superset``'s index and ``node_equation``'s stack must equal
+the reference's.
 
 The contract is not a convention but a theorem for any correct
 implementation — kept rows are canonical, and canonical forms are
@@ -77,7 +87,8 @@ kernels to a flat list of ints — so the numpy reference path pays no
 conversion cost at all.  A :class:`MovePlan` carries both forms: the
 tuples the reference reads and :attr:`MovePlan.flat`, one ``int64``
 vector marshalled once when the plan is built, so a fused call
-marshals nothing.
+marshals nothing.  An :class:`ExpansionTable` likewise carries its plans
+and one packed vector of them, :attr:`ExpansionTable.flat`.
 """
 
 from __future__ import annotations
@@ -195,6 +206,46 @@ class MovePlan:
         )
 
 
+class ExpansionTable:
+    """Every enabled step from one discrete state, compiled once for the
+    graph-node kernels.
+
+    ``moves`` are the moves enabled by the integer guards whose discrete
+    part does not block, in enumeration order; ``targets`` their
+    successors' ``(locs, vars)``, ``plans`` their :class:`MovePlan` objects
+    (with the explorer's ExtraM caps) and ``controllable`` their
+    controllability.  A graph edge names its move by its index here, its
+    *slot*.
+
+    :attr:`flat` packs the table into one ``int64`` vector for compiled
+    backends: the move count ``n``, then per move the offset of its plan
+    in ``flat`` and its controllability, then the plans' own ``flat``
+    vectors in order.  :attr:`native` is free for a compiled backend's
+    handle on it, as on a plan.
+    """
+
+    __slots__ = ("moves", "targets", "plans", "controllable", "flat", "native")
+
+    def __init__(self, moves, targets, plans: Sequence[MovePlan]):
+        self.moves = tuple(moves)
+        self.targets = tuple(targets)
+        self.plans = tuple(plans)
+        self.controllable = tuple(bool(m.controllable) for m in self.moves)
+        n = len(self.plans)
+        head = [n]
+        offset = 1 + 2 * n
+        for plan, ctrl in zip(self.plans, self.controllable):
+            head += [offset, int(ctrl)]
+            offset += plan.flat.shape[0]
+        self.flat = np.concatenate(
+            [np.asarray(head, dtype=np.int64)] + [p.flat for p in self.plans]
+        )
+        self.native = None
+
+    def __repr__(self) -> str:
+        return f"ExpansionTable({len(self.moves)} moves)"
+
+
 @runtime_checkable
 class KernelBackend(Protocol):
     """Implementations of the hot stacked kernels (see module docstring)."""
@@ -298,16 +349,52 @@ class KernelBackend(Protocol):
         """
         ...
 
+    def zone_expand(
+        self, m: np.ndarray, table: ExpansionTable
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every step of ``table`` from the canonical zone ``m``, in one
+        call: a ``(n, dim, dim)`` stack whose row ``x`` is
+        ``zone_successor(m, table.plans[x])`` and the ``(n,)`` mask of
+        the nonempty ones (the other rows are scratch)."""
+        ...
+
+    def first_superset(self, stack: np.ndarray, m: np.ndarray) -> int:
+        """Index of the first zone of ``stack`` that includes the
+        canonical zone ``m``, or -1."""
+        ...
+
+    def node_equation(
+        self,
+        zone: np.ndarray,
+        invariant: np.ndarray,
+        goal: np.ndarray,
+        can_delay: bool,
+        table: ExpansionTable,
+        slots: Sequence[int],
+        targets: np.ndarray,
+        wins: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """One node's reachability fixpoint equation from its out-edges,
+        in one call.
+
+        Out-edge ``e`` takes the move ``table.moves[slots[e]]`` to the
+        zone ``targets[e]``, whose win stack is ``wins[e]``.  With
+        ``Pred_e(F)`` the ``zone_pred`` of each zone of ``F`` into
+        ``zone``, reduced: ``G_act`` is the union of ``Pred_e(Win)``
+        over the controllable edges, the enabled set the union of
+        ``Pred_e(Z)`` over the others and ``B`` the union of their
+        ``Pred_e(Z) \\ Pred_e(Win)``, all in edge order.  Returns
+        ``fixpoint_body(zone, invariant, goal, G_act, B, enabled,
+        can_delay)``.
+        """
+        ...
+
     def close(self, stack: np.ndarray) -> np.ndarray:
         """Batched Floyd-Warshall closure in place; the nonempty mask."""
         ...
 
     def extrapolate(self, stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
         """Batched ExtraM widening in place; the nonempty mask."""
-        ...
-
-    def inclusion_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``(ka, kb)`` bool matrix: ``(x, y)`` iff ``b[y] ⊆ a[x]``."""
         ...
 
     def reduce_indices(self, stack: np.ndarray) -> List[int]:

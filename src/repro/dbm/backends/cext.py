@@ -1,7 +1,8 @@
 """C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
-The hot kernels, stacked, per-zone, fused step and federation, as ~940
-lines of portable C, compiled on first use with the host toolchain::
+The hot kernels, stacked, per-zone, fused step, federation and graph-node,
+as ~1,070 lines of portable C, compiled on first use with the host
+toolchain::
 
     cc -O2 -shared -fPIC
 
@@ -35,7 +36,11 @@ their own iteration (the diagonal stays at ``LE_ZERO``, the additive
 identity of the bound encoding).  The federation kernels follow the
 reference's algorithms step for step (split order, reductions, zone
 order) on heap-grown zone lists; an allocation failure returns -1, which
-the wrapper turns into an exception, and so a demotion.  The always-on
+the wrapper turns into an exception, and so a demotion.  The graph-node
+kernels loop these bodies: ``k_zone_expand`` runs ``k_zone_successor``
+per move of a table and ``k_node_equation`` builds a node's edge terms
+with ``k_zone_pred`` and the federation helpers, then runs the body it
+shares with ``k_fixpoint_body``.  The always-on
 ``kernel`` differential check (:mod:`repro.gen.differential`) fuzzes
 this argument against the numpy reference.
 """
@@ -57,6 +62,7 @@ from .base import (
     CHANGED,
     UNCHANGED,
     BackendUnavailable,
+    ExpansionTable,
     MovePlan,
     marshal_clocks,
     marshal_constraints,
@@ -225,15 +231,6 @@ void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
     int64_t z, nn = dim * dim;
     for (z = 0; z < k; z++)
         ok[z] = (uint8_t)(extrapolate_one(stack + z * nn, dim, caps) != 2);
-}
-
-void k_inclusion(const int64_t *a, int64_t ka, const int64_t *b, int64_t kb,
-                 int64_t dim, uint8_t *out)
-{
-    int64_t x, y, nn = dim * dim;
-    for (x = 0; x < ka; x++)
-        for (y = 0; y < kb; y++)
-            out[x * kb + y] = (uint8_t)incl(a + x * nn, b + y * nn, nn);
 }
 
 void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep)
@@ -950,25 +947,20 @@ static int boundary_into(fed_t *f, const int64_t *zone, const int64_t *inv,
  *   G_goal = goal ∪ Forced,
  *   win = Predt(G_act, B) ∪ Predt_lenient(G_goal, B), ∩ Z   (can delay)
  *   win = ((G_act ∪ G_goal) \ B) ∪ goal                      (cannot)
- * then compact(win ∪ goal), U being where some uncontrollable move is
- * enabled.  The input buffer packs Z, I, then the kg goal, ka G_act, kb B
- * and ku U zones.  Returns as k_fed_predt. */
-int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
-                        int64_t kb, int64_t ku, int64_t can_delay,
-                        int64_t dim, int64_t *out, int64_t cap)
+ * then compact(win ∪ goal) into win, which must be empty, U being where
+ * some uncontrollable move is enabled.  scr is 3*dim*dim scratch. */
+static int fixpoint_into(fed_t *win, const int64_t *zone, const int64_t *inv,
+                         const int64_t *goal, int64_t kg,
+                         const int64_t *gact, int64_t ka,
+                         const int64_t *bad, int64_t kb,
+                         const int64_t *uen, int64_t ku, int64_t can_delay,
+                         int64_t dim, int64_t *scr)
 {
     int64_t x, y, nn = dim * dim;
-    const int64_t *zone = in, *inv = in + nn, *goal = in + 2 * nn;
-    const int64_t *gact = goal + kg * nn, *bad = gact + ka * nn;
-    const int64_t *uen = bad + kb * nn;
-    int64_t *scr = dim > 0 ? malloc((size_t)(3 * nn) * sizeof(int64_t)) : 0;
-    fed_t gg, s, l, win;
+    fed_t gg, s, l;
     fed_init(&gg, nn);
     fed_init(&s, nn);
     fed_init(&l, nn);
-    fed_init(&win, nn);
-    if (!scr)
-        return -1;
     if (can_delay && ku) {
         if (boundary_into(&l, zone, inv, dim) < 0)
             goto fail;
@@ -992,30 +984,172 @@ int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
             || fed_union(&s, l.m, l.k, dim) < 0)
             goto fail;
         for (x = 0; x < s.k; x++)
-            if (meet_into(&win, s.m + x * nn, zone, dim) < 0)
+            if (meet_into(win, s.m + x * nn, zone, dim) < 0)
                 goto fail;
-        if (fed_reduce(&win, dim) < 0)
+        if (fed_reduce(win, dim) < 0)
             goto fail;
     } else {
-        if (fed_add(&win, gact, ka) < 0
-            || fed_union(&win, gg.m, gg.k, dim) < 0
-            || fed_sub(&win, bad, kb, dim, scr) < 0
-            || fed_union(&win, goal, kg, dim) < 0)
+        if (fed_add(win, gact, ka) < 0
+            || fed_union(win, gg.m, gg.k, dim) < 0
+            || fed_sub(win, bad, kb, dim, scr) < 0
+            || fed_union(win, goal, kg, dim) < 0)
             goto fail;
     }
-    if (fed_union(&win, goal, kg, dim) < 0 || compact(&win, dim, scr) < 0)
+    if (fed_union(win, goal, kg, dim) < 0 || compact(win, dim, scr) < 0)
+        goto fail;
+    fed_free(&gg);
+    fed_free(&s);
+    fed_free(&l);
+    return 0;
+fail:
+    fed_free(&gg);
+    fed_free(&s);
+    fed_free(&l);
+    return -1;
+}
+
+/* fixpoint_into on one buffer packing Z, I, then the kg goal, ka G_act,
+ * kb B and ku U zones.  Returns as k_fed_predt. */
+int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
+                        int64_t kb, int64_t ku, int64_t can_delay,
+                        int64_t dim, int64_t *out, int64_t cap)
+{
+    int64_t nn = dim * dim;
+    const int64_t *goal = in + 2 * nn, *gact = goal + kg * nn;
+    const int64_t *bad = gact + ka * nn, *uen = bad + kb * nn;
+    int64_t *scr = dim > 0 ? malloc((size_t)(3 * nn) * sizeof(int64_t)) : 0;
+    fed_t win;
+    int r;
+    fed_init(&win, nn);
+    if (!scr)
+        return -1;
+    r = fixpoint_into(&win, in, in + nn, goal, kg, gact, ka, bad, kb, uen,
+                      ku, can_delay, dim, scr);
+    free(scr);
+    if (r < 0) {
+        fed_free(&win);
+        return -1;
+    }
+    return emit(&win, out, cap);
+}
+
+/* ---- Graph-node kernels over an expansion table (ExpansionTable.flat):
+ * the move count n, then per move its plan's offset in the table and its
+ * controllability, then the plans. */
+
+/* Every step of the table from one canonical zone: row x of out is the
+ * successor by move x and status[x] is 1, or 0 when it is empty (the row
+ * is scratch).  0, or -1 when a plan does not fit dim. */
+int64_t k_zone_expand(const int64_t *src, int64_t dim, const int64_t *table,
+                      int64_t *out, uint8_t *status)
+{
+    int64_t x, r;
+    for (x = 0; x < table[0]; x++) {
+        r = k_zone_successor(src, out + x * dim * dim, dim,
+                             table + table[1 + 2 * x]);
+        if (r < 0)
+            return -1;
+        status[x] = (uint8_t)r;
+    }
+    return 0;
+}
+
+/* Index of the first of the k zones of stack that includes m, or -1. */
+int64_t k_first_superset(const int64_t *stack, int64_t k, int64_t dim,
+                         const int64_t *m)
+{
+    int64_t x, nn = dim * dim;
+    for (x = 0; x < k; x++)
+        if (incl(stack + x * nn, m, nn))
+            return x;
+    return -1;
+}
+
+/* Pred of the k zones zs through the plan at flat into the source zone
+ * src, appended to the empty list f and reduced. */
+static int pred_into(fed_t *f, const int64_t *zs, int64_t k,
+                     const int64_t *flat, const int64_t *src, int64_t dim)
+{
+    int64_t x, r, *slot;
+    for (x = 0; x < k; x++) {
+        slot = fed_slot(f);
+        if (!slot)
+            return -1;
+        r = k_zone_pred(zs + x * f->nn, slot, src, dim, flat);
+        if (r < 0)
+            return -1;
+        if (r == 0)
+            f->k--;
+        else if (r == 2)
+            memcpy(slot, src, (size_t)f->nn * sizeof(int64_t));
+    }
+    return fed_reduce(f, dim);
+}
+
+/* One node's fixpoint equation from its out-edges.  The buffer packs Z,
+ * I, the kg goal zones, the ne target zones, then each target's win
+ * zones; desc holds kg, ne, then per edge its slot in the table and its
+ * win's zone count.  Per edge e, in order: G_act ∪= Pred_e(Win) when e is
+ * controllable, else U ∪= Pred_e(Z') and B ∪= Pred_e(Z') \ Pred_e(Win);
+ * then fixpoint_into.  Returns as k_fed_predt. */
+int64_t k_node_equation(const int64_t *in, const int64_t *desc,
+                        const int64_t *table, int64_t can_delay,
+                        int64_t dim, int64_t *out, int64_t cap)
+{
+    int64_t e, nn = dim * dim, kg = desc[0], ne = desc[1];
+    const int64_t *zone = in, *goal = in + 2 * nn, *tgt = goal + kg * nn;
+    const int64_t *win = tgt + ne * nn;
+    int64_t *scr = dim > 0 ? malloc((size_t)(3 * nn) * sizeof(int64_t)) : 0;
+    fed_t gact, bad, uen, p, q, res;
+    fed_init(&gact, nn);
+    fed_init(&bad, nn);
+    fed_init(&uen, nn);
+    fed_init(&p, nn);
+    fed_init(&q, nn);
+    fed_init(&res, nn);
+    if (!scr)
+        return -1;
+    for (e = 0; e < ne; e++) {
+        int64_t slot = desc[2 + 2 * e], kw = desc[3 + 2 * e];
+        const int64_t *flat;
+        if (slot < 0 || slot >= table[0] || kw < 0)
+            goto fail;
+        flat = table + table[1 + 2 * slot];
+        if (table[2 + 2 * slot]) {
+            if (pred_into(&p, win, kw, flat, zone, dim) < 0
+                || fed_union(&gact, p.m, p.k, dim) < 0)
+                goto fail;
+        } else {
+            if (pred_into(&q, tgt + e * nn, 1, flat, zone, dim) < 0
+                || fed_union(&uen, q.m, q.k, dim) < 0)
+                goto fail;
+            if (q.k && kw
+                && (pred_into(&p, win, kw, flat, zone, dim) < 0
+                    || fed_sub(&q, p.m, p.k, dim, scr) < 0))
+                goto fail;
+            if (fed_union(&bad, q.m, q.k, dim) < 0)
+                goto fail;
+            fed_free(&q);
+        }
+        fed_free(&p);
+        win += kw * nn;
+    }
+    if (fixpoint_into(&res, zone, in + nn, goal, kg, gact.m, gact.k, bad.m,
+                      bad.k, uen.m, uen.k, can_delay, dim, scr) < 0)
         goto fail;
     free(scr);
-    fed_free(&gg);
-    fed_free(&s);
-    fed_free(&l);
-    return emit(&win, out, cap);
+    fed_free(&gact);
+    fed_free(&bad);
+    fed_free(&uen);
+    return emit(&res, out, cap);
 fail:
     free(scr);
-    fed_free(&gg);
-    fed_free(&s);
-    fed_free(&l);
-    fed_free(&win);
+    fed_free(&gact);
+    fed_free(&bad);
+    fed_free(&uen);
+    fed_free(&p);
+    fed_free(&q);
+    fed_free(&res);
     return -1;
 }
 """
@@ -1024,8 +1158,6 @@ _DECLS = """
 void k_close(int64_t *stack, int64_t k, int64_t dim, uint8_t *ok);
 void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
                    const int64_t *caps, uint8_t *ok);
-void k_inclusion(const int64_t *a, int64_t ka, const int64_t *b, int64_t kb,
-                 int64_t dim, uint8_t *out);
 void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep);
 void k_subsume(const int64_t *nw, int64_t kn, const int64_t *seen,
                int64_t ks, int64_t dim, uint8_t *keep, uint8_t *drop);
@@ -1055,6 +1187,13 @@ int64_t k_fed_predt(const int64_t *in, int64_t kg, int64_t kb,
 int64_t k_fixpoint_body(const int64_t *in, int64_t kg, int64_t ka,
                         int64_t kb, int64_t ku, int64_t can_delay,
                         int64_t dim, int64_t *out, int64_t cap);
+int64_t k_zone_expand(const int64_t *src, int64_t dim, const int64_t *table,
+                      int64_t *out, uint8_t *status);
+int64_t k_first_superset(const int64_t *stack, int64_t k, int64_t dim,
+                         const int64_t *m);
+int64_t k_node_equation(const int64_t *in, const int64_t *desc,
+                        const int64_t *table, int64_t can_delay,
+                        int64_t dim, int64_t *out, int64_t cap);
 """
 
 _BINDING = None
@@ -1066,7 +1205,6 @@ _PTR = ctypes.c_void_p
 _SIGNATURES = {
     "k_close": (None, [_PTR, _I64, _I64, _PTR]),
     "k_extrapolate": (None, [_PTR, _I64, _I64, _PTR, _PTR]),
-    "k_inclusion": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR]),
     "k_reduce": (None, [_PTR, _I64, _I64, _PTR]),
     "k_subsume": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
     "k_hidden_post": (
@@ -1088,6 +1226,9 @@ _SIGNATURES = {
     "k_fixpoint_body": (
         _I64, [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _I64]
     ),
+    "k_zone_expand": (_I64, [_PTR, _I64, _PTR, _PTR, _PTR]),
+    "k_first_superset": (_I64, [_PTR, _I64, _I64, _PTR]),
+    "k_node_equation": (_I64, [_PTR, _PTR, _PTR, _I64, _I64, _PTR, _I64]),
 }
 
 
@@ -1285,11 +1426,12 @@ class CExtBackend:
         )
         return status, (dst if status == CHANGED else None)
 
-    def _plan_ptr(self, plan: MovePlan):
-        """The FFI handle on ``plan.flat``, made once per plan and binding."""
-        native = plan.native
+    def _flat_ptr(self, compiled):
+        """The FFI handle on the ``flat`` vector of a :class:`MovePlan`
+        or :class:`ExpansionTable`, made once per object and binding."""
+        native = compiled.native
         if native is None or native[0] is not self._b:
-            native = plan.native = (self._b, self._b._i64(plan.flat))
+            native = compiled.native = (self._b, self._b._i64(compiled.flat))
         return native[1]
 
     def zone_successor(
@@ -1299,7 +1441,7 @@ class CExtBackend:
         src = _ro_i64(m)
         dst = np.empty(src.shape, dtype=np.int64)
         status = b.k_zone_successor(
-            b._i64(src), b._i64(dst), src.shape[0], self._plan_ptr(plan)
+            b._i64(src), b._i64(dst), src.shape[0], self._flat_ptr(plan)
         )
         if status < 0:
             raise IndexError(f"plan does not fit a {src.shape[0]}-dim zone")
@@ -1316,7 +1458,7 @@ class CExtBackend:
         dst = np.empty(tgt.shape, dtype=np.int64)
         status = b.k_zone_pred(
             b._i64(tgt), b._i64(dst), b._i64(src), tgt.shape[0],
-            self._plan_ptr(plan),
+            self._flat_ptr(plan),
         )
         if status < 0:
             raise IndexError(f"plan does not fit a {tgt.shape[0]}-dim zone")
@@ -1385,6 +1527,54 @@ class CExtBackend:
             1 if can_delay else 0,
         )
 
+    def zone_expand(
+        self, m: np.ndarray, table: ExpansionTable
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        b = self._b
+        src = _ro_i64(m)
+        dim = src.shape[0]
+        n = len(table.plans)
+        out = np.empty((n, dim, dim), dtype=np.int64)
+        ok = np.empty(n, dtype=np.uint8)
+        status = b.k_zone_expand(
+            b._i64(src), dim, self._flat_ptr(table), b._i64(out), b._u8(ok)
+        )
+        if status < 0:
+            raise IndexError(f"table does not fit a {dim}-dim zone")
+        return out, ok.view(np.bool_)
+
+    def first_superset(self, stack: np.ndarray, m: np.ndarray) -> int:
+        b = self._b
+        rows = _ro_i64(stack)
+        zone = _ro_i64(m)
+        if rows.shape[1:] != zone.shape:
+            raise ValueError(f"zone {zone.shape} vs stack {rows.shape}")
+        return b.k_first_superset(
+            b._i64(rows), rows.shape[0], zone.shape[0], b._i64(zone)
+        )
+
+    def node_equation(
+        self,
+        zone: np.ndarray,
+        invariant: np.ndarray,
+        goal: np.ndarray,
+        can_delay: bool,
+        table: ExpansionTable,
+        slots: Sequence[int],
+        targets: np.ndarray,
+        wins: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        if not len(slots) == len(wins) == targets.shape[0]:
+            raise ValueError(f"{len(slots)} slots, {len(wins)} wins")
+        desc = [goal.shape[0], len(slots)]
+        for slot, win in zip(slots, wins):
+            desc += (slot, win.shape[0])
+        return self._fed_call(
+            self._b.k_node_equation,
+            (zone[None], invariant[None], goal, targets, *wins),
+            self._b._ints(desc), self._flat_ptr(table), 1 if can_delay else 0,
+        )
+
     def close(self, stack: np.ndarray) -> np.ndarray:
         b = self._b
         buf, copied = _inplace_i64(stack)
@@ -1405,17 +1595,6 @@ class CExtBackend:
         if copied:
             stack[...] = buf
         return ok.view(np.bool_)
-
-    def inclusion_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lib = self._b
-        a = _ro_i64(a)
-        b = _ro_i64(b)
-        ka, kb, dim = a.shape[0], b.shape[0], a.shape[-1]
-        out = np.empty((ka, kb), dtype=np.uint8)
-        lib.k_inclusion(
-            lib._i64(a), ka, lib._i64(b), kb, dim, lib._u8(out)
-        )
-        return out.view(np.bool_)
 
     def reduce_indices(self, stack: np.ndarray) -> List[int]:
         b = self._b

@@ -15,7 +15,10 @@ lists of canonical matrices: zone subtraction splitting on the
 subtrahend's constraints in row-major order, subsumption reduction after
 every step that can add zones, ``Predt`` per bad zone, and the exact
 single-pass ``compact``.  They fix the zones a compiled backend must
-return and their order, not just the sets.
+return and their order, not just the sets.  The graph-node kernels
+(``zone_expand``, ``first_superset``, ``node_equation``) loop this
+class's fused step and federation kernels over an expansion table, or
+broadcast one comparison over a zone stack.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .. import stack as _sk
 from ..bounds import INF, INF_SOFT, LE_ZERO, add_bounds
-from .base import CHANGED, EMPTY, UNCHANGED, MovePlan
+from .base import CHANGED, EMPTY, UNCHANGED, ExpansionTable, MovePlan
 
 Constraint = Tuple[int, int, int]
 
@@ -405,14 +408,75 @@ class NumpyBackend:
             win = _union(win, goal_l)
         return _stacked(self._compact(_union(win, goal_l)), zone.shape[0])
 
+    # ------------------------------------------------------------------
+    # Graph-node kernels
+    # ------------------------------------------------------------------
+
+    def zone_expand(
+        self, m: np.ndarray, table: ExpansionTable
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        n, dim = len(table.plans), m.shape[0]
+        out = np.empty((n, dim, dim), dtype=np.int64)
+        ok = np.zeros(n, dtype=bool)
+        for x, plan in enumerate(table.plans):
+            row = self.zone_successor(m, plan)
+            if row is not None:
+                out[x] = row
+                ok[x] = True
+        return out, ok
+
+    def first_superset(self, stack: np.ndarray, m: np.ndarray) -> int:
+        if not stack.shape[0]:
+            return -1
+        hits = (stack >= m).all(axis=(1, 2))
+        idx = int(np.argmax(hits))
+        return idx if hits[idx] else -1
+
+    def _pred(self, zones, plan: MovePlan, source: np.ndarray) -> List[np.ndarray]:
+        """``Pred`` of a stack through a plan into ``source``, reduced."""
+        out = [p for z in zones if (p := self.zone_pred(z, plan, source)) is not None]
+        return _reduced(out)
+
+    def node_equation(
+        self,
+        zone: np.ndarray,
+        invariant: np.ndarray,
+        goal: np.ndarray,
+        can_delay: bool,
+        table: ExpansionTable,
+        slots: Sequence[int],
+        targets: np.ndarray,
+        wins: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        g_act: List[np.ndarray] = []
+        bad: List[np.ndarray] = []
+        u_enabled: List[np.ndarray] = []
+        for slot, target, win in zip(slots, targets, wins):
+            plan = table.plans[slot]
+            if table.controllable[slot]:
+                g_act = _union(g_act, self._pred(win, plan, zone))
+                continue
+            enabled = self._pred((target,), plan, zone)
+            u_enabled = _union(u_enabled, enabled)
+            if enabled and len(win):
+                enabled, _ = self._subtract(enabled, self._pred(win, plan, zone))
+            bad = _union(bad, enabled)
+        dim = zone.shape[0]
+        return self.fixpoint_body(
+            zone,
+            invariant,
+            goal,
+            _stacked(g_act, dim),
+            _stacked(bad, dim),
+            _stacked(u_enabled, dim),
+            can_delay,
+        )
+
     def close(self, stack: np.ndarray) -> np.ndarray:
         return _sk._close_ref(stack)
 
     def extrapolate(self, stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
         return _sk._extrapolate_ref(stack, caps)
-
-    def inclusion_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _sk._inclusion_matrix_ref(a, b)
 
     def reduce_indices(self, stack: np.ndarray) -> List[int]:
         return _sk._reduce_indices_ref(stack)

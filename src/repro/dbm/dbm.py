@@ -26,7 +26,6 @@ from .bounds import (
     INF,
     LE_ZERO,
     Bound,
-    add_bounds,
     bound_as_string,
     decode,
     decoded,
@@ -260,18 +259,6 @@ class DBM:
     # ------------------------------------------------------------------
     # Constraining
     # ------------------------------------------------------------------
-
-    def would_be_empty_after(self, i: int, j: int, enc: int) -> bool:
-        """Cheap exact test: does adding ``x_i - x_j ≺ b`` empty this zone?
-
-        For a canonical DBM the only candidate negative cycle goes through
-        the tightened edge, so the test is ``m[j, i] + enc < (0, <=)``.
-        """
-        if self._empty:
-            return True
-        if enc >= self.m[i, j]:
-            return False
-        return add_bounds(int(self.m[j, i]), enc) < LE_ZERO
 
     def tighten(self, i: int, j: int, enc: int) -> "DBM":
         """Intersect with one constraint, using O(dim^2) incremental closure."""

@@ -16,9 +16,9 @@ objects is the caller's job (:mod:`repro.dbm.federation`).
 Backend seam
 ============
 
-The hot kernels — ``close``, ``extrapolate``, ``inclusion_matrix``,
-``reduce_indices``, ``subsume_frontier``, ``hidden_post_step``,
-``any_hidden_post`` — dispatch through a pluggable
+The hot kernels — ``close``, ``extrapolate``, ``reduce_indices``,
+``subsume_frontier``, ``hidden_post_step``, ``any_hidden_post`` —
+dispatch through a pluggable
 :class:`~repro.dbm.backends.base.KernelBackend`
 (``REPRO_KERNEL_BACKEND=numpy|cext|auto``).  The pure-numpy bodies
 live on as module-private ``_*_ref`` functions: they are the numpy
@@ -37,11 +37,10 @@ Exactness notes:
   the mask and byte-for-byte on kept rows; rows the mask discards are
   scratch (the reference leaves them partially closed, a compiled
   backend may abandon them at the first negative diagonal).
-* ``inclusion_matrix`` is exact *per pair of convex zones* (canonical
+* the reference inclusion matrix behind ``reduce_indices`` and
+  ``subsume_frontier`` is exact *per pair of convex zones* (canonical
   forms make inclusion a pointwise comparison); it is a sufficient but
-  not necessary test for inclusion in a *union* of zones, which is why
-  the federation layer uses it as a pre-filter in front of exact
-  subtraction.
+  not necessary test for inclusion in a *union* of zones.
 * ``disjoint_mask`` is exact: two canonical nonempty zones are disjoint
   iff some pair of opposing bounds sums below ``(0, <=)``.
 """
@@ -346,16 +345,6 @@ def extrapolate(stack: np.ndarray, max_consts: Sequence[int]) -> np.ndarray:
     return backend.extrapolate(
         stack, np.asarray(max_consts, dtype=np.int64)
     )
-
-
-def inclusion_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(ka, kb)`` boolean matrix: entry ``(x, y)`` iff ``b[y] ⊆ a[x]``.
-
-    Exact for canonical nonempty zones (pointwise bound comparison).
-    """
-    backend = _backends.active()
-    counters.inc(backend.counter)
-    return backend.inclusion_matrix(a, b)
 
 
 def disjoint_mask(stack: np.ndarray, zone_m: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ move leads to winning states, the controller wins by waiting (paper
 Def. 7/8 maximal-run semantics; this is what makes ``control: A<>
 IUT.Bright`` hold for the Smart Light).
 
+Each evaluation of a node is one ``node_equation`` kernel call on the
+node's expansion table, its successors' zones and their current wins
+(:meth:`_BaseSolver._update`); :meth:`_BaseSolver.recompute_node`
+composes the same equation in Python and is its reference.
+
 **Committed and urgent states** (``can_delay`` false) are all-boundary:
 time is frozen, so the whole zone is treated as forced and the fixpoint
 update degenerates to the untimed ``(G_act ∪ G_goal) \\ B`` step.  The
@@ -50,6 +55,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..dbm import Federation
 from ..dbm import backends as _backends
@@ -140,24 +147,10 @@ class _BaseSolver:
         self._goal_cache: Dict[int, Federation] = {}
         self._step = 0
         self._empty = Federation.empty(system.dim)
-        # Incremental-fixpoint caches.  Winning sets only grow, so
-        # ``Pred_e(Win(n'))`` pieces are permanently valid: per
-        # controllable edge we remember the successor win-version already
-        # folded into the node's accumulated G_act and only push the
-        # *increment* through Pred_e when the successor grew.  Losing
-        # sets ``Z(n') \ Win(n')`` shrink instead, so their preds are
-        # cached per edge keyed by the successor version and recomputed
-        # on version change.  ``Pred_e(Z(n'))`` and their union are
-        # static per node and cached outright.  Keys use ``id(edge)`` —
-        # edges are kept alive by their graph nodes.
-        self._gact_acc: Dict[int, Federation] = {}  # node.id -> G_act
-        self._edge_seen: Dict[int, int] = {}  # id(edge) -> folded version
-        self._pred_win_acc: Dict[int, Federation] = {}  # id(edge), u-edges
-        self._bad_cache: Dict[int, Federation] = {}  # id(edge) -> B_e
-        self._uen_edge: Dict[int, Federation] = {}  # id(edge) -> Pred(Z(n'))
-        self._uen_cache: Dict[int, Federation] = {}  # node.id -> union
+        # Per node: the out-edge win versions of its last evaluation, and
+        # the static operands of its equation (see ``_update``).
         self._eval_sig: Dict[int, Tuple[int, ...]] = {}
-        self._delta_cache: Dict[tuple, Federation] = {}
+        self._equations: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Per-node pieces
@@ -173,39 +166,6 @@ class _BaseSolver:
     def win_fed(self, node: GraphNode) -> Federation:
         entry = self.wins.get(node.id)
         return self._empty if entry is None else entry.win
-
-    def win_version(self, node: GraphNode) -> int:
-        """The fixpoint step at which the node's win last grew (0 = never)."""
-        entry = self.wins.get(node.id)
-        return 0 if entry is None else entry.version
-
-    def _win_delta(self, node: GraphNode, since: int) -> Federation:
-        """The union of win increments recorded after step ``since``.
-
-        Memoized per (node, since, version): every in-edge of a grown
-        node asks for the same delta during one propagation round.
-        """
-        entry = self.wins.get(node.id)
-        if entry is None:
-            return self._empty
-        key = (node.id, since, entry.version)
-        cached = self._delta_cache.get(key)
-        if cached is None:
-            zones = [
-                z
-                for step, fed in entry.layers
-                if step > since
-                for z in fed.zones
-            ]
-            cached = (
-                Federation(self.graph.system.dim, zones)
-                if zones
-                else self._empty
-            )
-            if len(self._delta_cache) > 4096:
-                self._delta_cache.clear()  # stale versions dominate; rebuild
-            self._delta_cache[key] = cached
-        return cached
 
     def _assemble(self, node: GraphNode, g_act, bad, u_enabled) -> Federation:
         """The fixpoint equation body, given the node's three edge terms:
@@ -226,88 +186,68 @@ class _BaseSolver:
     def _update(self, node: GraphNode) -> Federation:
         """Recompute the winning federation of a node from its successors.
 
-        Incremental: per-edge Pred caches mean only edges whose successor
-        win actually changed since the last evaluation do zone work; a
-        node whose successors are all unchanged returns its current win
-        without recomputing anything.
-
-        Both edge terms exploit monotonicity.  ``Pred_e`` is an inverse
-        image (reset pre-image ∩ guard ∩ source zone), so it distributes
-        over union *and* set difference; winning sets only grow, so
-
-        * ``Pred_e(Win(n'))`` is union-accumulated from the increments
-          recorded in the successor's layers, and
-        * ``B_e = Pred_e(Z(n') \\ Win(n')) = Pred_e(Z(n')) \\
-          Pred_e(Win(n'))`` falls out of the same accumulator and the
-          static ``Pred_e(Z(n'))`` without touching the full losing set.
+        One ``node_equation`` kernel call builds ``G_act``, ``B`` and the
+        enabled set from the successors' current wins (``Pred_e`` is an
+        inverse image, so it distributes over union and difference, and
+        ``B_e`` is ``Pred_e(Z(n')) \\ Pred_e(Win(n'))``) and runs the
+        equation body on them.  A node whose successors' win versions are
+        all unchanged since its last evaluation returns its current win
+        without a call.
         """
         sym = node.sym
-        sig = tuple(self.win_version(e.target) for e in node.out_edges)
+        wins = self.wins
+        entries = [wins.get(e.target.id) for e in node.out_edges]
+        sig = tuple(0 if e is None else e.version for e in entries)
         if self._eval_sig.get(node.id) == sig:
             counters.inc("solver.update_skipped")
             return self.win_fed(node)
         counters.inc("solver.updates")
-        g_act = self._gact_acc.get(node.id, self._empty)
-        u_enabled = self._uen_cache.get(node.id)
-        first_visit = u_enabled is None
-        if first_visit:
-            u_enabled = self._empty
-        bad = self._empty
-        for edge in node.out_edges:
-            eid = id(edge)
-            target_version = self.win_version(edge.target)
-            if edge.move.controllable:
-                seen = self._edge_seen.get(eid, 0)
-                if target_version > seen:
-                    delta = self._win_delta(edge.target, seen)
-                    if not delta.is_empty():
-                        counters.inc("solver.pred_delta")
-                        g_act = g_act.union(
-                            self.system.pred(sym, edge.move, delta)
-                        )
-                    self._edge_seen[eid] = target_version
-                else:
-                    counters.inc("solver.pred_cache_hits")
-                continue
-            uen_e = self._uen_edge.get(eid)
-            if uen_e is None:
-                uen_e = self.system.pred(
-                    sym, edge.move, Federation.from_zone(edge.target.zone)
-                )
-                self._uen_edge[eid] = uen_e
-                u_enabled = u_enabled.union(uen_e)
-            seen = self._edge_seen.get(eid, 0)
-            if target_version > seen or eid not in self._bad_cache:
-                acc = self._pred_win_acc.get(eid, self._empty)
-                if target_version > seen:
-                    delta = self._win_delta(edge.target, seen)
-                    if not delta.is_empty():
-                        counters.inc("solver.pred_delta")
-                        acc = acc.union(self.system.pred(sym, edge.move, delta))
-                        self._pred_win_acc[eid] = acc
-                    self._edge_seen[eid] = target_version
-                self._bad_cache[eid] = uen_e.subtract(acc)
-            else:
-                counters.inc("solver.pred_cache_hits")
-            bad_e = self._bad_cache[eid]
-            if not bad_e.is_empty():
-                bad = bad.union(bad_e)
-        self._gact_acc[node.id] = g_act
-        if first_visit:
-            self._uen_cache[node.id] = u_enabled
-        win = self._assemble(node, g_act, bad, u_enabled)
+        static = self._equations.get(node.id)
+        if static is None:
+            static = self._equations[node.id] = self._equation_operands(node)
+        invariant, goal, can_delay, slots, targets = static
+        none = self._empty._rows()
+        rows = _backends.active().node_equation(
+            sym.zone.m,
+            invariant,
+            goal,
+            can_delay,
+            node.table,
+            slots,
+            targets,
+            [none if e is None else e.win._rows() for e in entries],
+        )
         self._eval_sig[node.id] = sig
-        return win
+        return Federation._adopt(self.system.dim, rows)
+
+    def _equation_operands(self, node: GraphNode) -> tuple:
+        """The operands of a node's ``node_equation`` that never change:
+        invariant, goal, ``can_delay``, the out-edges' slots in the
+        node's expansion table and their target zones."""
+        sym = node.sym
+        dim = self.system.dim
+        edges = node.out_edges
+        targets = np.empty((len(edges), dim, dim), dtype=np.int64)
+        for x, edge in enumerate(edges):
+            targets[x] = edge.target.zone.m
+        return (
+            self.system.invariant_zone(sym.locs, sym.vars).m,
+            self.goal_fed(node)._rows(),
+            self.system.can_delay(sym.locs),
+            [edge.slot for edge in edges],
+            targets,
+        )
 
     def recompute_node(self, node: GraphNode) -> Federation:
-        """The fixpoint equation evaluated from scratch, bypassing every
-        incremental cache.
+        """The fixpoint equation composed in Python: the reference for
+        ``_update``'s fused ``node_equation`` call.
 
-        The reference for ``_update``'s incremental edge caches only (the
-        differential harness's fixpoint check): it builds ``G_act``,
-        ``B`` and the enabled set from the full successor wins, then
-        shares the equation body with ``_update``.  The reference for
-        that body is the numpy backend's ``fixpoint_body``, which the
+        It builds ``G_act``, ``B`` (as ``Pred_e(Z(n') \\ Win(n'))``) and
+        the enabled set edge by edge with :meth:`System.pred` and
+        :class:`Federation` algebra, then runs the equation body with
+        one ``fixpoint_body`` call.  The differential harness's fixpoint
+        check holds every solved node's win to it; the reference for the
+        body itself is the numpy backend's ``fixpoint_body``, which the
         ``kernel`` check holds every compiled backend to.
         """
         sym = node.sym

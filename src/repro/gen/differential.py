@@ -74,13 +74,13 @@ from .. import faults
 from ..dbm import DBM, INF, LE_ZERO, Federation, bound, negate
 from ..dbm import backends as dbm_backends
 from ..dbm import stack as _sk
-from ..dbm.backends.base import CHANGED, MovePlan
+from ..dbm.backends.base import CHANGED, ExpansionTable, MovePlan
 from ..dbm.backends.numpy_backend import NumpyBackend
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
 from ..graph.explorer import ExplorationLimit, SimulationGraph
 from ..par import steal_map
 from ..semantics.compose import EstimateLimit, StateEstimate
-from ..semantics.system import PARTIAL, DelayInterval, System
+from ..semantics.system import PARTIAL, DelayInterval, Move, System
 from ..tctl.query import parse_query
 from ..testing import (
     EagerPolicy,
@@ -276,8 +276,8 @@ def check_solvers(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
             )
     if cfg.check_fixpoint:
         for node in two.graph.nodes:
-            # recompute_node bypasses the solver's incremental caches, so
-            # this doubles as a differential check of the cached _update.
+            # recompute_node composes the equation in Python: the
+            # reference for _update's fused node_equation call.
             recomputed = two_solver.recompute_node(node)
             current = two_solver.win_fed(node)
             if not current.includes(recomputed):
@@ -908,7 +908,8 @@ def _fused_kernel_mismatch(
     byte-identical; no input matrix may be written.  Each call draws one
     case of :data:`SUCCESSOR_CASES` and one of :data:`PRED_CASES` unless
     given, with delay on or off at random; then, in half the calls, the
-    federation kernels (:func:`_federation_kernel_mismatch`).
+    federation kernels (:func:`_federation_kernel_mismatch`), and in the
+    other half the expansion kernels (:func:`_expand_kernel_mismatch`).
     """
     dim = rng.randint(2, 6)
     zone = _kernel_stack(rng, dim, 1)[0]
@@ -986,6 +987,89 @@ def _fused_kernel_mismatch(
         # Every other trial on average: the federation kernels' numpy
         # reference is the slowest code this check runs.
         return _federation_kernel_mismatch(rng, backend)
+    return _expand_kernel_mismatch(rng, backend, zone=zone)
+
+
+#: The expansion shapes :func:`_expand_kernel_mismatch` draws from: a
+#: plan that empties the zone among others, every plan extrapolating or
+#: none, and a table with no moves.
+EXPAND_CASES = ("plan_empties", "extrapolation", "no_extrapolation", "zero_moves")
+
+
+def _kernel_table(
+    rng: random.Random, plans: Sequence[MovePlan], controllable=None
+) -> ExpansionTable:
+    """An expansion table over ``plans``, each move controllable or not
+    at random unless ``controllable`` says which."""
+    moves = []
+    for x in range(len(plans)):
+        ctrl = rng.random() < 0.5 if controllable is None else controllable
+        moves.append(Move(f"m{x}", "input" if ctrl else "output", ctrl, ()))
+    return ExpansionTable(moves, [((x,), ()) for x in range(len(plans))], plans)
+
+
+def _expand_kernel_mismatch(
+    rng: random.Random,
+    backend,
+    case: Optional[str] = None,
+    zone: Optional[np.ndarray] = None,
+) -> Optional[str]:
+    """Run ``zone_expand`` and ``first_superset`` once each against the
+    numpy reference; the first mismatch, or None.
+
+    The masks must agree and kept rows be byte-identical, the probe must
+    return the same index, and no input may be written.  Draws one case
+    of :data:`EXPAND_CASES` unless given, and a zone of dim 2 or more
+    unless given.
+    """
+    if zone is None:
+        zone = _kernel_stack(rng, rng.randint(2, 6), 1)[0]
+    dim = zone.shape[0]
+    pristine = zone.copy()
+    case = case or rng.choice(EXPAND_CASES)
+    caps = tuple(rng.randint(0, 8) for _ in range(dim))
+    plans = []
+    for _ in range(0 if case == "zero_moves" else rng.randint(1, 4)):
+        base = _random_plan(rng, dim)
+        extrapolate = {"extrapolation": True, "no_extrapolation": False}.get(
+            case, rng.random() < 0.5
+        )
+        plans.append(base.extrapolating(caps if extrapolate else None))
+    if case == "plan_empties":
+        i, j = rng.sample(range(dim), 2)
+        back = int(zone[j, i])
+        guard = ((j, i, bound(rng.randint(0, 4), False)),) if back >= INF else ()
+        back = guard[0][2] if guard else back
+        guard += ((i, j, bound(-(back >> 1), True)),)
+        base = _random_plan(rng, dim)
+        plans.insert(
+            rng.randint(0, len(plans)),
+            MovePlan(guard, base.assigns, base.invariant, base.delay),
+        )
+    table = _kernel_table(rng, plans)
+    ref_rows, ref_ok = _REFERENCE.zone_expand(zone, table)
+    got_rows, got_ok = backend.zone_expand(zone, table)
+    if not (
+        np.array_equal(ref_ok, got_ok)
+        and np.array_equal(ref_rows[ref_ok], got_rows[ref_ok])
+    ):
+        return (
+            f"zone_expand ({case}): ref={ref_ok.tolist()}"
+            f" got={got_ok.tolist()} {plans!r}"
+        )
+    if not np.array_equal(zone, pristine):
+        return f"zone_expand wrote its input zone ({case})"
+    # Probe one of the zones in play against the others: a hit or a miss.
+    candidates = [zone, *ref_rows[ref_ok]]
+    probe = candidates.pop(rng.randrange(len(candidates)))
+    stack = np.array(candidates, dtype=np.int64).reshape(-1, dim, dim)
+    stack_pristine = stack.copy()
+    ref_hit = _REFERENCE.first_superset(stack, probe)
+    got_hit = backend.first_superset(stack, probe)
+    if ref_hit != got_hit:
+        return f"first_superset ({case}): ref={ref_hit} got={got_hit}"
+    if not np.array_equal(stack, stack_pristine):
+        return "first_superset wrote its input stack"
     return None
 
 
@@ -1042,7 +1126,9 @@ def _federation_kernel_mismatch(
     Results must be byte-identical, zone order included; ``fed_subtract``
     must return its first operand itself exactly when the reference does;
     no input may be written.  Draws one case of :data:`SUBTRACT_CASES`
-    and one of :data:`PREDT_CASES` unless given.
+    and one of :data:`PREDT_CASES` unless given; then, in half the calls,
+    runs ``node_equation`` on the same zone pool
+    (:func:`_equation_kernel_mismatch`).
     """
     dim = rng.randint(1, 5)
     pool = _kernel_pool(rng, dim)
@@ -1140,6 +1226,69 @@ def _federation_kernel_mismatch(
         )
     if not all(np.array_equal(x, y) for x, y in zip(inputs, pristine)):
         return "a federation kernel wrote an input"
+    if rng.random() < 0.5:
+        return _equation_kernel_mismatch(rng, backend, pool=pool)
+    return None
+
+
+#: The node-equation shapes :func:`_equation_kernel_mismatch` draws
+#: from: only controllable out-edges, only uncontrollable ones, an
+#: uncontrollable edge into a target with no winning state, or a node
+#: that cannot delay; otherwise random edges.
+EQUATION_CASES = (
+    "controllable_only", "uncontrollable_only", "losing_target", "no_delay",
+    "random",
+)
+
+
+def _equation_kernel_mismatch(
+    rng: random.Random,
+    backend,
+    case: Optional[str] = None,
+    pool: Optional[List[DBM]] = None,
+) -> Optional[str]:
+    """Run ``node_equation`` once against the numpy reference; the first
+    mismatch, or None.
+
+    The result must be byte-identical, zone order included, and no input
+    may be written.  Draws one case of :data:`EQUATION_CASES` unless
+    given, and the zones from ``pool`` (:func:`_kernel_pool`) unless
+    given.
+    """
+    if pool is None:
+        pool = _kernel_pool(rng, rng.randint(1, 5))
+    dim = pool[0].dim
+    case = case or rng.choice(EQUATION_CASES)
+    zone = rng.choice(pool).m
+    invariant = _kernel_invariant(rng, zone)
+    goal = np.array(
+        [rng.choice(pool).m for _ in range(rng.randint(0, 1))], dtype=np.int64
+    ).reshape(-1, dim, dim)
+    ne = rng.randint(1, 2)
+    controllable = {"controllable_only": True, "uncontrollable_only": False}
+    table = _kernel_table(
+        rng,
+        [_random_plan(rng, dim) for _ in range(ne + 1)],
+        controllable.get(case, False if case == "losing_target" else None),
+    )
+    slots = [rng.randrange(ne + 1) for _ in range(ne)]
+    targets = np.stack([rng.choice(pool).m for _ in range(ne)])
+    wins = [_kernel_fed(rng, pool, rng.randint(0, 2)) for _ in range(ne)]
+    if case == "losing_target":
+        wins[rng.randrange(ne)] = wins[0][:0]
+    can_delay = case != "no_delay" and rng.random() < 0.75
+    inputs = [zone, invariant, goal, targets, *wins]
+    pristine = [x.copy() for x in inputs]
+    args = (zone, invariant, goal, can_delay, table, slots, targets, wins)
+    ref = _REFERENCE.node_equation(*args)
+    got = backend.node_equation(*args)
+    if not np.array_equal(ref, got):
+        return (
+            f"node_equation ({case}, can_delay={can_delay}): ref="
+            f"{ref.shape[0]} zones got={got.shape[0]} zones dim={dim}"
+        )
+    if not all(np.array_equal(x, y) for x, y in zip(inputs, pristine)):
+        return f"node_equation wrote an input ({case})"
     return None
 
 
@@ -1185,12 +1334,7 @@ def _kernel_trial_mismatch(
     if not rows_match(ref_m, got_m, ref_ok):
         return f"extrapolate kept rows differ: caps={caps}"
 
-    # inclusion_matrix / reduce_indices / subsume_frontier — read-only.
-    if not np.array_equal(
-        _sk._inclusion_matrix_ref(stack, other),
-        backend.inclusion_matrix(stack, other),
-    ):
-        return "inclusion_matrix differs"
+    # reduce_indices / subsume_frontier — read-only.
     if _sk._reduce_indices_ref(stack) != backend.reduce_indices(stack):
         return "reduce_indices differs"
     seen = other if rng.random() < 0.8 else None
@@ -1294,7 +1438,9 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     2. *kernel demotion* — every compiled backend, forced to demote on
        every call by an injected ``dbm.<name>.compute`` fault, must
        return byte-identical masks and rows to the numpy reference, on
-       a stacked kernel and on the per-zone kernels;
+       a stacked kernel and on the chain of :func:`_zone_kernel_mismatch`
+       (per-zone and fused step kernels, then the expansion kernels or
+       the federation and node-equation kernels);
     3. *store degradation* — a corpus write torn by an injected
        ``corpus.store.write`` fault must quarantine on read (no torn
        payload ever served) and ``fsck(repair=True)`` must restore the

@@ -11,10 +11,12 @@ finite; for models with diagonal guards extrapolation is disabled and
 termination relies on bounded clocks (checked by the caller via
 ``max_nodes``).
 
-Each edge costs one backend call, :meth:`System.successor` (guard,
-clock assignments, target invariant, delay closure and extrapolation,
-fused), and nodes are interned by the bytes of the extrapolated
-canonical zone.
+Each node costs one backend call forward, ``zone_expand`` on the
+discrete state's :meth:`System.expansion` table: every enabled move's
+guard, clock assignments, target invariant, delay closure and
+extrapolation, fused.  Successors are interned by the bytes of the
+extrapolated canonical zone, and a new zone is probed for a node of its
+discrete state whose zone includes it with one ``first_superset`` call.
 """
 
 from __future__ import annotations
@@ -27,17 +29,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dbm import DBM
+from ..dbm import backends as _backends
+from ..dbm.backends.base import ExpansionTable
 from ..semantics.state import DiscreteKey, SymbolicState
 from ..semantics.system import CLOSED, Move, System
 
 
 class _ZoneIndex:
-    """Append-only stack of zone matrices with a batched superset probe.
+    """Append-only stack of one discrete state's node zones.
 
-    Interning does one subsumption scan per freshly computed symbolic
-    state; with many nodes per discrete key that is the explorer's inner
-    loop.  Keeping the key's zones stacked in one ``(cap, dim, dim)``
-    buffer turns the scan into a single broadcast comparison.
+    Interning probes it once per freshly computed symbolic state with the
+    backend's ``first_superset`` kernel; with many nodes per discrete
+    state that is the explorer's inner loop, so the zones stay stacked
+    in one ``(cap, dim, dim)`` buffer.
     """
 
     __slots__ = ("buf", "count")
@@ -57,14 +61,6 @@ class _ZoneIndex:
         self.buf[self.count] = matrix
         self.count += 1
 
-    def find_superset(self, matrix: np.ndarray) -> int:
-        """Index of the first stored zone including ``matrix``, or -1."""
-        if not self.count:
-            return -1
-        hits = (self.buf[: self.count] >= matrix).all(axis=(1, 2))
-        idx = int(np.argmax(hits))
-        return idx if hits[idx] else -1
-
 
 class ExplorationLimit(RuntimeError):
     """Raised when exploration exceeds its node or time budget."""
@@ -75,6 +71,8 @@ class GraphEdge:
     source: "GraphNode"
     move: Move
     target: "GraphNode"
+    #: The move's index in the source node's :attr:`GraphNode.table`.
+    slot: int
 
     def __repr__(self) -> str:
         return f"GraphEdge({self.source.id} -{self.move.label}-> {self.target.id})"
@@ -86,6 +84,8 @@ class GraphNode:
     sym: SymbolicState
     out_edges: List[GraphEdge] = field(default_factory=list)
     in_edges: List[GraphEdge] = field(default_factory=list)
+    #: The discrete state's expansion table, once the node is expanded.
+    table: Optional[ExpansionTable] = None
 
     @property
     def key(self) -> DiscreteKey:
@@ -162,7 +162,8 @@ class SimulationGraph:
         zkey = matrix.tobytes()
         zone = self._zone_intern.get(zkey)
         if zone is None:
-            zone = self._zone_intern[zkey] = DBM(matrix)
+            # A copy: the matrix may be a row of a whole expansion stack.
+            zone = self._zone_intern[zkey] = DBM(matrix.copy())
         key = (locs, vars)
         # Keyed by the interned zone's bytes, one object per distinct zone.
         memo_key = (key, zone.hash_key())
@@ -171,7 +172,9 @@ class SimulationGraph:
             return node
         index = self._zone_index.get(key)
         if index is not None:
-            hit = index.find_superset(zone.m)
+            hit = _backends.active().first_superset(
+                index.buf[: index.count], zone.m
+            )
             if hit >= 0:
                 node = self._by_key[key][hit]
         created = node is None
@@ -196,23 +199,25 @@ class SimulationGraph:
     # Expansion
     # ------------------------------------------------------------------
 
-    def moves_from(self, node: GraphNode) -> List[Move]:
-        """Enabled moves at a node (closed, open, or partial semantics)."""
-        sym = node.sym
-        return self.system.moves_from(sym.locs, sym.vars, self.mode)
-
     def expand(self, node: GraphNode) -> List[GraphEdge]:
-        """Compute (once) and return the outgoing edges of a node."""
+        """Compute (once) and return the outgoing edges of a node: one
+        ``zone_expand`` call over its discrete state's table."""
         if self._expanded.get(node.id):
             return node.out_edges
         self._expanded[node.id] = True
-        successor = self.system.successor
-        for move in self.moves_from(node):
-            step = successor(node.sym, move, self.max_consts)
-            if step is None:
+        sym = node.sym
+        table = node.table = self.system.expansion(
+            sym.locs, sym.vars, self.mode, self.max_consts
+        )
+        if not table.moves:
+            return node.out_edges
+        rows, ok = _backends.active().zone_expand(sym.zone.m, table)
+        for slot, nonempty in enumerate(ok.tolist()):
+            if not nonempty:
                 continue
-            target = self._intern(*step)
-            edge = GraphEdge(node, move, target)
+            locs, vars = table.targets[slot]
+            target = self._intern(locs, vars, rows[slot])
+            edge = GraphEdge(node, table.moves[slot], target, slot)
             node.out_edges.append(edge)
             target.in_edges.append(edge)
         return node.out_edges

@@ -3,13 +3,16 @@
 This is the TIOTS of Definition 4, in two flavours:
 
 * **symbolic** — zones (DBMs) per discrete state, with ``post`` (discrete
-  successor), ``delay_closure`` (time successor within invariants),
-  ``successor`` (the explorer's step: both, then extrapolation) and
+  successor), ``delay_closure`` (time successor within invariants) and
   ``pred`` (discrete predecessor of a federation), the building blocks of
-  the zone-graph explorer and the game solver.  ``post``, ``successor``
-  and ``pred`` each run one fused backend kernel per zone on a
+  the zone-graph explorer and the game solver.  ``post`` and ``pred``
+  each run one fused backend kernel per zone on a
   :class:`~repro.dbm.backends.base.MovePlan` compiled once per move and
-  discrete state (:meth:`System.step_plan`);
+  discrete state (:meth:`System.step_plan`); :meth:`System.expansion`
+  packs every enabled step of a discrete state into one
+  :class:`~repro.dbm.backends.base.ExpansionTable`, on which the
+  explorer expands a node and the solver evaluates its fixpoint
+  equation in one kernel call each;
 * **concrete** — exact rational valuations with enabled-delay intervals,
   used by the test executor and the simulated implementations.
 
@@ -66,11 +69,9 @@ from operator import itemgetter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from ..dbm import DBM, Federation
 from ..dbm import backends as _backends
-from ..dbm.backends.base import MovePlan
+from ..dbm.backends.base import ExpansionTable, MovePlan
 from ..dbm.bounds import decoded
 from ..dbm.dbm import Window, fold_delay_window
 from ..expr.env import Declarations
@@ -195,6 +196,7 @@ class System:
                 "assign": {},
                 "steps": {},
                 "plans": {},
+                "expansions": {},
                 "ctx": {},
                 "edge_int_slots": {},
                 "guard_slots": {},
@@ -222,6 +224,8 @@ class System:
         # that compile to the same step share one plan.
         self._step_cache: Dict[tuple, tuple] = shared["steps"]
         self._plans: Dict[tuple, MovePlan] = shared["plans"]
+        # (mode, locs, vars, caps) -> ExpansionTable.
+        self._expansions: Dict[tuple, ExpansionTable] = shared["expansions"]
         self._ctx_cache: Dict[Tuple[int, ...], Context] = shared["ctx"]
         self._edge_int_slots: Dict[int, object] = shared["edge_int_slots"]
         self._guard_slots: Dict[Tuple[int, ...], object] = shared["guard_slots"]
@@ -840,28 +844,35 @@ class System:
             return None
         return SymbolicState(target[0], target[1], DBM(m))
 
-    def successor(
+    def expansion(
         self,
-        sym: SymbolicState,
-        move: Move,
+        locs: Tuple[int, ...],
+        vars: Tuple[int, ...],
+        mode: str = CLOSED,
         caps: Optional[Tuple[int, ...]] = None,
-    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray]]:
-        """The zone-graph step: :meth:`post`, :meth:`delay_closure`, then
-        ExtraM against ``caps`` (None: none), as one kernel call.
+    ) -> ExpansionTable:
+        """Every zone-graph step from a discrete state, compiled once.
 
-        Returns the target ``(locs, vars, matrix)`` — the canonical
-        matrix, not yet wrapped, so the explorer can intern it by its
-        bytes first — or None if the move is disabled.
+        The moves of :meth:`moves_from` whose discrete part does not
+        block, with their targets and their plans followed by ExtraM
+        against ``caps`` (None: none): the input of the ``zone_expand``
+        and ``node_equation`` kernels.  Memoized per (mode, discrete
+        state, caps).
         """
-        target, plan = self.step_plan(sym.locs, sym.vars, move)
-        if target is None or sym.zone.is_empty():
-            return None
-        m = _backends.active().zone_successor(
-            sym.zone.m, plan.extrapolating(caps)
-        )
-        if m is None:
-            return None
-        return target[0], target[1], m
+        key = (mode, locs, vars, caps)
+        table = self._expansions.get(key)
+        if table is None:
+            moves, targets, plans = [], [], []
+            for move in self.moves_from(locs, vars, mode):
+                target, plan = self.step_plan(locs, vars, move)
+                if target is not None:
+                    moves.append(move)
+                    targets.append(target)
+                    plans.append(plan.extrapolating(caps))
+            table = self._expansions[key] = ExpansionTable(
+                moves, targets, plans
+            )
+        return table
 
     def pred(
         self,

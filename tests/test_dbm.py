@@ -11,7 +11,6 @@ from repro.dbm.bounds import INF, LE_ZERO
 
 
 from tests.zone_strategies import (
-    DIM,
     big_federations,
     box,
     diagonal_zones,
@@ -236,20 +235,6 @@ class TestTighten:
         via_tighten = z.tighten(1, 0, le(5)).tighten(0, 2, le(-1))
         via_constrained = z.constrained([(1, 0, le(5)), (0, 2, le(-1))])
         assert via_tighten.equals(via_constrained)
-
-    def test_would_be_empty_after(self):
-        z = box(2, [(3, 8)])
-        assert z.would_be_empty_after(1, 0, le(2))  # x <= 2 contradicts x >= 3
-        assert not z.would_be_empty_after(1, 0, le(5))
-
-    @given(zones(), st.integers(0, DIM - 1), st.integers(0, DIM - 1),
-           st.integers(-8, 12), st.booleans())
-    @settings(max_examples=250, deadline=None)
-    def test_pre_test_agrees_with_tighten(self, z, i, j, value, strict):
-        if i == j:
-            return
-        enc = (value << 1) | (0 if strict else 1)
-        assert z.would_be_empty_after(i, j, enc) == z.tighten(i, j, enc).is_empty()
 
 
 class TestExtrapolate:

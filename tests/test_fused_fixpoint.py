@@ -2,10 +2,11 @@
 
 ``Federation.subtract`` (and with it ``includes`` and ``compact``) makes
 one ``fed_subtract`` call, ``repro.game.predt.predt`` one ``fed_predt``
-call and each solver ``_update`` one ``fixpoint_body`` call for the
-equation body.  A compiled backend must return exactly the reference's
-zones in the reference's order, so the rank layers, strategies and
-verdicts built on them do not depend on the backend.  These tests hold
+call and each solver ``_update`` one ``node_equation`` call, whose
+equation body is the ``fixpoint_body`` code.  A compiled backend must
+return exactly the reference's zones in the reference's order, so the
+rank layers, strategies and verdicts built on them do not depend on the
+backend.  These tests hold
 the compiled kernels to that on the Table 1 solves, on the shared
 hypothesis federations and under injected faults.
 """
@@ -86,7 +87,7 @@ def test_every_update_matches_numpy(name, tp, n, cls, monkeypatch):
 @pytest.mark.parametrize("name", COMPILED)
 @pytest.mark.parametrize("tp,n,cls", SOLVES)
 def test_every_equation_body_matches_reference(name, tp, n, cls, monkeypatch):
-    """Each ``fixpoint_body`` call of a compiled solve, replayed on the
+    """Each ``node_equation`` call of a compiled solve, replayed on the
     numpy reference with the same inputs, gives the same stack."""
     backend = backends_mod.resolve(name)
     calls = []
@@ -95,9 +96,9 @@ def test_every_equation_body_matches_reference(name, tp, n, cls, monkeypatch):
         def __getattr__(self, attr):
             return getattr(backend, attr)
 
-        def fixpoint_body(self, *args):
-            got = backend.fixpoint_body(*args)
-            want = REFERENCE.fixpoint_body(*args)
+        def node_equation(self, *args):
+            got = backend.node_equation(*args)
+            want = REFERENCE.node_equation(*args)
             calls.append(same_rows(got, want))
             return got
 

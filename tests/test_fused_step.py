@@ -1,12 +1,15 @@
 """The fused step kernels against the zone operations they stand for.
 
-``System.successor`` and ``System.post`` make one ``zone_successor`` call
-per step and ``System.pred`` one ``zone_pred`` call per target zone, on a
-compiled :class:`~repro.dbm.backends.base.MovePlan`.  These tests replay
-every edge of explored graphs through the composed per-zone ``DBM``
-operations (guard, assignment, invariant, up, invariant, extrapolation;
-assignment pre-image, guard, intersection) and require the same
-successor bytes and the same pred federation, under every backend.
+The explorer makes one ``zone_expand`` call per node (one
+``zone_successor`` per enabled move of the discrete state's
+:meth:`System.expansion` table), ``System.post`` one ``zone_successor``
+call per step and ``System.pred`` one ``zone_pred`` call per target
+zone, on compiled :class:`~repro.dbm.backends.base.MovePlan` objects.  These
+tests replay every enabled move of explored graphs through the composed
+per-zone ``DBM`` operations (guard, assignment, invariant, up,
+invariant, extrapolation; assignment pre-image, guard, intersection)
+and require the same successor bytes and the same pred federation,
+under every backend.
 """
 
 import random
@@ -68,6 +71,22 @@ def composed_pred(system, source, move, target_fed):
     return Federation(system.dim, zones)
 
 
+def expanded(graph, node):
+    """Each enabled move's zone-graph step from a node, through the
+    node's expansion table: move key -> (locs, vars, matrix) or None."""
+    sym = node.sym
+    table = graph.system.expansion(
+        sym.locs, sym.vars, graph.mode, graph.max_consts
+    )
+    steps = {}
+    if table.moves:
+        rows, ok = backends_mod.active().zone_expand(sym.zone.m, table)
+        for slot, move in enumerate(table.moves):
+            target = table.targets[slot]
+            steps[move.key] = (*target, rows[slot]) if ok[slot] else None
+    return steps
+
+
 def check_graph(graph):
     """Every edge (and every enabled move) of an explored graph."""
     system = graph.system
@@ -75,9 +94,10 @@ def check_graph(graph):
     steps = 0
     for node in graph.nodes:
         sym = node.sym
-        for move in graph.moves_from(node):
+        got_steps = expanded(graph, node)
+        for move in system.moves_from(sym.locs, sym.vars, graph.mode):
             want = composed_successor(system, sym, move, caps)
-            got = system.successor(sym, move, caps)
+            got = got_steps.get(move.key)
             assert (want is None) == (got is None), move.describe()
             post = system.post(sym, move)
             if want is None:
@@ -89,6 +109,9 @@ def check_graph(graph):
             assert got[2].tobytes() == zone.hash_key(), move.describe()
             bare = composed_successor(system, sym, move, None, delay=False)
             assert post.zone.hash_key() == bare[2].hash_key()
+        assert [e.move.key for e in node.out_edges] == [
+            key for key, step in got_steps.items() if step is not None
+        ]
     for node in graph.nodes:
         for edge in node.out_edges:
             targets = [Federation.from_zone(edge.target.zone)]
@@ -173,15 +196,13 @@ def test_injected_fault_demotes_fused_calls(name):
     edge = node.out_edges[0]
     target = Federation.from_zone(edge.target.zone)
     with backends_mod.use_backend(backends_mod.resolve(name)):
-        want_succ = system.successor(node.sym, edge.move, graph.max_consts)
+        want_succ = expanded(graph, node)[edge.move.key]
         want_pred = system.pred(node.sym, edge.move, target)
         for call in ("successor", "pred"):
             before = counters.export()
             with faults.injected(f"dbm.{name}.compute:1"):
                 if call == "successor":
-                    got = system.successor(
-                        node.sym, edge.move, graph.max_consts
-                    )
+                    got = expanded(graph, node)[edge.move.key]
                 else:
                     got = system.pred(node.sym, edge.move, target)
             delta = counters.diff(before, counters.export())
