@@ -13,7 +13,7 @@ timings per cell) and ``examples/lep_case_study.py`` (full table print).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.graph import ExplorationLimit
 from repro.game import TwoPhaseSolver, OnTheFlySolver

@@ -7,7 +7,6 @@ checks the strategy's structural properties; the strategy text itself is
 regenerated by ``examples/smartlight_strategy.py``.
 """
 
-import pytest
 
 from repro.game import Strategy, solve_reachability_game
 from repro.models.smartlight import smartlight_network

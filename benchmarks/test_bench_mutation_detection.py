@@ -19,8 +19,7 @@ campaign re-run starts from scratch).  With the win-set cache of
 :mod:`repro.game.warm` the repeat solves collapse to a cache lookup.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import pytest
 

@@ -29,6 +29,7 @@ from .eval import (
     Context,
     EvalError,
     apply_assignments,
+    compile_expr,
     evaluate,
     evaluate_bool,
     static_int_bound,

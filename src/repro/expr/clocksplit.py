@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ast import Binary, Expr, Name, Unary, conjuncts, names_in
 from .env import Declarations
-from .eval import Context, evaluate, static_int_bound
+from .eval import Context, evaluate, evaluate_bool, static_int_bound
 
 
 class GuardError(ValueError):
@@ -37,9 +37,12 @@ class ClockAtom:
 
     def constraints(self, ctx: Context) -> List[Tuple[int, int, int]]:
         """Encoded DBM constraints for this atom in a discrete context."""
+        return self.encode(evaluate(self.rhs, ctx))
+
+    def encode(self, k: int) -> List[Tuple[int, int, int]]:
+        """Encoded DBM constraints for this atom with bound value ``k``."""
         from ..dbm.bounds import MAX_BOUND_CONST
 
-        k = evaluate(self.rhs, ctx)
         if not -MAX_BOUND_CONST <= k <= MAX_BOUND_CONST:
             raise GuardError(
                 f"clock bound constant {k} exceeds the supported range"
@@ -84,8 +87,6 @@ class SplitGuard:
 
     def int_holds(self, ctx: Context) -> bool:
         """Whether every integer atom holds in the discrete context."""
-        from .eval import evaluate_bool
-
         return all(evaluate_bool(atom, ctx) for atom in self.int_atoms)
 
     def clock_constraints(self, ctx: Context) -> List[Tuple[int, int, int]]:

@@ -67,6 +67,9 @@ class Declarations:
         self.arrays: Dict[str, IntArray] = {}
         self.clocks: List[str] = []
         self.range_types: Dict[str, Tuple[int, int]] = {}
+        #: Compiled closures of :mod:`repro.expr.eval`, keyed by content;
+        #: emptied whenever a declaration is added.
+        self.compiled: Dict[tuple, object] = {}
         self._slots = 0
 
     # ------------------------------------------------------------------
@@ -74,6 +77,7 @@ class Declarations:
     # ------------------------------------------------------------------
 
     def _check_fresh(self, name: str) -> None:
+        self.compiled.clear()
         if (
             name in self.constants
             or name in self.int_vars

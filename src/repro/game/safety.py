@@ -102,9 +102,8 @@ class SafetyGameSolver:
         return self.loses.get(node.id, self._empty)
 
     def _boundary(self, node: GraphNode) -> Federation:
-        # Reuse the reachability solver's boundary computation.
-        from .solver import TwoPhaseSolver  # noqa: F401 (doc pointer)
-
+        # The closed upper faces of the invariant, as in the reachability
+        # solvers (repro.game.solver).
         sym = node.sym
         if not self.system.can_delay(sym.locs):
             return Federation.from_zone(sym.zone)

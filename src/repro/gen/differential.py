@@ -1394,6 +1394,11 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     differential: always on, so no campaign can silently run on a kernel
     backend that was never cross-checked.  SKIP where no compiled
     backend loads (numpy is the reference itself).
+
+    The trials run with no fault armed, and a compiled call that demotes
+    to the reference fails the check: a guarded backend whose kernel
+    raises on every call would otherwise compare equal (it *is* the
+    reference then) without ever running compiled code.
     """
     backends_under_test = [
         dbm_backends.resolve(name)
@@ -1406,9 +1411,14 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     for trial in range(8):
         trial_seed = rng.randrange(2**63)
         for backend in backends_under_test:
-            mismatch = _kernel_trial_mismatch(
-                random.Random(trial_seed), backend
-            )
+            before = _demotions()
+            with faults.injected(None):
+                mismatch = _kernel_trial_mismatch(
+                    random.Random(trial_seed), backend
+                )
+            demoted = _demotions() - before
+            if demoted and not mismatch:
+                mismatch = f"{demoted} compiled call(s) demoted to the reference"
             if mismatch:
                 return CheckResult(
                     "kernel",
@@ -1416,6 +1426,11 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
                     f"backend {backend.name!r} trial {trial}: {mismatch}",
                 )
     return CheckResult("kernel", OK)
+
+
+def _demotions() -> int:
+    """The process's ``dbm.backend_demotions`` count so far."""
+    return counters.export()["counts"].get("dbm.backend_demotions", 0)
 
 
 # ----------------------------------------------------------------------

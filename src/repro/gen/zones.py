@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..dbm import DBM, Federation, bound, subtract_zone
 from ..game.predt import predt

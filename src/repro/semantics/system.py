@@ -24,7 +24,11 @@ TIOGA convention: input channels are controllable; output, broadcast, and
 internal moves are uncontrollable (internal edges carry an explicit flag).
 
 Move enumeration comes in **three modes**, all served by one core
-(:meth:`System.moves_from`):
+(:meth:`System.moves_from`).  A network's discrete semantics is compiled
+once, lazily: its integer expressions become closures
+(:mod:`repro.expr.eval`), and each (mode, location vector) gets its
+ordered move candidates, which a variable state only filters by the
+guards they need:
 
 ``closed``
     The flat product: every synchronization completes inside the network
@@ -67,15 +71,24 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dbm import DBM, Federation
 from ..dbm import backends as _backends
 from ..dbm.backends.base import ExpansionTable, MovePlan
 from ..dbm.bounds import decoded
 from ..dbm.dbm import Window, fold_delay_window
+from ..expr.ast import names_in
+from ..expr.clocksplit import ClockAtom, GuardError
 from ..expr.env import Declarations
-from ..expr.eval import Context, EvalError, apply_assignments
+from ..expr.eval import (
+    Context,
+    EvalError,
+    compile_conjunction,
+    compile_expr,
+    compile_writes,
+    constant_value,
+)
 from ..ta.model import Automaton, Edge, ModelError, Network
 from .state import ConcreteState, SymbolicState, zero_valuation
 
@@ -162,6 +175,28 @@ class DelayInterval:
         )
 
 
+class _Broadcast:
+    """A template entry whose moves depend on which receivers listen.
+
+    ``head`` is the emitter ``((i, edge),)`` (empty for an environment
+    emission received in partial mode); ``groups`` lists, per listening
+    automaton in index order, ``(j, committed, ((guard, edge), ...))``.
+    """
+
+    __slots__ = ("label", "direction", "controllable", "head", "need_committed",
+                 "groups")
+
+    def __init__(self, label, direction, controllable, head, need_committed, groups):
+        self.label = label
+        self.direction = direction
+        self.controllable = controllable
+        self.head = head
+        #: The state is committed but the emitter is not: some receiver
+        #: must sit in a committed location.
+        self.need_committed = need_committed
+        self.groups = groups
+
+
 class System:
     """Semantic wrapper around a prepared :class:`Network`."""
 
@@ -175,50 +210,56 @@ class System:
         self._proc_index: Dict[str, int] = {
             a.name: i for i, a in enumerate(self.automata)
         }
-        # Memoization of per-discrete-state computations: the solver asks
-        # for the same invariant zones, move lists, and guard constraints
-        # thousands of times during the backward fixpoint.  Everything
-        # below is a pure function of the (frozen, prepared) network, so
-        # the cache bundle is stored *on the network* and shared by every
-        # System wrapping it — workloads that build many Systems of the
-        # same model (the differential harness, benchmark rounds) start
-        # warm instead of re-deriving tables and re-evaluating guards.
+        # The network's compiled discrete semantics and the memoized
+        # per-discrete-state results built on it.  Everything below is a
+        # pure function of the (frozen, prepared) network, so the bundle
+        # is stored *on the network* and shared by every System wrapping
+        # it — workloads that build many Systems of the same model (the
+        # differential harness, benchmark rounds) start warm.  Each part
+        # is built lazily, on first use.
         shared = getattr(network, "_semantics_caches", None)
         if shared is None:
             shared = network._semantics_caches = {
-                "inv": {},
-                "inv_cons": {},
-                "moves": {},
-                "guard": {},
-                "int_guard": {},
-                "inv_int": {},
+                "guard_fns": [],
+                "guard_ids": {},
+                "edge_guard": {},
+                "templates": {},
+                "broadcasts": {},
+                "updates": {},
+                "guard_bounds": {},
                 "resets": {},
-                "assign": {},
+                "invariants": {},
+                "step_statics": {},
+                "inv": {},
+                "moves": {},
                 "steps": {},
                 "plans": {},
                 "expansions": {},
-                "ctx": {},
-                "edge_int_slots": {},
-                "guard_slots": {},
-                "locs_inv_slots": {},
-                "moves_slots": {},
             }
-        self._inv_cache: Dict[tuple, DBM] = shared["inv"]
-        self._inv_cons_cache: Dict[tuple, list] = shared["inv_cons"]
-        self._moves_cache: Dict[tuple, List["Move"]] = shared["moves"]
-        self._guard_cache: Dict[tuple, list] = shared["guard"]
-        # Guard/invariant caches are keyed by the *projection* of the
-        # variable state onto the slots the expressions actually read —
-        # a guard over one counter is evaluated once per value of that
-        # counter, not once per global var state.  Read-slot sets are
-        # derived syntactically (names_in); array reads conservatively
-        # cover the whole array since indices may be dynamic.
-        self._int_guard_cache: Dict[tuple, bool] = shared["int_guard"]
-        self._inv_int_cache: Dict[tuple, bool] = shared["inv_int"]
+        # Integer guards, compiled once per distinct content: a guard id
+        # indexes ``_guard_fns``; edges without integer atoms have None.
+        self._guard_fns: List = shared["guard_fns"]
+        self._guard_ids: Dict[tuple, int] = shared["guard_ids"]
+        self._edge_guard: Dict[int, Optional[int]] = shared["edge_guard"]
+        # (mode, locs) -> ordered move candidates (see moves_from).
+        self._templates: Dict[tuple, list] = shared["templates"]
+        # (direction, edge key) -> the broadcast Move of that combination.
+        self._broadcasts: Dict[tuple, "Move"] = shared["broadcasts"]
+        # Per move key: the compiled variable update, the clock-guard
+        # bounds (a tuple, or a function of the variables) and the resets.
+        self._updates: Dict[Tuple[int, ...], object] = shared["updates"]
+        self._guard_bounds: Dict[Tuple[int, ...], object] = shared["guard_bounds"]
         self._resets_cache: Dict[
             Tuple[int, ...], Tuple[Tuple[int, int], ...]
         ] = shared["resets"]
-        self._assign_cache: Dict[tuple, tuple] = shared["assign"]
+        # locs -> (integer invariant or None, clock bounds, can delay).
+        self._invariants: Dict[Tuple[int, ...], tuple] = shared["invariants"]
+        # (move key, source locs) -> everything of a step but the vars.
+        self._step_statics: Dict[tuple, tuple] = shared["step_statics"]
+        # Invariant constraints -> invariant zone.
+        self._inv_cache: Dict[tuple, DBM] = shared["inv"]
+        # (mode, locs, vars) -> enabled moves.
+        self._moves_cache: Dict[tuple, List["Move"]] = shared["moves"]
         # (move, source locs, source vars) -> (target or None, plan); the
         # plans themselves are interned by content, so moves and states
         # that compile to the same step share one plan.
@@ -226,13 +267,6 @@ class System:
         self._plans: Dict[tuple, MovePlan] = shared["plans"]
         # (mode, locs, vars, caps) -> ExpansionTable.
         self._expansions: Dict[tuple, ExpansionTable] = shared["expansions"]
-        self._ctx_cache: Dict[Tuple[int, ...], Context] = shared["ctx"]
-        self._edge_int_slots: Dict[int, object] = shared["edge_int_slots"]
-        self._guard_slots: Dict[Tuple[int, ...], object] = shared["guard_slots"]
-        self._locs_inv_slots: Dict[Tuple[int, ...], tuple] = shared[
-            "locs_inv_slots"
-        ]
-        self._moves_slots: Dict[Tuple[int, ...], object] = shared["moves_slots"]
         # Per automaton: location index -> internal edges.  Sync edges are
         # double-indexed channel -> automaton -> source location, so move
         # enumeration only ever touches edges leaving the current
@@ -259,14 +293,8 @@ class System:
         self._internal, self._emit, self._recv = tables
 
     # ------------------------------------------------------------------
-    # Contexts and invariants
+    # Compiled expressions and invariants
     # ------------------------------------------------------------------
-
-    def ctx(self, vars: Tuple[int, ...]) -> Context:
-        cached = self._ctx_cache.get(vars)
-        if cached is None:
-            cached = self._ctx_cache[vars] = Context(self.decls, vars)
-        return cached
 
     def query_ctx(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> Context:
         """A context where dotted location tests (``IUT.Bright``) work."""
@@ -282,10 +310,9 @@ class System:
 
         return Context(self.decls, vars, location_test)
 
-    def _slots_of(self, exprs) -> Tuple[int, ...]:
-        """Variable slots an expression list reads (arrays whole)."""
-        from ..expr.ast import names_in
-
+    def _projector(self, exprs):
+        """A fast callable projecting a var state onto what ``exprs`` read
+        (arrays whole)."""
         slots = set()
         for expr in exprs:
             for name in names_in(expr):
@@ -296,95 +323,109 @@ class System:
                 arr = self.decls.arrays.get(name)
                 if arr is not None:
                     slots.update(range(arr.offset, arr.offset + arr.size))
-        return tuple(sorted(slots))
-
-    def _projector(self, exprs):
-        """A fast callable projecting a var state onto what ``exprs`` read."""
-        slots = self._slots_of(exprs)
         if not slots:
             return _project_nothing
-        if len(slots) == 1:
-            return itemgetter(slots[0])
-        return itemgetter(*slots)
+        return itemgetter(*sorted(slots)) if len(slots) > 1 else itemgetter(*slots)
 
-    def _inv_projectors(self, locs: Tuple[int, ...]):
-        """Var projectors of the invariants at ``locs``: (int, clock part)."""
-        cached = self._locs_inv_slots.get(locs)
-        if cached is None:
-            int_exprs: list = []
-            clock_exprs: list = []
+    def _guard_id(self, edge: Edge) -> Optional[int]:
+        """Index of the edge's compiled integer guard (None: no atoms)."""
+        try:
+            return self._edge_guard[edge.index]
+        except KeyError:
+            pass
+        atoms = edge.guard_split.int_atoms
+        gid = None
+        if atoms:
+            if atoms in self._guard_ids:
+                gid = self._guard_ids[atoms]
+            else:
+                fn = compile_conjunction(atoms, self.decls)
+                if fn is not None:  # None: constantly true
+                    gid = len(self._guard_fns)
+                    self._guard_fns.append(fn)
+                self._guard_ids[atoms] = gid
+        self._edge_guard[edge.index] = gid
+        return gid
+
+    def _guards(self, *edges: Edge) -> Tuple[int, ...]:
+        """The guard ids a candidate move must pass, in evaluation order."""
+        out: List[int] = []
+        for edge in edges:
+            gid = self._guard_id(edge)
+            if gid is not None and gid not in out:
+                out.append(gid)
+        return tuple(out)
+
+    def _bounds(self, atoms: List[ClockAtom]):
+        """Encoded constraints of clock atoms: a tuple when no bound reads
+        a variable, else a function of the variables returning one (also
+        when a constant is out of range: the error is raised on use)."""
+        decls = self.decls
+        values = [constant_value(atom.rhs, decls) for atom in atoms]
+        if None not in values:
+            try:
+                return tuple(
+                    c for atom, k in zip(atoms, values) for c in atom.encode(k)
+                )
+            except GuardError:
+                pass
+        parts = [(atom.encode, compile_expr(atom.rhs, decls)) for atom in atoms]
+
+        def bounds(vars: Tuple[int, ...]) -> tuple:
+            out: list = []
+            for encode, rhs in parts:
+                out.extend(encode(rhs(vars)))
+            return tuple(out)
+
+        return bounds
+
+    def _invariant(self, locs: Tuple[int, ...]) -> tuple:
+        """``(integer test or None, clock bounds, can delay)`` at ``locs``."""
+        inv = self._invariants.get(locs)
+        if inv is None:
+            int_atoms: list = []
+            clock_atoms: list = []
+            delay = True
             for a_idx, automaton in enumerate(self.automata):
-                split = automaton.location_list[locs[a_idx]].inv_split
-                int_exprs.extend(split.int_atoms)
-                clock_exprs.extend(atom.rhs for atom in split.clock_atoms)
-            cached = (self._projector(int_exprs), self._projector(clock_exprs))
-            self._locs_inv_slots[locs] = cached
-        return cached
+                loc = automaton.location_list[locs[a_idx]]
+                int_atoms.extend(loc.inv_split.int_atoms)
+                clock_atoms.extend(loc.inv_split.clock_atoms)
+                delay = delay and not (loc.committed or loc.urgent)
+            inv = self._invariants[locs] = (
+                compile_conjunction(int_atoms, self.decls),
+                self._bounds(clock_atoms),
+                delay,
+            )
+        return inv
 
     def invariant_int_ok(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> bool:
-        key = (locs, self._inv_projectors(locs)[0](vars))
-        cached = self._inv_int_cache.get(key)
-        if cached is None:
-            ctx = self.ctx(vars)
-            cached = all(
-                automaton.location_list[locs[a_idx]].inv_split.int_holds(ctx)
-                for a_idx, automaton in enumerate(self.automata)
-            )
-            self._inv_int_cache[key] = cached
-        return cached
-
-    def _edge_int_ok(self, edge: Edge, vars: Tuple[int, ...], ctx: Context) -> bool:
-        """Memoized integer-guard verdict of one edge in a var state."""
-        if not edge.guard_split.int_atoms:
-            return True
-        project = self._edge_int_slots.get(edge.index)
-        if project is None:
-            project = self._projector(edge.guard_split.int_atoms)
-            self._edge_int_slots[edge.index] = project
-        key = (edge.index, project(vars))
-        cached = self._int_guard_cache.get(key)
-        if cached is None:
-            cached = edge.guard_split.int_holds(ctx)
-            self._int_guard_cache[key] = cached
-        return cached
+        test = self._invariant(locs)[0]
+        return test is None or test(vars) != 0
 
     def invariant_constraints(
         self, locs: Tuple[int, ...], vars: Tuple[int, ...]
-    ) -> list:
+    ) -> tuple:
         """Encoded clock constraints of the invariants at a discrete state.
 
         Intersecting a canonical zone with these via incremental
         tightening is much cheaper than a full closure against the
         invariant *zone* — invariants carry only a handful of bounds.
         """
-        key = (locs, self._inv_projectors(locs)[1](vars))
-        cached = self._inv_cons_cache.get(key)
-        if cached is None:
-            ctx = self.ctx(vars)
-            cached = []
-            for a_idx, automaton in enumerate(self.automata):
-                loc = automaton.location_list[locs[a_idx]]
-                cached.extend(loc.inv_split.clock_constraints(ctx))
-            self._inv_cons_cache[key] = cached
-        return cached
+        bounds = self._invariant(locs)[1]
+        return bounds if bounds.__class__ is tuple else bounds(vars)
 
     def invariant_zone(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> DBM:
-        key = (locs, self._inv_projectors(locs)[1](vars))
-        cached = self._inv_cache.get(key)
-        if cached is not None:
-            return cached
-        zone = DBM.universal(self.dim).constrained(
-            self.invariant_constraints(locs, vars)
-        )
-        self._inv_cache[key] = zone
+        constraints = self.invariant_constraints(locs, vars)
+        zone = self._inv_cache.get(constraints)
+        if zone is None:
+            zone = self._inv_cache[constraints] = DBM.universal(
+                self.dim
+            ).constrained(constraints)
         return zone
 
     def can_delay(self, locs: Tuple[int, ...]) -> bool:
-        for a_idx, automaton in enumerate(self.automata):
-            loc = automaton.location_list[locs[a_idx]]
-            if loc.committed or loc.urgent:
-                return False
-        return True
+        """False iff some automaton sits in a committed or urgent location."""
+        return self._invariant(locs)[2]
 
     def has_committed(self, locs: Tuple[int, ...]) -> bool:
         """True iff some automaton is in a committed location."""
@@ -400,27 +441,9 @@ class System:
                 return True
         return False
 
-
     # ------------------------------------------------------------------
     # Move enumeration
     # ------------------------------------------------------------------
-
-    def _moves_read_slots(self, locs: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Union of int-guard read slots over every edge leaving ``locs``."""
-        cached = self._moves_slots.get(locs)
-        if cached is None:
-            exprs: list = []
-            for a_idx, per_loc in enumerate(self._internal):
-                for edge in per_loc.get(locs[a_idx], ()):
-                    exprs.extend(edge.guard_split.int_atoms)
-            for table in (self._emit, self._recv):
-                for per_automaton in table.values():
-                    for a_idx, by_loc in per_automaton.items():
-                        for edge in by_loc.get(locs[a_idx], ()):
-                            exprs.extend(edge.guard_split.int_atoms)
-            cached = self._projector(exprs)
-            self._moves_slots[locs] = cached
-        return cached
 
     def moves_from(
         self,
@@ -433,16 +456,38 @@ class System:
         ``mode`` selects the enumeration semantics — ``closed`` (the flat
         product), ``open`` (every sync half alone), or ``partial``
         (composition against the network's interface partition); see the
-        module docstring.  Results are memoized per (mode, locations,
-        read-slot projection of the variable state).
+        module docstring.  The candidates of (mode, locations) are built
+        once (:meth:`_template`); per variable state each integer guard
+        they need is evaluated at most once, in candidate order.  Results
+        are memoized per (mode, locations, variables).
         """
-        key = (mode, locs, self._moves_read_slots(locs)(vars))
-        cached = self._moves_cache.get(key)
-        if cached is not None:
-            return cached
-        if mode not in MODES:
-            raise ValueError(f"unknown move mode {mode!r}; known: {MODES}")
-        moves = self._enumerate_moves(locs, vars, mode)
+        key = (mode, locs, vars)
+        moves = self._moves_cache.get(key)
+        if moves is not None:
+            return moves
+        template = self._template(mode, locs)
+        fns = self._guard_fns
+        verdicts: Dict[int, int] = {}
+
+        def holds(gid: int) -> int:
+            ok = verdicts.get(gid)
+            if ok is None:
+                ok = verdicts[gid] = fns[gid](vars)
+            return ok
+
+        moves = []
+        for guards, payload in template:
+            for gid in guards:  # holds(), inlined in the hot loop
+                ok = verdicts.get(gid)
+                if ok is None:
+                    ok = verdicts[gid] = fns[gid](vars)
+                if not ok:
+                    break
+            else:
+                if payload.__class__ is Move:
+                    moves.append(payload)
+                else:
+                    moves.extend(self._broadcast_moves(payload, holds))
         self._moves_cache[key] = moves
         return moves
 
@@ -460,76 +505,111 @@ class System:
             self.network._partial_hides = cached
         return cached
 
-    def _enumerate_moves(
-        self, locs: Tuple[int, ...], vars: Tuple[int, ...], mode: str
-    ) -> List[Move]:
-        ctx = self.ctx(vars)
+    def _template(self, mode: str, locs: Tuple[int, ...]) -> list:
+        """The ordered move candidates of a location vector in a mode.
+
+        Each entry is ``(guard ids, payload)``: the payload is a prebuilt
+        :class:`Move`, enabled iff every listed integer guard holds, or a
+        :class:`_Broadcast` whose receiver set depends on the variables.
+        The committed rule, directions and controllability depend on the
+        locations only and are applied here, once per network.
+        """
+        key = (mode, locs)
+        template = self._templates.get(key)
+        if template is not None:
+            return template
+        if mode not in MODES:
+            raise ValueError(f"unknown move mode {mode!r}; known: {MODES}")
         committed = self.has_committed(locs)
         network = self.network
         boundary = network.boundary
-        moves: List[Move] = []
+        entries: list = []
 
-        def committed_ok(indices: Iterable[int]) -> bool:
-            if not committed:
-                return True
-            for a_idx in indices:
-                automaton = self.automata[a_idx]
-                if automaton.location_list[locs[a_idx]].committed:
-                    return True
-            return False
+        def is_committed(a_idx: int) -> bool:
+            return self.automata[a_idx].location_list[locs[a_idx]].committed
+
+        def committed_ok(*indices: int) -> bool:
+            return not committed or any(is_committed(a) for a in indices)
+
+        def alone(label, direction, controllable, a_idx, edge) -> None:
+            if committed_ok(a_idx):
+                entries.append((
+                    self._guards(edge),
+                    Move(label, direction, controllable, ((a_idx, edge),)),
+                ))
+
+        def listeners(receivers, skip) -> tuple:
+            return tuple(
+                (
+                    j,
+                    is_committed(j),
+                    tuple((self._guard_id(e), e) for e in by_loc[locs[j]]),
+                )
+                for j, by_loc in receivers.items()
+                if j != skip and by_loc.get(locs[j])
+            )
 
         # Internal (tau) edges are identical in every mode.
         for a_idx, per_loc in enumerate(self._internal):
             for edge in per_loc.get(locs[a_idx], ()):
-                if not committed_ok((a_idx,)):
-                    continue
-                if self._edge_int_ok(edge, vars, ctx):
-                    moves.append(
-                        Move("tau", "internal", edge.controllable, ((a_idx, edge),))
-                    )
+                alone("tau", "internal", edge.controllable, a_idx, edge)
         for channel_name, channel in network.channels.items():
             emitters = self._emit.get(channel_name) or {}
             receivers = self._recv.get(channel_name) or {}
             if not emitters and not receivers:
                 continue
+            if mode == OPEN or (
+                mode == PARTIAL
+                and not channel.broadcast
+                and not network.channel_pairable(channel_name)
+            ):
+                if mode == PARTIAL and channel_name not in boundary:
+                    continue  # internalised but unpairable: dead channel
+                # Sync halves firing alone.
+                if channel.broadcast:
+                    emit_dir, recv_dir = "output", "input"
+                    emit_ctl, recv_ctl = False, True
+                else:
+                    # Binary channel moves take the kind as direction.
+                    emit_dir = recv_dir = channel.kind
+                    emit_ctl = recv_ctl = channel.controllable
+                for table, direction, controllable in (
+                    (emitters, emit_dir, emit_ctl),
+                    (receivers, recv_dir, recv_ctl),
+                ):
+                    for a_idx, by_loc in table.items():
+                        for edge in by_loc.get(locs[a_idx], ()):
+                            alone(channel_name, direction, controllable, a_idx, edge)
+                continue
             if channel.broadcast:
-                if mode == OPEN:
-                    moves.extend(
-                        self._solo_moves(
-                            channel, emitters, receivers, locs, vars, ctx,
-                            committed_ok,
-                        )
-                    )
-                    continue
+                # One move per (enabled emitter edge, choice of one enabled
+                # receiving edge per listening automaton); see
+                # _broadcast_moves.
                 hidden = mode == PARTIAL and channel_name not in boundary
-                moves.extend(
-                    self._broadcast_moves(
-                        channel_name, emitters, receivers, locs, vars, ctx,
-                        committed_ok,
-                        direction="internal" if hidden else "output",
-                    )
-                )
+                direction = "internal" if hidden else "output"
+                for i, send_by_loc in emitters.items():
+                    for e_send in send_by_loc.get(locs[i], ()):
+                        entries.append((
+                            self._guards(e_send),
+                            _Broadcast(
+                                channel_name, direction, False, ((i, e_send),),
+                                committed and not is_committed(i),
+                                listeners(receivers, i),
+                            ),
+                        ))
                 if mode == PARTIAL and not hidden:
                     # The (unmodeled) environment may emit: one input move
                     # per choice of one enabled receiving edge in every
                     # listening automaton.
-                    moves.extend(
-                        self._broadcast_input_moves(
-                            channel_name, receivers, locs, vars, ctx,
-                            committed_ok,
-                        )
-                    )
-                continue
-            pairable = network.channel_pairable(channel_name)
-            if mode == OPEN or (mode == PARTIAL and not pairable):
-                if mode == PARTIAL and channel_name not in boundary:
-                    continue  # internalised but unpairable: dead channel
-                moves.extend(
-                    self._solo_moves(
-                        channel, emitters, receivers, locs, vars, ctx,
-                        committed_ok,
-                    )
-                )
+                    groups = listeners(receivers, None)
+                    if groups:
+                        entries.append((
+                            (),
+                            _Broadcast(
+                                channel_name, "input", True, (), committed,
+                                groups,
+                            ),
+                        ))
                 continue
             if mode == PARTIAL and channel_name not in boundary:
                 # Internalised: a hidden plant-internal step — per the
@@ -538,161 +618,59 @@ class System:
                 direction = "internal"
                 controllable = False
             else:
-                direction = (
-                    "input"
-                    if channel.kind == "input"
-                    else "output"
-                    if channel.kind == "output"
-                    else "internal"
-                )
+                direction = channel.kind
                 controllable = channel.controllable
             for i, send_by_loc in emitters.items():
                 for e_send in send_by_loc.get(locs[i], ()):
-                    if not self._edge_int_ok(e_send, vars, ctx):
-                        continue
                     for j, recv_by_loc in receivers.items():
                         if i == j:
                             continue
                         for e_recv in recv_by_loc.get(locs[j], ()):
-                            if not committed_ok((i, j)):
-                                continue
-                            if not self._edge_int_ok(e_recv, vars, ctx):
-                                continue
-                            moves.append(
-                                Move(
-                                    channel_name,
-                                    direction,
-                                    controllable,
-                                    ((i, e_send), (j, e_recv)),
-                                )
-                            )
-        return moves
+                            if committed_ok(i, j):
+                                entries.append((
+                                    self._guards(e_send, e_recv),
+                                    Move(
+                                        channel_name, direction, controllable,
+                                        ((i, e_send), (j, e_recv)),
+                                    ),
+                                ))
+        self._templates[key] = entries
+        return entries
 
-    def _solo_moves(
-        self,
-        channel,
-        emitters,
-        receivers,
-        locs: Tuple[int, ...],
-        vars: Tuple[int, ...],
-        ctx: Context,
-        committed_ok,
-    ) -> List[Move]:
-        """Sync halves firing alone (open mode / unpairable boundary)."""
-        moves: List[Move] = []
-        if channel.broadcast:
-            emit_dir, recv_dir = "output", "input"
-            emit_ctl, recv_ctl = False, True
-        else:
-            emit_dir = recv_dir = (
-                "input"
-                if channel.kind == "input"
-                else "output"
-                if channel.kind == "output"
-                else "internal"
-            )
-            emit_ctl = recv_ctl = channel.controllable
-        for table, direction, controllable in (
-            (emitters, emit_dir, emit_ctl),
-            (receivers, recv_dir, recv_ctl),
-        ):
-            for a_idx, by_loc in table.items():
-                for edge in by_loc.get(locs[a_idx], ()):
-                    if not committed_ok((a_idx,)):
-                        continue
-                    if self._edge_int_ok(edge, vars, ctx):
-                        moves.append(
-                            Move(
-                                channel.name,
-                                direction,
-                                controllable,
-                                ((a_idx, edge),),
-                            )
-                        )
-        return moves
+    def _broadcast_moves(self, entry: _Broadcast, holds) -> List[Move]:
+        """The moves of a broadcast template entry in a variable state.
 
-    def _broadcast_moves(
-        self,
-        channel_name: str,
-        emitters,
-        receivers,
-        locs: Tuple[int, ...],
-        vars: Tuple[int, ...],
-        ctx: Context,
-        committed_ok,
-        direction: str = "output",
-    ) -> List[Move]:
-        """Broadcast synchronizations from a discrete state.
-
-        One move per (enabled emitter edge, choice of one enabled receiving
-        edge per listening automaton).  Receivers never block the emitter:
-        an automaton with no enabled receiving edge simply does not
-        participate.  Broadcast receiver guards are integer-only (enforced
-        by :meth:`Network.prepare`), so the participating set is fully
-        determined by the discrete state and each combination is a single
-        symbolic move.  In a committed state the move is enabled iff *some*
-        participant (emitter or receiver) occupies a committed location.
-        ``direction`` is ``output`` (observable) or ``internal`` (a
-        broadcast internalised by the partial semantics).
+        Every listening automaton with an enabled receiving edge takes
+        part; one move per choice of one enabled edge each.  Receivers
+        never block an emitter: an automaton with no enabled receiving
+        edge simply does not participate.  Broadcast receiver guards are
+        integer-only (enforced by :meth:`Network.prepare`), so each
+        combination is a single symbolic move.  In a committed state the
+        move is enabled iff *some* participant occupies a committed
+        location.  An environment emission (no ``head``) needs a
+        listener: an unheard broadcast is not a transition of the plant.
         """
-        moves: List[Move] = []
-        for i, send_by_loc in emitters.items():
-            for e_send in send_by_loc.get(locs[i], ()):
-                if not self._edge_int_ok(e_send, vars, ctx):
-                    continue
-                per_automaton: Dict[int, List[Edge]] = {}
-                for j, recv_by_loc in receivers.items():
-                    if i == j:
-                        continue
-                    for e_recv in recv_by_loc.get(locs[j], ()):
-                        if self._edge_int_ok(e_recv, vars, ctx):
-                            per_automaton.setdefault(j, []).append(e_recv)
-                indices = sorted(per_automaton)
-                if not committed_ok((i,) + tuple(indices)):
-                    continue
-                for combo in itertools.product(
-                    *(per_automaton[j] for j in indices)
-                ):
-                    participants = tuple(zip(indices, combo))
-                    moves.append(
-                        Move(
-                            channel_name,
-                            direction,
-                            False,
-                            ((i, e_send),) + participants,
-                        )
-                    )
-        return moves
-
-    def _broadcast_input_moves(
-        self,
-        channel_name: str,
-        receivers,
-        locs: Tuple[int, ...],
-        vars: Tuple[int, ...],
-        ctx: Context,
-        committed_ok,
-    ) -> List[Move]:
-        """Receptions of an environment-emitted broadcast (partial mode).
-
-        Every automaton with an enabled receiving edge participates; one
-        move per choice of one enabled edge each.  No move is produced
-        when nobody listens (an unheard broadcast is not a transition of
-        the plant).
-        """
-        per_automaton: Dict[int, List[Edge]] = {}
-        for j, recv_by_loc in receivers.items():
-            for e_recv in recv_by_loc.get(locs[j], ()):
-                if self._edge_int_ok(e_recv, vars, ctx):
-                    per_automaton.setdefault(j, []).append(e_recv)
-        indices = sorted(per_automaton)
-        if not indices or not committed_ok(tuple(indices)):
+        chosen = []
+        for j, j_committed, options in entry.groups:
+            enabled = [e for gid, e in options if gid is None or holds(gid)]
+            if enabled:
+                chosen.append((j, j_committed, enabled))
+        if not (entry.head or chosen):
             return []
-        moves: List[Move] = []
-        for combo in itertools.product(*(per_automaton[j] for j in indices)):
-            moves.append(
-                Move(channel_name, "input", True, tuple(zip(indices, combo)))
-            )
+        if entry.need_committed and not any(c for _, c, _ in chosen):
+            return []
+        indices = [j for j, _, _ in chosen]
+        memo = self._broadcasts
+        moves = []
+        for combo in itertools.product(*(enabled for _, _, enabled in chosen)):
+            edges = entry.head + tuple(zip(indices, combo))
+            key = (entry.direction, tuple(edge.index for _, edge in edges))
+            move = memo.get(key)
+            if move is None:
+                move = memo[key] = Move(
+                    entry.label, entry.direction, entry.controllable, edges
+                )
+            moves.append(move)
         return moves
 
     # ------------------------------------------------------------------
@@ -705,56 +683,53 @@ class System:
             out[a_idx] = self.automata[a_idx].location_index(edge.target)
         return tuple(out)
 
+    def _update(self, move: Move):
+        """The move's compiled variable update (emitter first), or None
+        when it assigns no variable.  It returns the new variables, or
+        None when the update is not a transition: a value out of its
+        declared range, an array index out of bounds, or an evaluation
+        error."""
+        key = move.key
+        try:
+            return self._updates[key]
+        except KeyError:
+            pass
+        writes = tuple(
+            write
+            for _, edge in move.edges
+            for write in compile_writes(edge.int_assigns, self.decls)
+        )
+        update = None
+        if writes:
+
+            def update(vars: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+                state = list(vars)
+                try:
+                    for write in writes:
+                        write(state, (), None)
+                except (OverflowError, IndexError, EvalError):
+                    return None
+                return tuple(state)
+
+        self._updates[key] = update
+        return update
+
     def apply_move_vars(
         self, vars: Tuple[int, ...], move: Move
     ) -> Optional[Tuple[int, ...]]:
-        """Variable update of a move (emitter first); None on range error.
+        """Variable update of a move (emitter first); None when the update
+        leaves a declared range or indexes an array out of bounds."""
+        update = self._update(move)
+        return vars if update is None else update(vars)
 
-        Memoized: the same move fires from the same var state once per
-        source zone during exploration.
-        """
-        if not any(edge.int_assigns for _, edge in move.edges):
-            return vars
-        key = (move.key, vars)
-        cached = self._assign_cache.get(key)
-        if cached is None:
-            state: Optional[Tuple[int, ...]] = vars
-            for a_idx, edge in move.edges:
-                if edge.int_assigns:
-                    try:
-                        state = apply_assignments(
-                            edge.int_assigns, self.ctx(state)
-                        )
-                    except (OverflowError, EvalError):
-                        state = None
-                        break
-            cached = (state,)
-            self._assign_cache[key] = cached
-        return cached[0]
-
-    def guard_constraints(self, move: Move, vars: Tuple[int, ...]):
-        """Encoded clock constraints of a move's guards (memoized)."""
-        idxs = move.key
-        project = self._guard_slots.get(idxs)
-        if project is None:
-            project = self._projector(
-                [
-                    atom.rhs
-                    for _, edge in move.edges
-                    for atom in edge.guard_split.clock_atoms
-                ]
+    def guard_constraints(self, move: Move, vars: Tuple[int, ...]) -> tuple:
+        """Encoded clock constraints of a move's guards."""
+        bounds = self._guard_bounds.get(move.key)
+        if bounds is None:
+            bounds = self._guard_bounds[move.key] = self._bounds(
+                [atom for _, edge in move.edges for atom in edge.guard_split.clock_atoms]
             )
-            self._guard_slots[idxs] = project
-        key = (idxs, project(vars))
-        cached = self._guard_cache.get(key)
-        if cached is not None:
-            return cached
-        ctx = self.ctx(vars)
-        constraints = []
-        for _, edge in move.edges:
-            constraints.extend(edge.guard_split.clock_constraints(ctx))
-        self._guard_cache[key] = constraints
-        return constraints
+        return bounds if bounds.__class__ is tuple else bounds(vars)
 
     def resets_of(self, move: Move) -> Tuple[Tuple[int, int], ...]:
         """Clock assignments of a move, emitter first (later wins); memoized."""
@@ -804,34 +779,39 @@ class System:
         invariant).  The plan holds the guard (under ``vars``), the clock
         assignments, the target's clock invariant and whether the target
         can delay; with a None target only its guard and assignments
-        mean anything (enough for :meth:`pred`).  Memoized per (move,
-        discrete state); plans are shared by content.
+        mean anything (enough for :meth:`pred`).  The target locations,
+        resets and delay flag are computed once per (move, source
+        locations); per variable state only the compiled update, the
+        target's integer invariant and variable clock bounds run.
+        Memoized per (move, discrete state); plans are shared by content.
         """
         key = (move.key, locs, vars)
         step = self._step_cache.get(key)
-        if step is None:
-            target = None
-            invariant: tuple = ()
-            delay = False
-            new_vars = self.apply_move_vars(vars, move)
-            if new_vars is not None:
-                new_locs = self.target_locs(locs, move)
-                if self.invariant_int_ok(new_locs, new_vars):
-                    target = (new_locs, new_vars)
-                    invariant = tuple(
-                        self.invariant_constraints(new_locs, new_vars)
-                    )
-                    delay = self.can_delay(new_locs)
-            content = (
-                tuple(self.guard_constraints(move, vars)),
-                self.resets_of(move),
-                invariant,
-                delay,
+        if step is not None:
+            return step
+        skey = (move.key, locs)
+        static = self._step_statics.get(skey)
+        if static is None:
+            new_locs = self.target_locs(locs, move)
+            static = self._step_statics[skey] = (
+                new_locs, self._update(move), self.resets_of(move)
+            ) + self._invariant(new_locs)
+        new_locs, update, resets, inv_test, inv_bounds, delay = static
+        new_vars = vars if update is None else update(vars)
+        target = None
+        invariant: tuple = ()
+        if new_vars is not None and (inv_test is None or inv_test(new_vars)):
+            target = (new_locs, new_vars)
+            invariant = (
+                inv_bounds if inv_bounds.__class__ is tuple else inv_bounds(new_vars)
             )
-            plan = self._plans.get(content)
-            if plan is None:
-                plan = self._plans[content] = MovePlan(*content)
-            step = self._step_cache[key] = (target, plan)
+        else:
+            delay = False
+        content = (self.guard_constraints(move, vars), resets, invariant, delay)
+        plan = self._plans.get(content)
+        if plan is None:
+            plan = self._plans[content] = MovePlan(*content)
+        step = self._step_cache[key] = (target, plan)
         return step
 
     def post(self, sym: SymbolicState, move: Move) -> Optional[SymbolicState]:

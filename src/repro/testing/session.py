@@ -487,7 +487,7 @@ class TestSession:
         Returns ``[(name, index_or_None, value)]`` restricted to variables
         that exist (by name) in the plant specification.
         """
-        from ..expr.eval import apply_assignments
+        from ..expr.eval import Context, apply_assignments
 
         composed = self.strategy.system
         state = tester.vars
@@ -496,7 +496,9 @@ class TestSession:
             if composed.automata[a_idx].name in plant_names:
                 continue
             if edge.int_assigns:
-                state = apply_assignments(edge.int_assigns, composed.ctx(state))
+                state = apply_assignments(
+                    edge.int_assigns, Context(composed.decls, state)
+                )
         updates = []
         plant_decls = self.spec_plant.decls
         for name, var in composed.decls.int_vars.items():

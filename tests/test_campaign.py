@@ -10,10 +10,9 @@ from repro.testing import (
     SessionConfig,
     SimulatedImplementation,
 )
-from repro.testing.campaign import CampaignReport
 from repro.testing.campaign import TestCampaign as Campaign
 from repro.testing.mutants import swap_output_channel
-from repro.testing.trace import FAIL, PASS
+from repro.testing.trace import PASS
 
 
 PURPOSES = [

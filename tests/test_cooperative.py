@@ -6,17 +6,15 @@ verdict semantics: pass on goal, fail only on tioco violations,
 inconclusive when the plant declines to cooperate.
 """
 
-import pytest
 
-from repro.game import CooperativeStrategy, Strategy, Verdictish, solve_cooperative
-from repro.game.solver import TwoPhaseSolver, solve_reachability_game
-from repro.models.smartlight import smartlight_network, smartlight_plant
+from repro.game import Verdictish, solve_cooperative
+from repro.game.solver import solve_reachability_game
+from repro.models.smartlight import smartlight_network
 from repro.semantics.system import System
 from repro.ta import NetworkBuilder
 from repro.tctl import parse_query
 from repro.testing import (
     EagerPolicy,
-    QuiescentPolicy,
     SessionConfig,
     SimulatedImplementation,
     execute_test,

@@ -2,12 +2,10 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dbm import DBM, le, lt
-from repro.dbm.bounds import INF, LE_ZERO
 
 
 from tests.zone_strategies import (

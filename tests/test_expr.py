@@ -1,7 +1,7 @@
 """Tests for the expression language: lexer, parser, evaluator, splitting."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.expr import (
@@ -20,8 +20,8 @@ from repro.expr import (
     static_int_bound,
     tokenize,
 )
-from repro.expr.ast import Binary, IntLiteral, Name, Quantifier, conjuncts, walk
-from repro.expr.clocksplit import ClockAtom, update_max_constants
+from repro.expr.ast import Binary, Name, Quantifier, conjuncts, walk
+from repro.expr.clocksplit import update_max_constants
 
 
 def make_decls():

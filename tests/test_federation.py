@@ -2,11 +2,9 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dbm import DBM, Federation, le, lt, subtract_zone
+from repro.dbm import DBM, Federation, subtract_zone
 
 from tests.zone_strategies import DIM, box, federations, points, zones
 

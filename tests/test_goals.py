@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from repro.dbm import Federation
-from repro.semantics.state import SymbolicState
 from repro.semantics.system import System
 from repro.ta import NetworkBuilder
 from repro.tctl import GoalPredicate, parse_query

@@ -6,9 +6,6 @@ serialization round trip and the validation helpers.
 """
 
 import json
-from fractions import Fraction
-
-import pytest
 
 import repro
 from repro import (

@@ -412,3 +412,26 @@ def test_explorer_interning_preserves_graph_shape():
     again.explore_all()
     assert reference.node_count == again.node_count
     assert reference.edge_count == again.edge_count
+
+
+# ----------------------------------------------------------------------
+# The fuzz campaign's `kernel` check
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.skipif("cext" not in AVAILABLE, reason="no compiled backend loads")
+def test_kernel_check_fails_on_a_kernel_that_always_demotes(monkeypatch):
+    from repro.dbm.backends.cext import CExtBackend
+    from repro.gen import generate_instance
+    from repro.gen.differential import FAIL, OK, DiffConfig, check_kernel
+
+    instance = generate_instance(0, "random")
+    assert check_kernel(instance, DiffConfig()).status == OK
+
+    def broken(self, stack):
+        raise RuntimeError("compiled kernel fault")
+
+    monkeypatch.setattr(CExtBackend, "close", broken)
+    result = check_kernel(instance, DiffConfig())
+    assert result.status == FAIL
+    assert "demoted" in result.detail

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ta import NetworkBuilder, ModelError
-from repro.ta.model import INPUT, INTERNAL, OUTPUT
+from repro.ta.model import INPUT, OUTPUT
 
 
 def tiny_builder():

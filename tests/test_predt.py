@@ -9,12 +9,11 @@ exact decision procedure for the sampled points.
 """
 
 from fractions import Fraction
-from typing import List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbm import DBM, Federation
+from repro.dbm import Federation
 from repro.game.predt import predt, predt_mixed, up_strict
 
 from tests.zone_strategies import (

@@ -224,3 +224,42 @@ class TestCommitted:
         state = ConcreteState((1,), sys_.decls.initial_state(), (Fraction(0), Fraction(0)))
         bound, strict = sys_.max_delay(state)
         assert bound == 0
+
+
+class TestBlockedUpdates:
+    """A variable update that is not a transition blocks its move."""
+
+    def make_indexed(self):
+        net = NetworkBuilder("indexed")
+        net.clock("x")
+        net.int_var("i", 0, 3, init=2)
+        net.int_array("a", 2, 0, 1)
+        net.int_var("v", 0, 1)
+        a = net.automaton("A")
+        a.location("s", initial=True)
+        a.edge("s", "s", assign="a[i] := 1", controllable=False)
+        a.edge("s", "s", assign="v := v + 2", controllable=False)
+        a.edge("s", "s", assign="a[i - 2] := 1", controllable=False)
+        return System(net.build())
+
+    def test_out_of_bounds_index_and_range_block(self):
+        sys_ = self.make_indexed()
+        sym = sys_.initial_symbolic()
+        oob, overflow, ok = sys_.moves_from(sym.locs, sym.vars)
+        for move in (oob, overflow):
+            assert sys_.apply_move_vars(sym.vars, move) is None
+            assert sys_.post(sym, move) is None
+            assert sys_.step_plan(sym.locs, sym.vars, move)[0] is None
+        after = sys_.post(sym, ok)
+        assert after is not None
+        assert sys_.decls.state_to_dict(after.vars)["a"] == [1, 0]
+
+    def test_concrete_path_refuses_the_blocked_moves(self):
+        sys_ = self.make_indexed()
+        state = sys_.initial_concrete()
+        options = sys_.move_options(state)
+        assert [move.key for move, _ in options] == [(2,)]
+        oob, overflow, ok = sys_.moves_from(state.locs, state.vars)
+        assert sys_.fire(state, oob) is None
+        assert sys_.fire(state, overflow) is None
+        assert sys_.fire(state, ok) is not None

@@ -7,14 +7,12 @@ forced outputs at invariant boundaries, committed states, and rank-layer
 bookkeeping.
 """
 
-from fractions import Fraction
 
 import pytest
 
 from repro.game import (
     GameError,
     OnTheFlySolver,
-    Strategy,
     TwoPhaseSolver,
     solve_reachability_game,
 )

@@ -13,7 +13,6 @@ IMP's behaviour to be a *subset* of the spec's (fewer outputs, narrower
 timing), so we also test implementations whose windows are narrowed.
 """
 
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.tctl import parse_query
 from repro.testing import (
     EagerPolicy,
     LazyPolicy,
-    QuiescentPolicy,
     RandomPolicy,
     SimulatedImplementation,
     execute_test,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.testing.trace import FAIL, INCONCLUSIVE, PASS, ActionStep, DelayStep
+from repro.testing.trace import FAIL, INCONCLUSIVE, PASS, ActionStep
 from repro.testing.trace import TestRun as Run
 from repro.testing.trace import TimedTrace
 from repro.util import Measurement, format_table, measure, stopwatch

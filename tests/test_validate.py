@@ -1,6 +1,5 @@
 """Tests for model validation (paper §2.2 restrictions)."""
 
-import pytest
 
 from repro.semantics.system import System
 from repro.ta import NetworkBuilder
