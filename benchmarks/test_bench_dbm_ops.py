@@ -14,6 +14,7 @@ from repro import faults
 from repro.dbm import DBM, Federation, le
 from repro.dbm import backends as kernel_backends
 from repro.dbm import stack as sk
+from repro.dbm.backends.base import MovePlan
 from repro.game.predt import predt
 from repro.util import counters
 
@@ -148,13 +149,13 @@ def test_bench_sample(benchmark, zone_pool):
 
 
 # ----------------------------------------------------------------------
-# Stacked-kernel microbenches, per active backend
+# Kernel microbenches, per active backend
 # ----------------------------------------------------------------------
 #
-# These exercise the raw :mod:`repro.dbm.stack` entry points that the
-# pluggable kernel backends (``REPRO_KERNEL_BACKEND``) implement, at the
-# stack sizes that bracket real workloads: k=4 (just past the dispatch
-# threshold), k=32 (typical estimate closure), k=256 (stress).  The
+# These exercise the kernels the pluggable backends
+# (``REPRO_KERNEL_BACKEND``) implement, at the sizes that bracket real
+# workloads: k=4 (just past the dispatch threshold), k=32 (a large
+# estimate closure), k=256 (stress).  The
 # active backend name and the ``dbm.backend_*`` dispatch counters land
 # in ``extra_info`` so saved JSONs are comparable across backends.
 
@@ -200,20 +201,6 @@ def test_bench_kernel_close(benchmark, kernel_stacks, k):
 
     keep = benchmark(run)
     assert keep.shape == (k,)
-    _record_backend(benchmark)
-
-
-@pytest.mark.parametrize("k", KERNEL_KS, ids=[f"k{k}" for k in KERNEL_KS])
-def test_bench_kernel_subsume_frontier(benchmark, kernel_stacks, k):
-    stack, _ = kernel_stacks[k]
-    seen = stack[::2].copy()
-
-    def run():
-        return sk.subsume_frontier(stack.copy(), seen)
-
-    keep_new, drop_seen = benchmark(run)
-    assert keep_new.shape == (k,)
-    assert drop_seen.shape == (seen.shape[0],)
     _record_backend(benchmark)
 
 
@@ -265,17 +252,20 @@ def test_bench_kernel_close_fault_control(benchmark, kernel_stacks, mode):
 
 @pytest.mark.parametrize("k", KERNEL_KS, ids=[f"k{k}" for k in KERNEL_KS])
 def test_bench_kernel_hidden_post_step(benchmark, kernel_stacks, k):
+    """One hidden move's delayed post over k state-estimate members: a
+    ``zone_successor`` call per zone on one compiled plan, as in the
+    estimator's closure."""
     stack, _ = kernel_stacks[k]
-    guard = [(1, 0, le(12)), (0, 2, le(-1))]
-    resets = [2]
-    shifts = [(3, 1)]
-    invariant = [(1, 0, le(30))]
+    zones = list(stack)
+    plan = MovePlan(
+        ((1, 0, le(12)), (0, 2, le(-1))), ((2, 0), (3, 1)), ((1, 0, le(30)),),
+        True,
+    )
 
     def run():
-        return sk.hidden_post_step(
-            stack.copy(), guard, resets, shifts, invariant, delay=True
-        )
+        successor = kernel_backends.active().zone_successor
+        return [successor(m, plan) for m in zones]
 
-    keep = benchmark(run)
-    assert keep.shape == (k,)
+    posts = benchmark(run)
+    assert len(posts) == k
     _record_backend(benchmark)

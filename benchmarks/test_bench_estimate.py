@@ -5,11 +5,9 @@ Two families:
 * **closure** — the timed tau-closure on plants with *hidden routing
   choices*: ``m`` parallel components each take one of two internalised
   syncs resetting different clocks, so ``2^m`` pairwise-incomparable
-  zones pile up per discrete state — exactly the shape the stacked
-  kernel batches (one guard/reset/invariant/delay pipeline per group,
-  one broadcast subsumption matrix per wave).  The per-zone reference
-  path (``StateEstimate(batch=False)``) is what the ``estimate`` fuzz
-  check holds these kernels to.
+  zones pile up per discrete state — the closure's worst shape: one
+  ``zone_expand`` call per member and wave, and a pairwise subsumption
+  scan per admitted zone.
 * **session** — end-to-end estimated-monitor conformance sessions on
   generated composed plants (the unit price the sharded differential
   campaign pays per instance), plus the campaign sharding overhead
@@ -81,13 +79,10 @@ def test_bench_estimate_closure(benchmark, m, window):
 
     size = benchmark(run)
     benchmark.extra_info["members"] = size
-    benchmark.extra_info["mode"] = (
-        "scalar" if not StateEstimate(System(network)).batch else "batched"
-    )
 
 
 def test_bench_estimate_rescaled_probes(benchmark):
-    """Quiescence probes through rescaling delays (memo + scale_stack)."""
+    """Quiescence probes through rescaling delays (memo + rescaled zones)."""
     network = hidden_choices_network(3, 3)
 
     def run():
@@ -201,17 +196,17 @@ def test_bench_campaign_sharded(benchmark, jobs):
     benchmark.extra_info["cpus"] = auto_jobs()
 
 
-def test_estimate_counters_track_batching():
-    """The op counters distinguish the batched and scalar pipelines."""
+def test_estimate_counters_track_closures():
+    """The op counters count the closure's kernel calls, and the
+    estimator runs no stacked kernel."""
     counters.reset()
     estimate = StateEstimate(
-        System(hidden_choices_network(3, 3)), batch=True, batch_min=1,
-        max_states=2048,
+        System(hidden_choices_network(3, 3)), max_states=2048
     )
     estimate.observe("go", "input")
     estimate.max_quiescence()
     counts = counters.export()["counts"]
     assert counts.get("estimate.timed_closures") == 1
-    assert counts.get("estimate.batched_groups", 0) > 0
-    assert counts.get("stack.hidden_posts", 0) > 0
-    assert counts.get("stack.frontier_reductions", 0) > 0
+    assert counts.get("estimate.expansions", 0) > 0
+    assert counts.get("estimate.posts", 0) > 0
+    assert not [name for name in counts if name.startswith("stack.")]

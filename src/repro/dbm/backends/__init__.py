@@ -123,8 +123,7 @@ KERNELS = (
     "zone_close", "zone_constrain", "zone_extrapolate", "zone_successor",
     "zone_pred", "fed_subtract", "fed_predt", "fixpoint_body", "zone_expand",
     "first_superset", "node_equation", "close", "extrapolate",
-    "reduce_indices", "subsume_frontier", "hidden_post_step",
-    "any_hidden_post",
+    "reduce_indices",
 )
 
 

@@ -10,14 +10,15 @@ closure, and explorer subsumption scan bottoms out in.  Five families:
   called by :class:`~repro.dbm.DBM` (``zone_close``,
   ``zone_constrain``, ``zone_extrapolate``);
 * the **fused step** kernels, called by
-  :class:`~repro.semantics.system.System`: ``zone_successor`` runs one
-  whole forward step of the zone graph (guard, clock assignments,
+  :class:`~repro.semantics.system.System` and
+  :class:`~repro.semantics.compose.StateEstimate`: ``zone_successor``
+  runs one whole forward step of the zone graph (guard, clock assignments,
   target invariant, delay closure, ExtraM) and ``zone_pred`` one
   backward step (assignment pre-image, guard, source zone), each on a
   :class:`MovePlan` compiled once per move and discrete state.  One
   call per symbolic step instead of one per zone operation: on the
-  explorer and solver paths the crossing into the backend costs more
-  than the arithmetic;
+  explorer, solver and estimator paths the crossing into the backend
+  costs more than the arithmetic;
 * the **federation** kernels, called by
   :class:`~repro.dbm.Federation` and the game solvers, over
   ``(k, dim, dim)`` stacks of canonical zones: ``fed_subtract`` (exact
@@ -25,13 +26,14 @@ closure, and explorer subsumption scan bottoms out in.  Five families:
   ``fixpoint_body`` (the reachability fixpoint equation of one node).
   Solver federations hold about one zone, so one call per operation
   replaces a Python-level loop of tiny zone operations;
-* the **graph-node** kernels, called by the zone-graph explorer and the
-  game solvers, over an :class:`ExpansionTable` (every enabled step
-  from one discrete state, compiled once): ``zone_expand`` runs
-  ``zone_successor`` for every step of a node, ``first_superset`` is
-  the explorer's subsumption probe, and ``node_equation`` builds a
-  node's edge terms with ``zone_pred`` and runs ``fixpoint_body`` on
-  them.  One call per graph node and direction.
+* the **graph-node** kernels, called by the zone-graph explorer, the
+  game solvers and the state estimate's hidden-move closure, over an
+  :class:`ExpansionTable` (steps from one discrete state, compiled
+  once): ``zone_expand`` runs ``zone_successor`` for every step of a
+  node, ``first_superset`` is the explorer's and the estimate's
+  subsumption probe, and ``node_equation`` builds a node's edge terms
+  with ``zone_pred`` and runs ``fixpoint_body`` on them.  One call per
+  graph node and direction.
 
 Everything else (gathers, masks, cheap per-entry updates) is shared
 plumbing and stays numpy regardless of the backend.
@@ -69,26 +71,24 @@ The contract is not a convention but a theorem for any correct
 implementation — kept rows are canonical, and canonical forms are
 unique — and it is *enforced* by the always-on ``kernel`` differential
 check (:mod:`repro.gen.differential`), which fuzzes every available
-backend against the numpy reference, the same way the ``estimate``
-check holds the batched state estimate to the per-zone one.
+backend against the numpy reference, while the ``estimate`` check holds
+whole state-estimate sessions on each compiled backend to the same
+sessions on the reference.
 
 Argument marshalling
 ====================
 
-Backends receive guard/invariant/reset/shift arguments exactly as the
-public :mod:`repro.dbm.stack` functions and :class:`~repro.dbm.DBM`
-methods do: Python sequences of tuples (plus ``caps``, an ``int64``
-vector for the stacked ``extrapolate`` and a sequence of ints for
-``zone_extrapolate``).  Compiled backends marshal them themselves — the
-stacked kernels to ``int64`` arrays (``(n, 3)`` for ``(i, j, enc)``
-constraint rows, ``(n, 2)`` for ``(clock, value)`` pairs, via
-:func:`marshal_constraints` / :func:`marshal_pairs`), the per-zone
-kernels to a flat list of ints — so the numpy reference path pays no
-conversion cost at all.  A :class:`MovePlan` carries both forms: the
-tuples the reference reads and :attr:`MovePlan.flat`, one ``int64``
-vector marshalled once when the plan is built, so a fused call
-marshals nothing.  An :class:`ExpansionTable` likewise carries its plans
-and one packed vector of them, :attr:`ExpansionTable.flat`.
+Backends receive constraint arguments exactly as the
+:class:`~repro.dbm.DBM` methods do: Python sequences of ``(i, j, enc)``
+tuples (plus ``caps``, an ``int64`` vector for the stacked
+``extrapolate`` and a sequence of ints for ``zone_extrapolate``).
+Compiled backends marshal them themselves, to a flat list of ints, so
+the numpy reference path pays no conversion cost at all.  A
+:class:`MovePlan` carries both forms: the tuples the reference reads and
+:attr:`MovePlan.flat`, one ``int64`` vector marshalled once when the
+plan is built, so a fused call marshals nothing.  An
+:class:`ExpansionTable` likewise carries its plans and one packed vector
+of them, :attr:`ExpansionTable.flat`.
 """
 
 from __future__ import annotations
@@ -97,11 +97,21 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
+from ..bounds import INF
+
 Constraint = Tuple[int, int, int]
 
 #: Per-zone kernel verdicts: nothing tightened or widened (the input zone
 #: stands), a new canonical matrix, or the empty zone.
 UNCHANGED, CHANGED, EMPTY = 0, 1, 2
+
+
+def _scaled_constraints(constraints, k: int) -> tuple:
+    """``(i, j, enc)`` constraints with every finite constant times ``k``."""
+    return tuple(
+        (i, j, enc if enc >= INF else (((enc >> 1) * k) << 1) | (enc & 1))
+        for i, j, enc in constraints
+    )
 
 
 class MovePlan:
@@ -123,14 +133,14 @@ class MovePlan:
     keep its own handle on ``flat`` in; the plan itself stays
     backend-neutral, so a demoted call replays it on the reference.
 
-    Plans are immutable.  :meth:`bare` and :meth:`extrapolating` derive
-    the variants the callers need from one compiled plan, and memoize
-    them on it.
+    Plans are immutable.  :meth:`bare`, :meth:`extrapolating` and
+    :meth:`scaled` derive the variants the callers need from one
+    compiled plan, and memoize them on it.
     """
 
     __slots__ = (
         "guard", "assigns", "invariant", "delay", "caps", "resets",
-        "shifts", "flat", "native", "_bare", "_capped",
+        "shifts", "flat", "native", "_bare", "_capped", "_scaled",
     )
 
     def __init__(
@@ -166,6 +176,7 @@ class MovePlan:
         self.native = None
         self._bare: Optional["MovePlan"] = None
         self._capped: Optional[tuple] = None
+        self._scaled: Optional[tuple] = None
 
     def bare(self) -> "MovePlan":
         """This step with delay and extrapolation off: the discrete post."""
@@ -190,6 +201,31 @@ class MovePlan:
                 MovePlan(self.guard, self.assigns, self.invariant, self.delay, caps),
             )
         return capped[1]
+
+    def scaled(self, k: int) -> "MovePlan":
+        """This step on a time axis ``k`` times finer: every bound
+        constant, clock value and cap multiplied by ``k``.
+
+        Scaling all values by one positive factor keeps strictness and
+        canonical forms, so the scaled plan acts on zones scaled by
+        ``k`` exactly as this plan acts on the unscaled ones.  Memoized
+        for the last ``k`` seen, like :meth:`extrapolating`.
+        """
+        if k == 1:
+            return self
+        memo = self._scaled
+        if memo is None or memo[0] != k:
+            memo = self._scaled = (
+                k,
+                MovePlan(
+                    _scaled_constraints(self.guard, k),
+                    tuple((x, c * k) for x, c in self.assigns),
+                    _scaled_constraints(self.invariant, k),
+                    self.delay,
+                    None if self.caps is None else tuple(c * k for c in self.caps),
+                ),
+            )
+        return memo[1]
 
     def __reduce__(self):
         # Rebuilt from its parts: ``native`` is a process-local handle.
@@ -401,54 +437,6 @@ class KernelBackend(Protocol):
         """Indices surviving pairwise-subsumption reduction."""
         ...
 
-    def subsume_frontier(
-        self, new: np.ndarray, seen: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Frontier admission masks ``(keep_new, drop_seen)``."""
-        ...
-
-    def hidden_post_step(
-        self,
-        stack: np.ndarray,
-        guard: np.ndarray,
-        resets: np.ndarray,
-        shifts: np.ndarray,
-        invariant: np.ndarray,
-        delay: bool,
-    ) -> np.ndarray:
-        """One move's fused ``delay ∘ post`` over the stack, in place."""
-        ...
-
-    def any_hidden_post(
-        self,
-        stack: np.ndarray,
-        guard: np.ndarray,
-        resets: np.ndarray,
-        shifts: np.ndarray,
-        invariant: np.ndarray,
-    ) -> bool:
-        """Existence-only probe: does any row survive the move?"""
-        ...
-
 
 class BackendUnavailable(RuntimeError):
     """A requested backend cannot be loaded (import/toolchain failure)."""
-
-
-def marshal_constraints(constraints) -> np.ndarray:
-    """``(i, j, enc)`` tuples → a C-contiguous ``(n, 3)`` int64 array."""
-    if not len(constraints):
-        return np.empty((0, 3), dtype=np.int64)
-    return np.ascontiguousarray(np.asarray(constraints, dtype=np.int64))
-
-
-def marshal_pairs(pairs) -> np.ndarray:
-    """``(clock, value)`` tuples → a C-contiguous ``(n, 2)`` int64 array."""
-    if not len(pairs):
-        return np.empty((0, 2), dtype=np.int64)
-    return np.ascontiguousarray(np.asarray(pairs, dtype=np.int64))
-
-
-def marshal_clocks(clocks) -> np.ndarray:
-    """Clock indices → a C-contiguous ``(n,)`` int64 array."""
-    return np.ascontiguousarray(np.asarray(list(clocks), dtype=np.int64))

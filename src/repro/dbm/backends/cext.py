@@ -1,7 +1,7 @@
 """C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
 The hot kernels, stacked, per-zone, fused step, federation and graph-node,
-as ~1,070 lines of portable C, compiled on first use with the host
+as ~1,020 lines of portable C, compiled on first use with the host
 toolchain::
 
     cc -O2 -shared -fPIC
@@ -64,9 +64,6 @@ from .base import (
     BackendUnavailable,
     ExpansionTable,
     MovePlan,
-    marshal_clocks,
-    marshal_constraints,
-    marshal_pairs,
 )
 
 Constraint = Tuple[int, int, int]
@@ -251,35 +248,10 @@ void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep)
     }
 }
 
-void k_subsume(const int64_t *nw, int64_t kn, const int64_t *seen,
-               int64_t ks, int64_t dim, uint8_t *keep, uint8_t *drop)
-{
-    int64_t x, s, nn = dim * dim;
-    k_reduce(nw, kn, dim, keep);
-    for (x = 0; x < kn; x++) {
-        if (!keep[x])
-            continue;
-        for (s = 0; s < ks; s++)
-            if (incl(seen + s * nn, nw + x * nn, nn)) {
-                keep[x] = 0;
-                break;
-            }
-    }
-    for (s = 0; s < ks; s++) {
-        drop[s] = 0;
-        for (x = 0; x < kn; x++)
-            if (keep[x] && incl(nw + x * nn, seen + s * nn, nn)) {
-                drop[s] = 1;
-                break;
-            }
-    }
-}
-
 /* One discrete step and, with delay, its time closure, in place on one
  * canonical matrix: guard, resets, shifts, target invariant, then up and
  * the invariant again.  0 iff a constraint empties the zone (m is then
- * scratch).  The body of the stacked hidden-post kernels and of
- * k_zone_successor. */
+ * scratch).  The body of k_zone_successor. */
 static int step_one(int64_t *m, int64_t dim,
                     const int64_t *guard, int64_t ng,
                     const int64_t *resets, int64_t nr,
@@ -302,32 +274,6 @@ static int step_one(int64_t *m, int64_t dim,
     return 1;
 }
 
-void k_hidden_post(int64_t *stack, int64_t k, int64_t dim,
-                   const int64_t *guard, int64_t ng,
-                   const int64_t *resets, int64_t nr,
-                   const int64_t *shifts, int64_t ns,
-                   const int64_t *inv, int64_t ni,
-                   int64_t delay, uint8_t *keep)
-{
-    int64_t z, nn = dim * dim;
-    for (z = 0; z < k; z++)
-        keep[z] = (uint8_t)step_one(stack + z * nn, dim, guard, ng, resets,
-                                    nr, shifts, ns, inv, ni, delay);
-}
-
-int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
-                          const int64_t *guard, int64_t ng,
-                          const int64_t *resets, int64_t nr,
-                          const int64_t *shifts, int64_t ns,
-                          const int64_t *inv, int64_t ni)
-{
-    int64_t z, nn = dim * dim;
-    for (z = 0; z < k; z++)
-        if (step_one(stack + z * nn, dim, guard, ng, resets, nr, shifts, ns,
-                     inv, ni, 0))
-            return 1;
-    return 0;
-}
 /* ---- Per-zone kernels: 0 unchanged, 1 changed (dst holds the closed
  * result), 2 empty.  src is a canonical nonempty matrix, never written. */
 
@@ -1159,19 +1105,6 @@ void k_close(int64_t *stack, int64_t k, int64_t dim, uint8_t *ok);
 void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
                    const int64_t *caps, uint8_t *ok);
 void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep);
-void k_subsume(const int64_t *nw, int64_t kn, const int64_t *seen,
-               int64_t ks, int64_t dim, uint8_t *keep, uint8_t *drop);
-void k_hidden_post(int64_t *stack, int64_t k, int64_t dim,
-                   const int64_t *guard, int64_t ng,
-                   const int64_t *resets, int64_t nr,
-                   const int64_t *shifts, int64_t ns,
-                   const int64_t *inv, int64_t ni,
-                   int64_t delay, uint8_t *keep);
-int64_t k_any_hidden_post(int64_t *stack, int64_t k, int64_t dim,
-                          const int64_t *guard, int64_t ng,
-                          const int64_t *resets, int64_t nr,
-                          const int64_t *shifts, int64_t ns,
-                          const int64_t *inv, int64_t ni);
 int64_t k_zone_constrain(const int64_t *src, int64_t *dst, int64_t dim,
                          const int64_t *cons, int64_t nc);
 int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
@@ -1206,17 +1139,6 @@ _SIGNATURES = {
     "k_close": (None, [_PTR, _I64, _I64, _PTR]),
     "k_extrapolate": (None, [_PTR, _I64, _I64, _PTR, _PTR]),
     "k_reduce": (None, [_PTR, _I64, _I64, _PTR]),
-    "k_subsume": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
-    "k_hidden_post": (
-        None,
-        [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
-         _I64, _I64, _PTR],
-    ),
-    "k_any_hidden_post": (
-        _I64,
-        [_PTR, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, _PTR,
-         _I64],
-    ),
     "k_zone_constrain": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
     "k_zone_extrapolate": (_I64, [_PTR, _PTR, _I64, _PTR]),
     "k_zone_successor": (_I64, [_PTR, _PTR, _I64, _PTR]),
@@ -1603,76 +1525,3 @@ class CExtBackend:
         keep = np.empty(k, dtype=np.uint8)
         b.k_reduce(b._i64(buf), k, dim, b._u8(keep))
         return [int(i) for i in np.flatnonzero(keep)]
-
-    def subsume_frontier(
-        self, new: np.ndarray, seen: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        b = self._b
-        nw = _ro_i64(new)
-        kn, dim = nw.shape[0], nw.shape[-1]
-        if seen is None or not seen.shape[0]:
-            sn = np.empty((0, dim, dim), dtype=np.int64)
-        else:
-            sn = _ro_i64(seen)
-        ks = sn.shape[0]
-        keep = np.empty(kn, dtype=np.uint8)
-        drop = np.empty(ks, dtype=np.uint8)
-        b.k_subsume(
-            b._i64(nw), kn, b._i64(sn), ks, dim, b._u8(keep), b._u8(drop)
-        )
-        return keep.view(np.bool_), drop.view(np.bool_)
-
-    def hidden_post_step(
-        self,
-        stack: np.ndarray,
-        guard: Sequence[Constraint],
-        resets: Sequence[int],
-        shifts: Sequence[Tuple[int, int]],
-        invariant: Sequence[Constraint],
-        delay: bool,
-    ) -> np.ndarray:
-        b = self._b
-        buf, copied = _inplace_i64(stack)
-        k, dim = buf.shape[0], buf.shape[-1]
-        g = marshal_constraints(guard)
-        r = marshal_clocks(resets)
-        s = marshal_pairs(shifts)
-        inv = marshal_constraints(invariant)
-        keep = np.empty(k, dtype=np.uint8)
-        b.k_hidden_post(
-            b._i64(buf), k, dim,
-            b._i64(g), g.shape[0],
-            b._i64(r), r.shape[0],
-            b._i64(s), s.shape[0],
-            b._i64(inv), inv.shape[0],
-            1 if delay else 0,
-            b._u8(keep),
-        )
-        if copied:
-            stack[...] = buf
-        return keep.view(np.bool_)
-
-    def any_hidden_post(
-        self,
-        stack: np.ndarray,
-        guard: Sequence[Constraint],
-        resets: Sequence[int],
-        shifts: Sequence[Tuple[int, int]],
-        invariant: Sequence[Constraint],
-    ) -> bool:
-        b = self._b
-        buf, _ = _inplace_i64(stack)
-        k, dim = buf.shape[0], buf.shape[-1]
-        g = marshal_constraints(guard)
-        r = marshal_clocks(resets)
-        s = marshal_pairs(shifts)
-        inv = marshal_constraints(invariant)
-        return bool(
-            b.k_any_hidden_post(
-                b._i64(buf), k, dim,
-                b._i64(g), g.shape[0],
-                b._i64(r), r.shape[0],
-                b._i64(s), s.shape[0],
-                b._i64(inv), inv.shape[0],
-            )
-        )

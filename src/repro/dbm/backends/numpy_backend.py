@@ -177,8 +177,10 @@ class NumpyBackend:
             return None
         out = out.copy()  # the plumbing below works in place
         stacked = out[None]
-        _sk.reset(stacked, plan.resets)
-        _sk.shift(stacked, plan.shifts)
+        if plan.resets:
+            _sk.reset(stacked, plan.resets)
+        if plan.shifts:
+            _sk.shift(stacked, plan.shifts)
         out = self._constrain_into(out, plan.invariant)
         if out is None:
             return None
@@ -480,33 +482,3 @@ class NumpyBackend:
 
     def reduce_indices(self, stack: np.ndarray) -> List[int]:
         return _sk._reduce_indices_ref(stack)
-
-    def subsume_frontier(
-        self, new: np.ndarray, seen: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return _sk._subsume_frontier_ref(new, seen)
-
-    def hidden_post_step(
-        self,
-        stack: np.ndarray,
-        guard: Sequence[Constraint],
-        resets: Sequence[int],
-        shifts: Sequence[Tuple[int, int]],
-        invariant: Sequence[Constraint],
-        delay: bool,
-    ) -> np.ndarray:
-        return _sk._hidden_post_step_ref(
-            stack, guard, resets, shifts, invariant, delay
-        )
-
-    def any_hidden_post(
-        self,
-        stack: np.ndarray,
-        guard: Sequence[Constraint],
-        resets: Sequence[int],
-        shifts: Sequence[Tuple[int, int]],
-        invariant: Sequence[Constraint],
-    ) -> bool:
-        return _sk._any_hidden_post_ref(
-            stack, guard, resets, shifts, invariant
-        )

@@ -16,8 +16,7 @@ objects is the caller's job (:mod:`repro.dbm.federation`).
 Backend seam
 ============
 
-The hot kernels — ``close``, ``extrapolate``, ``reduce_indices``,
-``subsume_frontier``, ``hidden_post_step``, ``any_hidden_post`` —
+The hot kernels — ``close``, ``extrapolate``, ``reduce_indices`` —
 dispatch through a pluggable
 :class:`~repro.dbm.backends.base.KernelBackend`
 (``REPRO_KERNEL_BACKEND=numpy|cext|auto``).  The pure-numpy bodies
@@ -26,8 +25,7 @@ backend, the differential ground truth the ``kernel`` fuzz check holds
 every other backend to, and they compose only each other (never the
 dispatched wrappers), so the reference path stays reference even while a
 compiled backend is active.  The cheap plumbing (gathers, masks,
-``reset``/``shift``/``up``, rescaling) stays plain numpy for every
-backend.
+``reset``/``shift``/``up``) stays plain numpy for every backend.
 
 Exactness notes:
 
@@ -37,8 +35,8 @@ Exactness notes:
   the mask and byte-for-byte on kept rows; rows the mask discards are
   scratch (the reference leaves them partially closed, a compiled
   backend may abandon them at the first negative diagonal).
-* the reference inclusion matrix behind ``reduce_indices`` and
-  ``subsume_frontier`` is exact *per pair of convex zones* (canonical
+* the reference inclusion matrix behind ``reduce_indices`` is exact
+  *per pair of convex zones* (canonical
   forms make inclusion a pointwise comparison); it is a sufficient but
   not necessary test for inclusion in a *union* of zones.
 * ``disjoint_mask`` is exact: two canonical nonempty zones are disjoint
@@ -47,13 +45,13 @@ Exactness notes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..util import counters
 from . import backends as _backends
-from .bounds import INF, INF_SOFT, LE_ZERO, MAX_BOUND_CONST
+from .bounds import INF, INF_SOFT, LE_ZERO
 
 Constraint = Tuple[int, int, int]
 
@@ -99,33 +97,6 @@ def _close_ref(stack: np.ndarray) -> np.ndarray:
     return ~(diag < LE_ZERO).any(axis=1)
 
 
-def _constrain_impl(
-    stack: np.ndarray, constraints: Sequence[Constraint], close_fn
-) -> np.ndarray:
-    """Body of :func:`constrain`, parameterized on the closure kernel."""
-    k = stack.shape[0]
-    changed = np.zeros(k, dtype=bool)
-    for i, j, enc in constraints:
-        col = stack[:, i, j]
-        mask = col > enc
-        if mask.any():
-            col[mask] = enc
-            changed |= mask
-    keep = np.ones(k, dtype=bool)
-    if changed.any():
-        sub = stack[changed]
-        ok = close_fn(sub)
-        stack[changed] = sub
-        keep[changed] = ok
-    return keep
-
-
-def _constrain_ref(
-    stack: np.ndarray, constraints: Sequence[Constraint]
-) -> np.ndarray:
-    return _constrain_impl(stack, constraints, _close_ref)
-
-
 def _extrapolate_ref(
     stack: np.ndarray, max_consts: Sequence[int]
 ) -> np.ndarray:
@@ -166,74 +137,6 @@ def _reduce_indices_ref(stack: np.ndarray) -> List[int]:
     equal = inc & inc.T
     dominated = strict.any(axis=0) | np.triu(equal, 1).any(axis=0)
     return [int(i) for i in np.flatnonzero(~dominated)]
-
-
-def _subsume_frontier_ref(
-    new: np.ndarray, seen: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference frontier admission masks ``(keep_new, drop_seen)``."""
-    keep = np.zeros(new.shape[0], dtype=bool)
-    keep[_reduce_indices_ref(new)] = True
-    if seen is None or not seen.shape[0]:
-        return keep, np.zeros(0, dtype=bool)
-    keep &= ~_inclusion_matrix_ref(seen, new).any(axis=0)
-    if keep.any():
-        drop_seen = _inclusion_matrix_ref(new[keep], seen).any(axis=0)
-    else:
-        drop_seen = np.zeros(seen.shape[0], dtype=bool)
-    return keep, drop_seen
-
-
-def _hidden_post_step_ref(
-    stack: np.ndarray,
-    guard: Sequence[Constraint],
-    reset_clocks: Sequence[int],
-    shifts: Sequence[Tuple[int, int]],
-    invariant: Sequence[Constraint],
-    delay: bool,
-) -> np.ndarray:
-    """Reference fused ``delay ∘ post`` step; see :func:`hidden_post_step`."""
-    keep = (
-        _constrain_ref(stack, guard)
-        if guard
-        else np.ones(stack.shape[0], bool)
-    )
-    if reset_clocks:
-        reset(stack, reset_clocks)
-    if shifts:
-        shift(stack, shifts)
-    if invariant:
-        keep &= _constrain_ref(stack, invariant)
-    if delay:
-        up(stack)
-        if invariant:
-            keep &= _constrain_ref(stack, invariant)
-    return keep
-
-
-def _any_hidden_post_ref(
-    stack: np.ndarray,
-    guard: Sequence[Constraint],
-    reset_clocks: Sequence[int],
-    shifts: Sequence[Tuple[int, int]],
-    invariant: Sequence[Constraint],
-) -> bool:
-    """Reference existence-only probe; see :func:`any_hidden_post`."""
-    keep = (
-        _constrain_ref(stack, guard)
-        if guard
-        else np.ones(stack.shape[0], bool)
-    )
-    if not keep.any():
-        return False
-    if not invariant:
-        return True
-    if reset_clocks:
-        reset(stack, reset_clocks)
-    if shifts:
-        shift(stack, shifts)
-    keep &= _constrain_ref(stack, invariant)
-    return bool(keep.any())
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +209,21 @@ def constrain(
     tightened sub-stack goes through the dispatched :func:`close`, so a
     compiled backend accelerates this path too.
     """
-    return _constrain_impl(stack, constraints, close)
+    k = stack.shape[0]
+    changed = np.zeros(k, dtype=bool)
+    for i, j, enc in constraints:
+        col = stack[:, i, j]
+        mask = col > enc
+        if mask.any():
+            col[mask] = enc
+            changed |= mask
+    keep = np.ones(k, dtype=bool)
+    if changed.any():
+        sub = stack[changed]
+        ok = close(sub)
+        stack[changed] = sub
+        keep[changed] = ok
+    return keep
 
 
 def intersect_zone(stack: np.ndarray, zone_m: np.ndarray) -> np.ndarray:
@@ -355,102 +272,6 @@ def disjoint_mask(stack: np.ndarray, zone_m: np.ndarray) -> np.ndarray:
     """
     total = saturating_add(stack, zone_m.T[None])
     return (total < LE_ZERO).any(axis=(1, 2))
-
-
-def scale_stack(stack: np.ndarray, factor: int) -> bool:
-    """Multiply every finite bound constant by ``factor``, in place.
-
-    The batched form of the state-estimate rescaling trick: scaling all
-    values by one positive factor preserves shortest-path inequalities
-    and strictness bits, so canonical rows stay canonical.  Returns False
-    (leaving the stack only partially scaled — the caller must discard
-    it) if a scaled constant would leave the range the drift-tolerant
-    closure is sound for; True on success.
-    """
-    counters.inc("stack.rescales")
-    counters.inc("stack.rescaled_zones", stack.shape[0])
-    finite = stack < INF
-    values = (stack >> 1) * factor
-    if (np.abs(values[finite]) > MAX_BOUND_CONST).any():
-        return False
-    scaled = (values << 1) | (stack & 1)
-    np.copyto(stack, scaled, where=finite)
-    return True
-
-
-def hidden_post_step(
-    stack: np.ndarray,
-    guard: Sequence[Constraint],
-    reset_clocks: Sequence[int],
-    shifts: Sequence[Tuple[int, int]],
-    invariant: Sequence[Constraint],
-    *,
-    delay: bool,
-) -> np.ndarray:
-    """One move's discrete successor over a whole stack, in place.
-
-    The batched ``delay ∘ post`` step of the state-estimate closure:
-    guard intersection, clock reset/assignment, target-invariant
-    intersection, and (iff ``delay``) the delay closure re-bounded by the
-    same invariant — the constraint lists are shared by every row because
-    the caller groups members by discrete state.  Returns the nonempty
-    mask; rows already inconsistent after the guard still end up masked
-    out (a compiled backend may stop working on them early, so their
-    contents are scratch).
-    """
-    counters.inc("stack.hidden_posts")
-    counters.inc("stack.hidden_post_zones", stack.shape[0])
-    backend = _backends.active()
-    counters.inc(backend.counter)
-    return backend.hidden_post_step(
-        stack, guard, reset_clocks, shifts, invariant, delay
-    )
-
-
-def any_hidden_post(
-    stack: np.ndarray,
-    guard: Sequence[Constraint],
-    reset_clocks: Sequence[int],
-    shifts: Sequence[Tuple[int, int]],
-    invariant: Sequence[Constraint],
-) -> bool:
-    """Does *any* row of the stack have a nonempty successor on the move?
-
-    The existence-only sibling of :func:`hidden_post_step`, for
-    enabledness probes (``enabled_labels`` needs one surviving zone, not
-    the zones themselves).  Two facts let it stop early: resets and
-    shifts map points to points, so they can never empty a nonempty zone
-    — if no target invariant constrains the landing state, surviving the
-    guard already proves the post nonempty; and emptiness is invariant
-    under the delay closure, so the ``delay`` step of the full kernel is
-    never needed here.  Mutates the stack (callers pass a scratch copy)
-    and skips the copy-out and re-wrap of the full pipeline entirely.
-    """
-    counters.inc("stack.any_posts")
-    counters.inc("stack.any_post_zones", stack.shape[0])
-    backend = _backends.active()
-    counters.inc(backend.counter)
-    return backend.any_hidden_post(
-        stack, guard, reset_clocks, shifts, invariant
-    )
-
-
-def subsume_frontier(
-    new: np.ndarray, seen: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Frontier admission masks for the closure's subsumption reduction.
-
-    Returns ``(keep_new, drop_seen)``: ``keep_new[x]`` iff ``new[x]``
-    survives — not included in any ``seen`` row nor in another kept
-    ``new`` row (earliest representative wins among equals) — and
-    ``drop_seen[y]`` iff ``seen[y]`` is strictly dominated by a kept
-    ``new`` row and should be pruned.  All rows must be canonical
-    nonempty zone matrices of one discrete state.
-    """
-    counters.inc("stack.frontier_reductions")
-    backend = _backends.active()
-    counters.inc(backend.counter)
-    return backend.subsume_frontier(new, seen)
 
 
 def reduce_indices(stack: np.ndarray) -> List[int]:

@@ -42,12 +42,12 @@ hand-written expected outputs, only internal consistency:
     and made uncontrollable.
 
 ``estimate``
-    The batched (stacked-kernel) and per-zone implementations of
-    :class:`StateEstimate` must agree observation by observation: one
-    seeded monitor session drives both side by side and compares the
-    quiescence bound, the enabled input/output labels, and every
+    :class:`StateEstimate` on the compiled kernels must agree with
+    itself on the numpy reference kernels observation by observation:
+    one seeded monitor session drives both side by side and compares the
+    quiescence bound, the enabled input/output labels, every
     delay/action verdict — including rational delays that force integer
-    rescaling.
+    rescaling — and the member lists, in order, down to the zone bytes.
 
 Failing instances are shrunk greedily at the spec level (drop edges,
 clear guards/invariants/assignments) while re-running only the failing
@@ -302,7 +302,13 @@ def _random_delay(
     bound: Optional[Fraction],
     bound_strict: bool,
 ) -> Optional[Fraction]:
-    """A random half-integer delay in ``interval`` capped by the invariant."""
+    """A random half-integer delay in ``interval`` capped by the invariant.
+
+    Draws uniformly from the admissible points of the grid ``lo + k/2``
+    (``hi`` is ``lo + 2`` when unbounded) by index, so the RNG makes one
+    ``choice`` over the index range; with no grid point admissible, the
+    midpoint if the interval holds it.
+    """
     lo, lo_strict = interval.lo, interval.lo_strict
     hi, hi_strict = interval.hi, interval.hi_strict
     if bound is not None and (hi is None or bound < hi):
@@ -311,16 +317,13 @@ def _random_delay(
         return None
     if hi is None:
         hi, hi_strict = lo + 2, False
-    grid = [
-        d
-        for k in range(int((hi - lo) * 2) + 1)
-        if (d := lo + Fraction(k, 2)) is not None
-        and (d > lo or not lo_strict)
-        and (d < hi or (d == hi and not hi_strict))
-        and interval.contains(d)
-    ]
-    if grid:
-        return rng.choice(grid)
+    span = (hi - lo) * 2
+    k_hi = int(span)
+    if hi_strict and k_hi == span:
+        k_hi -= 1
+    k_lo = 1 if lo_strict else 0
+    if k_lo <= k_hi:
+        return lo + Fraction(rng.choice(range(k_lo, k_hi + 1)), 2)
     mid = (lo + hi) / 2
     return mid if interval.contains(mid) else None
 
@@ -599,100 +602,155 @@ def check_composition(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResu
 
 
 # ----------------------------------------------------------------------
-# Check: batched vs per-zone state estimation
+# Check: state estimation on the compiled vs the reference kernels
 # ----------------------------------------------------------------------
 
 
-def _estimate_mismatch(step: int, what: str, batched, scalar) -> str:
+class _EstimateMismatch(Exception):
+    """The two runs of an estimate session disagree (the detail)."""
+
+
+def _members_difference(got: list, ref: list) -> str:
+    """Where two member lists first differ, without the zone bytes."""
+    at = next(
+        (x for x, (a, b) in enumerate(zip(got, ref)) if a != b),
+        min(len(got), len(ref)),
+    )
+    first = [
+        members[at][:2] if at < len(members) else None for members in (got, ref)
+    ]
     return (
-        f"step {step}: batched/per-zone estimates disagree on {what}:"
-        f" batched={batched!r} scalar={scalar!r}"
+        f"{len(got)} compiled vs {len(ref)} reference members, first"
+        f" difference at {at}: compiled (locs, vars)={first[0]!r}"
+        f" reference={first[1]!r}"
     )
 
 
 def _drive_estimate_pair(
-    plant_sys: System, seed: int, steps: int, max_states: int = 256
+    plant_sys: System, seed: int, steps: int, backend, max_states: int = 256
 ) -> Optional[str]:
-    """One seeded session over two estimates; returns a failure or None.
+    """One seeded session on ``backend`` and on the numpy reference.
 
-    Drives the batched (stacked-kernel) and per-zone (reference)
-    implementations through the same observation sequence — inputs,
-    outputs, and rational delays chosen from the spec's own answers — and
-    compares every monitor-facing answer.  Denominators 2, 3, and 7 force
-    rescaling; an over-budget closure is a SKIP-worthy resource limit, so
-    it is re-raised and mapped by the caller (transient retention differs
-    between traversal orders, so limit *timing* is not compared — the
-    dedicated hypothesis tests pin down budget agreement at the fixpoint).
+    Two :class:`StateEstimate` objects take the same observation
+    sequence — inputs, outputs, and rational delays chosen from the
+    spec's own answers — one with ``backend`` active, one with the
+    reference kernels, and every monitor-facing answer and the member
+    lists are compared after each call.  Denominators 2, 3, and 7 force
+    rescaling.  Both runs execute the same algorithm, so a budget
+    overflow must hit both at the same call: it is re-raised (a
+    SKIP-worthy resource limit for the caller), and an overflow on one
+    side only is a disagreement.  Returns the first disagreement, or
+    None.
     """
-    batched = StateEstimate(
-        plant_sys, batch=True, batch_min=1, max_states=max_states
-    )
-    scalar = StateEstimate(plant_sys, batch=False, max_states=max_states)
+    kernels = (backend, _REFERENCE)
+    estimates: List[Optional[StateEstimate]] = [None, None]
+
+    def agree(step: int, what: str, call):
+        answers = []
+        for index, active in enumerate(kernels):
+            with dbm_backends.use_backend(active):
+                try:
+                    answers.append(call(index))
+                except EstimateLimit as limit:
+                    answers.append(limit)
+        got, ref = answers
+        got_limit = isinstance(got, EstimateLimit)
+        ref_limit = isinstance(ref, EstimateLimit)
+        if got_limit and ref_limit:
+            raise got
+        if got_limit or ref_limit or got != ref:
+            if call in (start, members) and not (got_limit or ref_limit):
+                detail = _members_difference(got, ref)
+            else:
+                detail = f"compiled={got!r} reference={ref!r}"
+            raise _EstimateMismatch(
+                f"step {step}: compiled/reference estimates disagree on"
+                f" {what}: {detail}"
+            )
+        return got
+
+    def start(index: int) -> list:
+        estimates[index] = StateEstimate(plant_sys, max_states=max_states)
+        return members(index)
+
+    def members(index: int) -> list:
+        return [
+            (m.locs, m.vars, m.zone.hash_key())
+            for m in estimates[index].states
+        ]
+
     rng = random.Random(seed * 48611 + 17)
-    for step in range(steps):
-        b_quiet = batched.max_quiescence()
-        s_quiet = scalar.max_quiescence()
-        if b_quiet != s_quiet:
-            return _estimate_mismatch(step, "max_quiescence", b_quiet, s_quiet)
-        for direction in ("input", "output"):
-            b_labels = batched.enabled_labels(direction)
-            s_labels = scalar.enabled_labels(direction)
-            if b_labels != s_labels:
-                return _estimate_mismatch(
-                    step, f"enabled {direction} labels", b_labels, s_labels
+    try:
+        agree(0, "the initial members", start)
+        for step in range(steps):
+            quiet = agree(
+                step, "max_quiescence", lambda i: estimates[i].max_quiescence()
+            )
+            labels = {
+                direction: agree(
+                    step,
+                    f"enabled {direction} labels",
+                    lambda i: estimates[i].enabled_labels(direction),
                 )
-        outputs = batched.enabled_labels("output")
-        inputs = batched.enabled_labels("input")
-        roll = rng.random()
-        if outputs and roll < 0.35:
-            label = rng.choice(outputs)
-            b_ok = batched.observe(label, "output")
-            s_ok = scalar.observe(label, "output")
-            if b_ok != s_ok:
-                return _estimate_mismatch(step, f"observe {label}!", b_ok, s_ok)
-            if not b_ok:
-                return None  # both refused their own enabled label: done
-        elif inputs and roll < 0.6:
-            label = rng.choice(inputs)
-            b_ok = batched.observe(label, "input")
-            s_ok = scalar.observe(label, "input")
-            if b_ok != s_ok:
-                return _estimate_mismatch(step, f"observe {label}?", b_ok, s_ok)
-            if not b_ok:
-                return None
-        else:
-            bound, strict = b_quiet
-            delay = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 7)))
-            if bound is not None and (delay > bound or (delay == bound and strict)):
-                delay = bound / 2 if strict or bound > 0 else Fraction(0)
-            b_ok = batched.advance(delay)
-            s_ok = scalar.advance(delay)
-            if b_ok != s_ok:
-                return _estimate_mismatch(step, f"advance {delay}", b_ok, s_ok)
-            if not b_ok:
-                return None  # both refused an in-bound delay: quiescent end
-        if batched.size == 0 or scalar.size == 0:
-            return _estimate_mismatch(step, "state-set emptiness",
-                                      batched.size, scalar.size)
+                for direction in ("input", "output")
+            }
+            outputs, inputs = labels["output"], labels["input"]
+            roll = rng.random()
+            if outputs and roll < 0.35:
+                label = rng.choice(outputs)
+                what = f"observe {label}!"
+                ok = agree(
+                    step, what, lambda i: estimates[i].observe(label, "output")
+                )
+            elif inputs and roll < 0.6:
+                label = rng.choice(inputs)
+                what = f"observe {label}?"
+                ok = agree(
+                    step, what, lambda i: estimates[i].observe(label, "input")
+                )
+            else:
+                bound, strict = quiet
+                delay = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 7)))
+                if bound is not None and (
+                    delay > bound or (delay == bound and strict)
+                ):
+                    delay = bound / 2 if strict or bound > 0 else Fraction(0)
+                what = f"advance {delay}"
+                ok = agree(step, what, lambda i: estimates[i].advance(delay))
+            agree(step, f"the members after {what}", members)
+            if not ok:
+                return None  # both refused their own answer: done
+    except _EstimateMismatch as mismatch:
+        return str(mismatch)
     return None
 
 
 def check_estimate(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
-    """Differential: stacked-kernel vs per-zone ``StateEstimate``.
+    """Differential: ``StateEstimate`` on every loadable compiled kernel
+    backend vs on the numpy reference kernels.
 
     Runs on every family — single-automaton plants exercise the padded
     single-state paths, composed plants the hidden-move closure proper.
+    SKIP where no compiled backend loads, like ``kernel``.
     """
+    backends_under_test = _compiled_backends()
+    if not backends_under_test:
+        return CheckResult("estimate", SKIP, "no compiled backend loads")
     plant_sys = System(instance.plant)
-    try:
-        failure = _drive_estimate_pair(
-            plant_sys, instance.seed, cfg.conf_steps,
-            max_states=cfg.max_estimate_states,
-        )
-    except EstimateLimit as limit:
-        return CheckResult("estimate", SKIP, f"state-estimate budget: {limit}")
-    if failure:
-        return CheckResult("estimate", FAIL, failure)
+    for backend in backends_under_test:
+        try:
+            failure = _drive_estimate_pair(
+                plant_sys, instance.seed, cfg.conf_steps, backend,
+                max_states=cfg.max_estimate_states,
+            )
+        except EstimateLimit as limit:
+            return CheckResult(
+                "estimate", SKIP, f"state-estimate budget: {limit}"
+            )
+        if failure:
+            return CheckResult(
+                "estimate", FAIL, f"backend {backend.name!r}: {failure}"
+            )
     return CheckResult("estimate", OK)
 
 
@@ -1305,7 +1363,6 @@ def _kernel_trial_mismatch(
     dim = rng.randint(2, 5)
     k = rng.randint(1, 6)
     stack = _kernel_stack(rng, dim, k)
-    other = _kernel_stack(rng, dim, rng.randint(1, 4))
 
     def rows_match(ref_m, got_m, keep) -> bool:
         return bool(np.array_equal(ref_m[keep], got_m[keep]))
@@ -1334,54 +1391,9 @@ def _kernel_trial_mismatch(
     if not rows_match(ref_m, got_m, ref_ok):
         return f"extrapolate kept rows differ: caps={caps}"
 
-    # reduce_indices / subsume_frontier — read-only.
+    # reduce_indices — read-only.
     if _sk._reduce_indices_ref(stack) != backend.reduce_indices(stack):
         return "reduce_indices differs"
-    seen = other if rng.random() < 0.8 else None
-    ref_keep, ref_drop = _sk._subsume_frontier_ref(stack.copy(), seen)
-    got_keep, got_drop = backend.subsume_frontier(stack.copy(), seen)
-    if not (
-        np.array_equal(ref_keep, got_keep)
-        and np.array_equal(ref_drop, got_drop)
-    ):
-        return "subsume_frontier masks differ"
-
-    # hidden_post_step / any_hidden_post — full fused move pipeline.
-    guard = _random_kernel_constraints(rng, dim, 3)
-    invariant = _random_kernel_constraints(rng, dim, 3)
-    n_resets = rng.randint(0, dim - 1)
-    resets = rng.sample(range(1, dim), n_resets)
-    shifts = [
-        (c, rng.randint(0, 5))
-        for c in rng.sample(range(1, dim), rng.randint(0, dim - 1))
-    ]
-    delay = rng.random() < 0.5
-    ref_m, got_m = stack.copy(), stack.copy()
-    ref_ok = _sk._hidden_post_step_ref(
-        ref_m, guard, resets, shifts, invariant, delay
-    )
-    got_ok = backend.hidden_post_step(
-        got_m, guard, resets, shifts, invariant, delay
-    )
-    if not np.array_equal(ref_ok, got_ok):
-        return (
-            f"hidden_post_step mask: guard={guard} resets={resets}"
-            f" shifts={shifts} inv={invariant} delay={delay}"
-        )
-    if not rows_match(ref_m, got_m, ref_ok):
-        return (
-            f"hidden_post_step kept rows differ: guard={guard}"
-            f" resets={resets} shifts={shifts} inv={invariant}"
-            f" delay={delay}"
-        )
-    ref_any = _sk._any_hidden_post_ref(
-        stack.copy(), guard, resets, shifts, invariant
-    )
-    got_any = backend.any_hidden_post(
-        stack.copy(), guard, resets, shifts, invariant
-    )
-    if bool(ref_any) != bool(got_any):
-        return f"any_hidden_post: ref={ref_any} got={got_any}"
     return _zone_kernel_mismatch(rng, backend)
 
 
@@ -1390,7 +1402,7 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     backend against the numpy reference kernels, on seeded random zone
     stacks.
 
-    The compiled analogue of the ``estimate`` check's scalar/batched
+    The kernel-level twin of the ``estimate`` check's session
     differential: always on, so no campaign can silently run on a kernel
     backend that was never cross-checked.  SKIP where no compiled
     backend loads (numpy is the reference itself).
@@ -1400,11 +1412,7 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     raises on every call would otherwise compare equal (it *is* the
     reference then) without ever running compiled code.
     """
-    backends_under_test = [
-        dbm_backends.resolve(name)
-        for name in dbm_backends.available_backends()
-        if name != "numpy"
-    ]
+    backends_under_test = _compiled_backends()
     if not backends_under_test:
         return CheckResult("kernel", SKIP, "no compiled backend loads")
     rng = random.Random(instance.seed ^ 0x6B65726E)  # "kern"
@@ -1426,6 +1434,15 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
                     f"backend {backend.name!r} trial {trial}: {mismatch}",
                 )
     return CheckResult("kernel", OK)
+
+
+def _compiled_backends() -> list:
+    """Every kernel backend that loads here but the numpy reference."""
+    return [
+        dbm_backends.resolve(name)
+        for name in dbm_backends.available_backends()
+        if name != "numpy"
+    ]
 
 
 def _demotions() -> int:

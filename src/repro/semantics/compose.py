@@ -31,40 +31,46 @@ moves, repeat, with zone-inclusion subsumption) bounded by
 ``max_states``; models whose hidden behaviour exceeds the budget raise
 :class:`EstimateLimit` rather than returning an unsound answer.
 
-**Batched execution.**  Members sharing a discrete state ``(locs, vars)``
-are indistinguishable to the model — same moves, same guard/invariant
-encodings, same resets — so every per-member operation of the closure is
-uniform across such a group and runs on the *stacked* representation
-(:mod:`repro.dbm.stack`): one ``(k, dim, dim)`` array per group, one
-batched guard/reset/invariant/delay pipeline per internal move
-(:func:`repro.dbm.stack.hidden_post_step`), one broadcast
-inclusion-matrix comparison for frontier subsumption
-(:func:`repro.dbm.stack.subsume_frontier`), one vectorized rescale
-(:func:`repro.dbm.stack.scale_stack`).  Groups below
-:data:`repro.dbm.stack.BATCH_MIN` members (or the ``batch_min``
-argument) take the per-zone path, and the per-zone path is also kept
-wholesale (``batch=False``) as the differential reference the
-``estimate`` fuzz check cross-checks the kernels against.
+**Compiled steps.**  Members sharing a discrete state ``(locs, vars)``
+are indistinguishable to the model: same moves, same guard/invariant
+encodings, same resets.  Every step the estimate takes is therefore a
+:class:`~repro.dbm.backends.base.MovePlan` compiled once per discrete
+state by :class:`~repro.semantics.system.System` (:meth:`System.expansion`
+for the moves enabled there, :meth:`System.step_plan` for a move named
+by the observer), scaled to the estimate's time scale once
+(:meth:`MovePlan.scaled`) and cached per discrete state until the scale
+changes.  The closure expands a member with one ``zone_expand`` kernel
+call over an :class:`~repro.dbm.backends.base.ExpansionTable` of its
+state's hidden moves (delayed plans for the timed closure, ``bare()``
+plans for the instant one); the delay frontier, observed actions and
+enabledness probes are one ``zone_successor`` call per member and move,
+and a delay one ``zone_constrain`` per member.  The plans fit the padded
+zones as they are: the kernels read the dimension from the matrix, and
+no plan names ``t``.
 
-Both paths use the same *pruning* subsumption — a newly admitted zone
-evicts the retained zones it strictly dominates — so the retained set at
-the fixpoint is the antichain of maximal reachable zones, which is
-processing-order independent: scalar and batched closures agree not just
-on answers but on the final member sets, and the ``max_states`` budget is
-checked against the same post-pruning count.
+Retention is *pruning* subsumption: a newly admitted zone evicts the
+retained zones it strictly dominates (each test one ``first_superset``
+scan over the discrete state's retained zones), so the retained set at
+the fixpoint is the antichain of maximal reachable zones, which does not
+depend on processing order, and the ``max_states`` budget is checked
+against the post-pruning count.  The ``estimate`` fuzz check holds a
+session on the compiled kernels to the same session on the numpy
+reference kernels, member list for member list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..dbm import DBM
-from ..dbm import stack as _sk
+from ..dbm import backends as _backends
+from ..dbm.backends.base import ExpansionTable, MovePlan
 from ..dbm.bounds import INF, MAX_BOUND_CONST, decode, le
 from ..expr.env import Declarations
 from ..ta.model import ModelError
@@ -119,13 +125,104 @@ def _scaled_zone(zone: DBM, factor: int) -> DBM:
     return DBM(scaled)
 
 
-@dataclass(frozen=True)
-class _Member:
+class _Member(NamedTuple):
     """One element of the state set (zone padded with the elapsed clock)."""
 
     locs: Tuple[int, ...]
     vars: Tuple[int, ...]
     zone: DBM
+
+
+class _Steps:
+    """One discrete state's compiled steps at an estimate's time scale.
+
+    ``moves`` and ``targets`` are those of :meth:`System.expansion` (the
+    enabled moves whose discrete part does not block), ``posts`` their
+    scaled discrete posts (no delay).  The closure tables over the hidden
+    moves and the delay-frontier plan are built on first use.
+    """
+
+    __slots__ = ("moves", "targets", "posts", "frontier", "_delayed", "_tables")
+
+    def __init__(self, table: ExpansionTable, scale: int):
+        self.moves = table.moves
+        self.targets = table.targets
+        self._delayed = [plan.scaled(scale) for plan in table.plans]
+        self.posts = [plan.bare() for plan in self._delayed]
+        self.frontier: Optional[MovePlan] = None
+        self._tables: List[Optional[ExpansionTable]] = [None, None]
+
+    def closure_table(self, timed: bool) -> ExpansionTable:
+        """The hidden moves, with their delayed plans iff ``timed``."""
+        table = self._tables[timed]
+        if table is None:
+            plans = self._delayed if timed else self.posts
+            hidden = [
+                x for x, move in enumerate(self.moves)
+                if move.direction == "internal"
+            ]
+            table = self._tables[timed] = ExpansionTable(
+                [self.moves[x] for x in hidden],
+                [self.targets[x] for x in hidden],
+                [plans[x] for x in hidden],
+            )
+        return table
+
+
+class _Antichain:
+    """The retained zones of one discrete state: pairwise incomparable.
+
+    The zones' matrices are kept stacked, and negated in a second stack:
+    ``a <= b`` entrywise iff ``-a >= -b``, so the ``first_superset``
+    kernel finds both a retained zone including a new one and the
+    retained zones a new one includes, each scan one kernel call.
+    """
+
+    __slots__ = ("zones", "_stack", "_negated")
+
+    def __init__(self) -> None:
+        self.zones: List[DBM] = []
+        self._stack: Optional[np.ndarray] = None
+        self._negated: Optional[np.ndarray] = None
+
+    def add(self, zone: DBM, first_superset) -> Optional[int]:
+        """Retain ``zone`` unless a retained zone includes it, evicting
+        the retained zones it includes; the number evicted, or None when
+        ``zone`` is dropped."""
+        zones = self.zones
+        n = len(zones)
+        m = zone.m
+        if not n:
+            zones.append(zone)
+            return 0
+        stack, negated = self._stack, self._negated
+        if stack is None:
+            stack = self._stack = np.empty((4,) + m.shape, dtype=np.int64)
+            negated = self._negated = np.empty_like(stack)
+            stack[0] = zones[0].m
+            np.negative(stack[0], out=negated[0])
+        if first_superset(stack[:n], m) >= 0:
+            return None
+        neg_m = -m
+        inside = []
+        x = first_superset(negated[:n], neg_m)
+        while x >= 0:
+            inside.append(x)
+            step = first_superset(negated[x + 1 : n], neg_m)
+            x = x + 1 + step if step >= 0 else -1
+        if inside:
+            keep = [x for x in range(n) if x not in inside]
+            zones[:] = [zones[x] for x in keep]
+            n = len(keep)
+            stack[:n] = stack[keep]
+            negated[:n] = negated[keep]
+        if n == stack.shape[0]:
+            stack = self._stack = np.concatenate([stack, np.empty_like(stack)])
+            negated = self._negated = np.concatenate([negated, negated])
+        stack[n] = m
+        negated[n] = neg_m
+        zones.append(zone)
+        return len(inside)
 
 
 class StateEstimate:
@@ -137,27 +234,20 @@ class StateEstimate:
         mode: str = PARTIAL,
         *,
         max_states: int = 256,
-        batch: bool = True,
-        batch_min: Optional[int] = None,
     ):
         self.system = system
         self.mode = mode
         #: Index of the padded elapsed-time clock.
         self.tdx = system.dim
         self.max_states = max_states
-        # Batched execution: ``batch=False`` forces the per-zone
-        # reference path; the batched path itself falls back to per-zone
-        # work for groups below ``batch_min`` members.
-        self.batch = bool(batch)
-        self.batch_min = (
-            _sk.BATCH_MIN if batch_min is None else max(1, batch_min)
-        )
         self.scale = 1
         # Largest time scale for which every scaled model constant stays
         # within the DBM kernel's sound range; beyond it rescaling raises
         # EstimateLimit instead of silently corrupting closures.
         max_const = max([1] + system.network.max_constants())
         self._scale_cap = max(1, MAX_BOUND_CONST // (max_const + 1))
+        # (locs, vars) -> _Steps at the current scale.
+        self._steps_cache: Dict[tuple, _Steps] = {}
         self.states: List[_Member] = []
         self._closure: Optional[List[_Member]] = None
         #: Most members ever tracked at once (budget accounting).
@@ -176,11 +266,11 @@ class StateEstimate:
         system = self.system
         locs = system.network.initial_locations()
         vars = system.decls.initial_state()
-        self.scale = 1
+        if self.scale != 1:
+            self.scale = 1
+            self._steps_cache = {}
         zone = DBM.zero(self.tdx + 1)
-        zone = zone.constrained(
-            self._scaled(system.invariant_constraints(locs, vars))
-        )
+        zone = zone.constrained(system.invariant_constraints(locs, vars))
         self.states = self._instant_closure([_Member(locs, vars, zone)])
         if not self.states:
             raise ModelError("initial state violates an invariant")
@@ -199,15 +289,6 @@ class StateEstimate:
             self.peak = n
         if self.on_growth is not None:
             self.on_growth(n)
-
-    def _scaled(self, constraints) -> list:
-        if self.scale == 1:
-            return list(constraints)
-        k = self.scale
-        return [
-            (i, j, enc if enc >= INF else (((enc >> 1) * k) << 1) | (enc & 1))
-            for (i, j, enc) in constraints
-        ]
 
     def _ensure_scale(self, d: Fraction) -> None:
         q = d.denominator
@@ -228,6 +309,7 @@ class StateEstimate:
         # can hold larger constants than the raw states (hidden shifts
         # add model constants) and may overflow first; a partial update
         # would leave zones inflated relative to the declared scale.
+        counters.inc("estimate.rescales")
         states = self._rescaled(self.states, factor)
         closure = (
             self._rescaled(self._closure, factor)
@@ -237,205 +319,51 @@ class StateEstimate:
         self.states = states
         self._closure = closure
         self.scale = new_scale
+        self._steps_cache = {}
 
-    def _rescaled(self, members: List[_Member], factor: int) -> List[_Member]:
+    @staticmethod
+    def _rescaled(members: List[_Member], factor: int) -> List[_Member]:
         """Members with every zone bound multiplied by ``factor``."""
-        if self.batch and len(members) >= self.batch_min:
-            stacked = np.stack([m.zone.m for m in members])
-            if not _sk.scale_stack(stacked, factor):
-                raise EstimateLimit(
-                    "rescaled zone constant exceeds the supported DBM range"
-                    f" (±{MAX_BOUND_CONST}); the observed delays'"
-                    " denominators are too varied for this model's constants"
-                )
-            return [
-                _Member(m.locs, m.vars, DBM(stacked[i]))
-                for i, m in enumerate(members)
-            ]
         return [
             _Member(m.locs, m.vars, _scaled_zone(m.zone, factor))
             for m in members
         ]
 
     # ------------------------------------------------------------------
-    # Padded-zone semantics pieces
+    # Compiled steps
     # ------------------------------------------------------------------
 
-    def _internal_moves(
-        self, locs: Tuple[int, ...], vars: Tuple[int, ...]
-    ) -> List[Move]:
-        return [
-            move
-            for move in self.system.moves_from(locs, vars, self.mode)
-            if move.direction == "internal"
-        ]
+    def _steps(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> _Steps:
+        """The discrete state's compiled steps at the current scale."""
+        key = (locs, vars)
+        steps = self._steps_cache.get(key)
+        if steps is None:
+            steps = self._steps_cache[key] = _Steps(
+                self.system.expansion(locs, vars, self.mode), self.scale
+            )
+        return steps
+
+    def _frontier_plan(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> MovePlan:
+        """Reset the elapsed clock, then delay within the invariant."""
+        steps = self._steps(locs, vars)
+        plan = steps.frontier
+        if plan is None:
+            system = self.system
+            plan = steps.frontier = MovePlan(
+                (),
+                ((self.tdx, 0),),
+                system.invariant_constraints(locs, vars),
+                system.can_delay(locs),
+            ).scaled(self.scale)
+        return plan
 
     @staticmethod
     def _grouped(members: Iterable[_Member]) -> Dict[tuple, List[_Member]]:
-        """Members bucketed by discrete state (the batching unit)."""
+        """Members bucketed by discrete state, in first-appearance order."""
         groups: Dict[tuple, List[_Member]] = {}
         for member in members:
             groups.setdefault((member.locs, member.vars), []).append(member)
         return groups
-
-    def _post_group(
-        self,
-        locs: Tuple[int, ...],
-        vars: Tuple[int, ...],
-        zones: List[DBM],
-        move: Move,
-        *,
-        delayed: bool,
-    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], List[DBM]]]:
-        """One move's successor over every zone of a discrete-state group.
-
-        The group shares ``(locs, vars)``, so the move's variable update,
-        guard/invariant encodings, resets, and delay admissibility are
-        computed once; only the zone pipeline runs per member — through
-        the stacked kernel (:func:`repro.dbm.stack.hidden_post_step`)
-        when the group is large enough, per zone otherwise.  Returns
-        ``(new_locs, new_vars, nonempty successor zones)``, or None when
-        the move is variable-infeasible for this discrete state.
-        """
-        system = self.system
-        new_vars = system.apply_move_vars(vars, move)
-        if new_vars is None:
-            return None
-        new_locs = system.target_locs(locs, move)
-        if not system.invariant_int_ok(new_locs, new_vars):
-            return None
-        guard = self._scaled(system.guard_constraints(move, vars))
-        invariant = self._scaled(system.invariant_constraints(new_locs, new_vars))
-        resets = system.resets_of(move)
-        delay = delayed and system.can_delay(new_locs)
-        if self.batch and len(zones) >= self.batch_min:
-            counters.inc("estimate.batched_groups")
-            stacked = np.stack([z.m for z in zones])
-            keep = _sk.hidden_post_step(
-                stacked,
-                guard,
-                [clock for clock, _ in resets],
-                [(clock, value * self.scale) for clock, value in resets if value],
-                invariant,
-                delay=delay,
-            )
-            # Copy surviving rows out of the group buffer: a view would
-            # pin the whole (k, dim, dim) stack for as long as the few
-            # kept members live.
-            return (
-                new_locs,
-                new_vars,
-                [DBM(stacked[i].copy()) for i in np.flatnonzero(keep)],
-            )
-        counters.inc("estimate.scalar_groups")
-        out: List[DBM] = []
-        for zone in zones:
-            zone = zone.constrained(guard)
-            if zone.is_empty():
-                continue
-            if resets:
-                zone = zone.assign_clocks(
-                    [(clock, value * self.scale) for clock, value in resets]
-                )
-            zone = zone.constrained(invariant)
-            if zone.is_empty():
-                continue
-            if delay:
-                zone = zone.up().constrained(invariant)
-            out.append(zone)
-        return new_locs, new_vars, out
-
-    def _group_enables(
-        self,
-        locs: Tuple[int, ...],
-        vars: Tuple[int, ...],
-        zones: List[DBM],
-        move: Move,
-    ) -> bool:
-        """Existence-only probe: is the move enabled in *some* member?
-
-        The early-exit twin of :meth:`_post_group` for
-        :meth:`enabled_labels`, which needs one surviving zone, never the
-        zones themselves.  Shared encodings are computed once per group;
-        then the batched path asks :func:`repro.dbm.stack.any_hidden_post`
-        (no copy-out, no delay step — resets cannot empty a nonempty zone
-        and emptiness is delay-invariant) and the per-zone path
-        short-circuits at the first survivor, with the same shortcut:
-        when the target state carries no clock invariant, surviving the
-        guard already proves enabledness.
-        """
-        system = self.system
-        new_vars = system.apply_move_vars(vars, move)
-        if new_vars is None:
-            return False
-        new_locs = system.target_locs(locs, move)
-        if not system.invariant_int_ok(new_locs, new_vars):
-            return False
-        guard = self._scaled(system.guard_constraints(move, vars))
-        invariant = self._scaled(
-            system.invariant_constraints(new_locs, new_vars)
-        )
-        resets = system.resets_of(move)
-        if self.batch and len(zones) >= self.batch_min:
-            counters.inc("estimate.enable_probes_batched")
-            stacked = np.stack([z.m for z in zones])
-            return _sk.any_hidden_post(
-                stacked,
-                guard,
-                [clock for clock, _ in resets],
-                [(clock, value * self.scale) for clock, value in resets if value],
-                invariant,
-            )
-        counters.inc("estimate.enable_probes_scalar")
-        for zone in zones:
-            zone = zone.constrained(guard)
-            if zone.is_empty():
-                continue
-            if not invariant:
-                return True
-            if resets:
-                zone = zone.assign_clocks(
-                    [(clock, value * self.scale) for clock, value in resets]
-                )
-            if not zone.constrained(invariant).is_empty():
-                return True
-        return False
-
-    def _post(self, member: _Member, move: Move) -> Optional[_Member]:
-        """Discrete successor on padded zones (mirrors ``System.post``)."""
-        system = self.system
-        new_vars = system.apply_move_vars(member.vars, move)
-        if new_vars is None:
-            return None
-        new_locs = system.target_locs(member.locs, move)
-        if not system.invariant_int_ok(new_locs, new_vars):
-            return None
-        zone = member.zone.constrained(
-            self._scaled(system.guard_constraints(move, member.vars))
-        )
-        if zone.is_empty():
-            return None
-        resets = system.resets_of(move)
-        if resets:
-            zone = zone.assign_clocks(
-                [(clock, value * self.scale) for clock, value in resets]
-            )
-        zone = zone.constrained(
-            self._scaled(system.invariant_constraints(new_locs, new_vars))
-        )
-        if zone.is_empty():
-            return None
-        return _Member(new_locs, new_vars, zone)
-
-    def _delayed(self, member: _Member) -> _Member:
-        """Delay closure of a member (elapsed clock advances with time)."""
-        system = self.system
-        if not system.can_delay(member.locs):
-            return member
-        zone = member.zone.up().constrained(
-            self._scaled(system.invariant_constraints(member.locs, member.vars))
-        )
-        return _Member(member.locs, member.vars, zone)
 
     # ------------------------------------------------------------------
     # Closures
@@ -443,142 +371,106 @@ class StateEstimate:
 
     def _admit(
         self,
-        seen: Dict[tuple, List[DBM]],
+        seen: Dict[tuple, _Antichain],
         members: Iterable[_Member],
         retained: List[int],
-    ) -> List[_Member]:
+    ) -> List[Tuple[tuple, List[_Member]]]:
         """Admit a frontier wave into the retained sets, with pruning.
 
         A new zone included in a retained (or earlier-admitted) zone of
-        the same discrete state is dropped; a retained zone strictly
-        dominated by an admitted one is evicted.  Retention is therefore
-        an antichain per discrete state, and — because the zone operators
-        are inclusion-monotone, so a dominating zone's successors cover a
+        the same discrete state is dropped; a retained zone dominated by
+        an admitted one is evicted.  Retention is therefore an antichain
+        per discrete state, and — because the zone operators are
+        inclusion-monotone, so a dominating zone's successors cover a
         dominated zone's — the fixpoint's retained sets are independent
-        of processing order: the batched and per-zone paths agree on the
-        final member sets, not just on the monitor answers.  The
-        ``max_states`` budget is checked against the post-pruning total
-        carried in the one-cell ``retained`` count.  Returns the admitted
-        members (the next expansion wave).
+        of processing order.  The ``max_states`` budget is checked
+        against the post-pruning total carried in the one-cell
+        ``retained`` count, after each discrete state.  Returns the
+        admitted members still retained (the next expansion wave), per
+        discrete state.
         """
-        kept: List[_Member] = []
-        for (locs, vars), group in self._grouped(members).items():
-            zones = seen.setdefault((locs, vars), [])
-            fresh = [m.zone for m in group if not m.zone.is_empty()]
-            if not fresh:
-                continue
-            if self.batch and len(fresh) >= self.batch_min:
-                new_stack = np.stack([z.m for z in fresh])
-                seen_stack = np.stack([z.m for z in zones]) if zones else None
-                keep, drop_seen = _sk.subsume_frontier(new_stack, seen_stack)
-                if zones and drop_seen.any():
-                    retained[0] -= int(drop_seen.sum())
-                    zones[:] = [
-                        z for z, dropped in zip(zones, drop_seen) if not dropped
-                    ]
-                for idx in np.flatnonzero(keep):
-                    zones.append(fresh[idx])
-                    kept.append(_Member(locs, vars, fresh[idx]))
-                retained[0] += int(keep.sum())
-            else:
-                for zone in fresh:
-                    if any(old.includes(zone) for old in zones):
-                        continue
-                    survivors = [old for old in zones if not zone.includes(old)]
-                    retained[0] -= len(zones) - len(survivors)
-                    survivors.append(zone)
-                    zones[:] = survivors
-                    retained[0] += 1
-                    kept.append(_Member(locs, vars, zone))
+        first_superset = _backends.active().first_superset
+        wave: List[Tuple[tuple, List[_Member]]] = []
+        for key, group in self._grouped(members).items():
+            chain = seen.get(key)
+            if chain is None:
+                chain = seen[key] = _Antichain()
+            admitted: List[_Member] = []
+            for member in group:
+                if member.zone.is_empty():
+                    continue
+                evicted = chain.add(member.zone, first_superset)
+                if evicted is None:
+                    continue
+                retained[0] += 1 - evicted
+                admitted.append(member)
+            if len(admitted) > 1:
+                # A zone evicted by a later one of the same wave needs no
+                # expansion: its successors are covered.
+                alive = {id(zone) for zone in chain.zones}
+                admitted = [m for m in admitted if id(m.zone) in alive]
+            if admitted:
+                wave.append((key, admitted))
             if retained[0] > self.max_states:
                 raise EstimateLimit(
                     f"hidden-move closure exceeded {self.max_states} symbolic"
                     f" states (raise max_states or simplify the partition)"
                 )
-        return kept
+        return wave
 
     def _closure_fixpoint(
         self, work: List[_Member], *, timed: bool
     ) -> List[_Member]:
         """Reachability over hidden moves (with delays iff ``timed``).
 
-        Batched mode expands wave by wave: each wave is grouped by
-        discrete state and every internal move fires over a whole group
-        through one stacked-kernel call.  Scalar mode (``batch=False``)
-        keeps the original member-at-a-time LIFO loop as the differential
-        reference.  Both share :meth:`_admit`, so retention, budget
-        accounting, and the resulting fixpoint agree.
+        Breadth first, wave by wave: each admitted member is expanded by
+        one ``zone_expand`` call over its discrete state's hidden-move
+        table, and the successors join the next wave grouped by source
+        state, then move, then member.
         """
         counters.inc("estimate.closures")
-        seen: Dict[tuple, List[DBM]] = {}
+        expand = _backends.active().zone_expand
+        seen: Dict[tuple, _Antichain] = {}
         retained = [0]
-        if self.batch:
-            frontier = list(work)
-            while frontier:
-                wave = self._admit(seen, frontier, retained)
-                frontier = []
-                for (locs, vars), group in self._grouped(wave).items():
-                    zones = [m.zone for m in group]
-                    for move in self._internal_moves(locs, vars):
-                        res = self._post_group(
-                            locs, vars, zones, move, delayed=timed
-                        )
-                        if res is None:
-                            continue
-                        new_locs, new_vars, new_zones = res
-                        frontier.extend(
-                            _Member(new_locs, new_vars, zone)
-                            for zone in new_zones
-                        )
-        else:
-            stack = list(work)
-            while stack:
-                member = stack.pop()
-                if not self._admit(seen, [member], retained):
+        frontier = work
+        while frontier:
+            wave = self._admit(seen, frontier, retained)
+            frontier = []
+            for (locs, vars), group in wave:
+                table = self._steps(locs, vars).closure_table(timed)
+                if not table.plans:
                     continue
-                for move in self._internal_moves(member.locs, member.vars):
-                    nxt = self._post(member, move)
-                    if nxt is not None:
-                        stack.append(self._delayed(nxt) if timed else nxt)
+                counters.inc("estimate.expansions", len(group))
+                rows = []
+                for member in group:
+                    out, ok = expand(member.zone.m, table)
+                    rows.append((out, ok.tolist()))
+                for x, (new_locs, new_vars) in enumerate(table.targets):
+                    for out, ok in rows:
+                        if ok[x]:
+                            frontier.append(
+                                _Member(new_locs, new_vars, DBM(out[x]))
+                            )
         out = [
             _Member(locs, vars, zone)
-            for (locs, vars), zones in seen.items()
-            for zone in zones
+            for (locs, vars), chain in seen.items()
+            for zone in chain.zones
         ]
         counters.observe("estimate.closure_members", len(out))
         return out
 
     def _instant_closure(self, members: List[_Member]) -> List[_Member]:
         """Closure under hidden moves at the current instant (no delay)."""
-        return self._closure_fixpoint(list(members), timed=False)
+        return self._closure_fixpoint(members, timed=False)
 
     def _delayed_frontier(self, members: List[_Member]) -> List[_Member]:
         """Members with the elapsed clock reset, then delay-closed."""
+        successor = _backends.active().zone_successor
         out: List[_Member] = []
-        for (locs, vars), group in self._grouped(members).items():
-            if self.batch and len(group) >= self.batch_min:
-                stacked = np.stack([m.zone.m for m in group])
-                _sk.reset(stacked, [self.tdx])
-                if self.system.can_delay(locs):
-                    _sk.up(stacked)
-                    invariant = self._scaled(
-                        self.system.invariant_constraints(locs, vars)
-                    )
-                    if invariant:
-                        # Cannot empty a nonempty zone (the zone already
-                        # satisfied its invariant before delaying).
-                        _sk.constrain(stacked, invariant)
-                out.extend(
-                    _Member(locs, vars, DBM(stacked[i]))
-                    for i in range(stacked.shape[0])
-                )
-            else:
-                out.extend(
-                    self._delayed(
-                        _Member(m.locs, m.vars, m.zone.reset([self.tdx]))
-                    )
-                    for m in group
-                )
+        for m in members:
+            zone = successor(m.zone.m, self._frontier_plan(m.locs, m.vars))
+            if zone is not None:
+                out.append(_Member(m.locs, m.vars, DBM(zone)))
         return out
 
     def _timed_closure(self) -> List[_Member]:
@@ -638,22 +530,22 @@ class StateEstimate:
         except ValueError as err:  # delay horizon beyond the DBM range
             raise EstimateLimit(str(err)) from err
         result: List[_Member] = []
-        for (locs, vars), group in self._grouped(self._timed_closure()).items():
-            if self.batch and len(group) >= self.batch_min:
-                stacked = np.stack([m.zone.m for m in group])
-                keep = _sk.constrain(stacked, pin)
-                result.extend(
-                    _Member(locs, vars, DBM(stacked[i].copy()))
-                    for i in np.flatnonzero(keep)
-                )
-            else:
-                for member in group:
-                    zone = member.zone.constrained(pin)
-                    if not zone.is_empty():
-                        result.append(_Member(locs, vars, zone))
+        for member in self._timed_closure():
+            zone = member.zone.constrained(pin)
+            if not zone.is_empty():
+                result.append(_Member(member.locs, member.vars, zone))
         if not result:
             return False
         self.states = result
+        self._closure = None
+        self._notify()
+        return True
+
+    def _observed(self, matched: List[_Member]) -> bool:
+        """Make the instant closure of ``matched`` the new state set."""
+        if not matched:
+            return False
+        self.states = self._instant_closure(matched)
         self._closure = None
         self._notify()
         return True
@@ -663,27 +555,23 @@ class StateEstimate:
     ) -> bool:
         """Extend the trace by an observed action; False iff disallowed."""
         decls = self.system.decls
+        successor = _backends.active().zone_successor
         matched: List[_Member] = []
         for (locs, vars), group in self._grouped(self.states).items():
             if updates:
                 vars = apply_var_updates(decls, vars, updates)
-            zones = [m.zone for m in group]
-            for move in self.system.moves_from(locs, vars, self.mode):
+            steps = self._steps(locs, vars)
+            for move, (new_locs, new_vars), plan in zip(
+                steps.moves, steps.targets, steps.posts
+            ):
                 if move.label != label or move.direction != direction:
                     continue
-                res = self._post_group(locs, vars, zones, move, delayed=False)
-                if res is None:
-                    continue
-                new_locs, new_vars, new_zones = res
-                matched.extend(
-                    _Member(new_locs, new_vars, zone) for zone in new_zones
-                )
-        if not matched:
-            return False
-        self.states = self._instant_closure(matched)
-        self._closure = None
-        self._notify()
-        return True
+                counters.inc("estimate.posts", len(group))
+                for member in group:
+                    zone = successor(member.zone.m, plan)
+                    if zone is not None:
+                        matched.append(_Member(new_locs, new_vars, DBM(zone)))
+        return self._observed(matched)
 
     def observe_move(self, move: Move) -> bool:
         """Extend the trace by one *specific* move (not just its label).
@@ -693,39 +581,39 @@ class StateEstimate:
         value-passing variant matters; label-level :meth:`observe` would
         keep successors of every same-label variant.
         """
+        system = self.system
+        successor = _backends.active().zone_successor
         matched: List[_Member] = []
         for (locs, vars), group in self._grouped(self.states).items():
-            res = self._post_group(
-                locs, vars, [m.zone for m in group], move, delayed=False
-            )
-            if res is None:
+            target, plan = system.step_plan(locs, vars, move)
+            if target is None:
                 continue
-            new_locs, new_vars, new_zones = res
-            matched.extend(
-                _Member(new_locs, new_vars, zone) for zone in new_zones
-            )
-        if not matched:
-            return False
-        self.states = self._instant_closure(matched)
-        self._closure = None
-        self._notify()
-        return True
+            plan = plan.scaled(self.scale).bare()
+            counters.inc("estimate.posts", len(group))
+            for member in group:
+                zone = successor(member.zone.m, plan)
+                if zone is not None:
+                    matched.append(_Member(target[0], target[1], DBM(zone)))
+        return self._observed(matched)
 
     def enabled_labels(self, direction: str) -> List[str]:
         """Labels of ``direction`` moves enabled in some member right now.
 
-        Runs the existence-only probe (:meth:`_group_enables`) instead of
-        materialising successor zones: per (group, label) the probe stops
-        at the first member with a nonempty post.
+        Per (discrete state, move) the probe stops at the first member
+        with a nonempty discrete post.
         """
+        successor = _backends.active().zone_successor
         labels: set = set()
         for (locs, vars), group in self._grouped(self.states).items():
-            zones = [m.zone for m in group]
-            for move in self.system.moves_from(locs, vars, self.mode):
+            steps = self._steps(locs, vars)
+            for move, plan in zip(steps.moves, steps.posts):
                 if move.direction != direction or move.label in labels:
                     continue
-                if self._group_enables(locs, vars, zones, move):
-                    labels.add(move.label)
+                for member in group:
+                    counters.inc("estimate.enable_probes")
+                    if successor(member.zone.m, plan) is not None:
+                        labels.add(move.label)
+                        break
         return sorted(labels)
 
     def allowed_outputs(self) -> List[str]:

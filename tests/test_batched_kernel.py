@@ -167,9 +167,8 @@ def test_stack_kernels_exact_on_diagonal_zones(a, b, c):
     if len(members) < 2:
         return
     stack = sk.stack_of(members)
-    # The reference inclusion matrix (behind reduce_indices and
-    # subsume_frontier) and disjoint_mask are exact per pair of canonical
-    # zones.
+    # The reference inclusion matrix (behind reduce_indices) and
+    # disjoint_mask are exact per pair of canonical zones.
     inc = sk._inclusion_matrix_ref(stack, stack)
     for x, zx in enumerate(members):
         for y, zy in enumerate(members):

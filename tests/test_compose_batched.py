@@ -1,16 +1,19 @@
-"""Differential tests: batched StateEstimate vs the per-zone reference.
+"""Differential tests: the compiled StateEstimate vs the per-zone reference.
 
-PR 5 ported the hidden-move closure of
-:class:`repro.semantics.compose.StateEstimate` onto the stacked DBM
-kernels (:mod:`repro.dbm.stack`), keeping the original member-at-a-time
-code as the ``batch=False`` reference.  These tests drive both
-implementations through identical observation sequences on randomly
-generated composed plants and assert they agree on every monitor-facing
-answer — quiescence bounds, enabled labels, delay/action verdicts
-(including rescaled rational delays), the final member *sets* at the
-closure fixpoint, and :class:`EstimateLimit` budget overflows — plus the
-timed-closure memo regression of the PR (recompute exactly once per
-state-set change, counted via ``repro.util.counters``).
+:class:`repro.semantics.compose.StateEstimate` runs every step on plans
+compiled once per discrete state (one ``zone_expand`` kernel call per
+member and closure wave, one ``zone_successor`` per member and observed
+move).  ``tests/estimate_reference.py`` keeps the member-at-a-time LIFO
+estimator it replaced, one zone operation per call.  These tests drive
+both through identical observation sequences on randomly generated
+composed plants and a hand-built hidden-sync network and assert they
+agree on every monitor-facing answer — quiescence bounds, enabled
+labels, delay/action verdicts (including rescaled rational delays), the
+final member *sets* at the closure fixpoint, and :class:`EstimateLimit`
+budget overflows — plus the timed-closure memo (recompute exactly once
+per state-set change, counted via ``repro.util.counters``).  The
+parameter ids ``batched``/``scalar`` name the compiled estimator and the
+per-zone reference.
 """
 
 from fractions import Fraction
@@ -24,6 +27,7 @@ from repro.semantics import StateEstimate, System
 from repro.semantics.compose import EstimateLimit
 from repro.ta.builder import NetworkBuilder
 from repro.util import counters
+from tests.estimate_reference import ReferenceEstimate
 
 COMPOSED_FAMILIES = ("chain", "ring", "clientserver", "broadcast")
 
@@ -31,11 +35,12 @@ COMPOSED_FAMILIES = ("chain", "ring", "clientserver", "broadcast")
 #: integer rescaling, sevenths force a second lcm bump.
 DENOMINATORS = (1, 2, 3, 7)
 
+#: The compiled estimator and the per-zone reference.
+IMPLEMENTATIONS = (StateEstimate, ReferenceEstimate)
+
 
 def estimate_pair(plant_system, **kwargs):
-    batched = StateEstimate(plant_system, batch=True, batch_min=1, **kwargs)
-    scalar = StateEstimate(plant_system, batch=False, **kwargs)
-    return batched, scalar
+    return tuple(cls(plant_system, **kwargs) for cls in IMPLEMENTATIONS)
 
 
 def member_sets(estimate):
@@ -79,16 +84,8 @@ def drive_session(batched, scalar, draw_step, steps=10):
     assert_agree(batched, scalar, "final")
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=1500),
-    family=st.sampled_from(COMPOSED_FAMILIES),
-    data=st.data(),
-)
-def test_batched_estimate_agrees_on_generated_plants(seed, family, data):
-    instance = generate_instance(seed, family)
-    system = System(instance.plant)
-    batched, scalar = estimate_pair(system)
+def draw_session_step(data, estimate):
+    """A ``draw_step`` for :func:`drive_session` over Hypothesis data."""
 
     def draw_step(step, inputs, outputs):
         choices = ["delay"]
@@ -101,7 +98,7 @@ def test_batched_estimate_agrees_on_generated_plants(seed, family, data):
             return kind, data.draw(st.sampled_from(inputs))
         if kind == "output":
             return kind, data.draw(st.sampled_from(outputs))
-        bound, strict = batched.max_quiescence()
+        bound, strict = estimate.max_quiescence()
         delay = Fraction(
             data.draw(st.integers(min_value=0, max_value=5)),
             data.draw(st.sampled_from(DENOMINATORS)),
@@ -110,7 +107,27 @@ def test_batched_estimate_agrees_on_generated_plants(seed, family, data):
             delay = bound / 2 if strict else bound
         return "delay", delay
 
-    drive_session(batched, scalar, draw_step)
+    return draw_step
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=1500),
+    family=st.sampled_from(COMPOSED_FAMILIES),
+    data=st.data(),
+)
+def test_batched_estimate_agrees_on_generated_plants(seed, family, data):
+    instance = generate_instance(seed, family)
+    batched, scalar = estimate_pair(System(instance.plant))
+    drive_session(batched, scalar, draw_session_step(data, batched))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_estimate_agrees_on_the_hidden_sync_network(data):
+    """The hand-built plant with a hidden sync inside a real time window."""
+    batched, scalar = estimate_pair(System(hidden_chain_network()))
+    drive_session(batched, scalar, draw_session_step(data, batched))
 
 
 @settings(max_examples=15, deadline=None)
@@ -130,7 +147,7 @@ def test_budget_overflow_agrees(seed, family):
     """
     instance = generate_instance(seed, family)
     system = System(instance.plant)
-    reference = StateEstimate(system, batch=False)
+    reference = ReferenceEstimate(system)
     inputs = reference.enabled_labels("input")
     if inputs:
         reference.observe(inputs[0], "input")
@@ -139,10 +156,8 @@ def test_budget_overflow_agrees(seed, family):
     if fixpoint_size < 2:
         return  # budget < 1 is unreachable; nothing to overflow
     budget = fixpoint_size - 1
-    for batch in (True, False):
-        estimate = StateEstimate(
-            system, batch=batch, batch_min=1, max_states=budget
-        )
+    for cls in IMPLEMENTATIONS:
+        estimate = cls(system, max_states=budget)
         with pytest.raises(EstimateLimit):
             for label in inputs[:1]:
                 estimate.observe(label, "input")
@@ -176,6 +191,48 @@ def hidden_chain_network():
     return net.build()
 
 
+def payload_network():
+    """``go?`` writes a payload into ``v`` and passes through an urgent
+    location; the hidden sync then needs ``v == 2``."""
+    net = NetworkBuilder("payload")
+    net.clock("c0", "c1")
+    net.int_var("v", 0, 3)
+    net.input_channel("go")
+    net.output_channel("h", "fin")
+    net.interface("go", "fin")
+    a = net.automaton("A")
+    a.location("Idle", initial=True)
+    a.location("Prep", urgent=True)
+    a.location("Busy", "c0 <= 2")
+    a.location("Done")
+    a.edge("Idle", "Prep", sync="go?", assign="c0 := 0")
+    a.edge("Prep", "Busy")
+    a.edge("Busy", "Done", sync="h!", guard="v == 2")
+    b = net.automaton("B")
+    b.location("Wait", initial=True)
+    b.location("Hold", "c1 <= 3")
+    b.location("End")
+    b.edge("Wait", "Hold", sync="h?", assign="c1 := 0")
+    b.edge("Hold", "End", sync="fin!", guard="c1 >= 1")
+    return net.build()
+
+
+@pytest.mark.parametrize("payload", range(4))
+def test_estimate_agrees_on_payloads_and_urgent_locations(payload):
+    batched, scalar = estimate_pair(System(payload_network()))
+    for estimate in (batched, scalar):
+        assert estimate.observe("go", "input", [("v", None, payload)])
+    assert_agree(batched, scalar, f"payload {payload}")
+    quiet = batched.max_quiescence()
+    # The urgent location holds no time: the hidden step can only start
+    # from Busy, so silence is bounded by c0 <= 2 (then c1 <= 3 once
+    # h has fired, which only the payload 2 allows).
+    assert quiet == ((Fraction(5), False) if payload == 2 else (Fraction(2), False))
+    for delay in (Fraction(1, 2), Fraction(2, 3)):
+        assert batched.advance(delay) == scalar.advance(delay)
+        assert_agree(batched, scalar, f"payload {payload} after {delay}")
+
+
 class TestRescaledDelays:
     def test_rational_delays_agree_through_rescaling(self):
         system = System(hidden_chain_network())
@@ -194,10 +251,8 @@ class TestRescaledDelays:
         """Wildly varied denominators overflow both paths identically."""
         primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
         outcomes = []
-        for batch in (True, False):
-            estimate = StateEstimate(
-                System(hidden_chain_network()), batch=batch, batch_min=1
-            )
+        for cls in IMPLEMENTATIONS:
+            estimate = cls(System(hidden_chain_network()))
             estimate.observe("go", "input")
             try:
                 for p in primes:
@@ -214,32 +269,32 @@ class TestRescaledDelays:
 
 
 class TestEnabledEarlyExit:
-    """``enabled_labels`` existence-only probe (the PR's early-exit path).
+    """``enabled_labels`` probes instead of observing.
 
-    :meth:`StateEstimate._group_enables` answers "is some member's post
-    nonempty" without materialising successor zones — batched through
-    :func:`repro.dbm.stack.any_hidden_post`, per-zone with a first-survivor
-    short-circuit.  The probe must agree move-for-move with the full
-    :meth:`_post_group` pipeline, and ``enabled_labels`` must actually run
-    it (probe counters up, full-post kernel counter untouched).
+    Per (discrete state, move) it runs the compiled discrete post on one
+    member at a time and stops at the first nonempty one.  Its labels
+    must equal those of materialising every member's post one zone
+    operation at a time (the reference's ``_post``), and the probe must
+    run no closure, no observation and no stacked kernel.
     """
 
     @staticmethod
     def assert_probe_matches_posts(estimate, context):
-        system = estimate.system
-        for (locs, vars), group in estimate._grouped(estimate.states).items():
-            zones = [m.zone for m in group]
-            for move in system.moves_from(locs, vars, estimate.mode):
-                enabled = estimate._group_enables(locs, vars, zones, move)
-                post = estimate._post_group(
-                    locs, vars, zones, move, delayed=False
+        reference = ReferenceEstimate(estimate.system, estimate.mode)
+        reference.states, reference.scale = estimate.states, estimate.scale
+        for direction in ("input", "output"):
+            materialised = {
+                move.label
+                for member in estimate.states
+                for move in estimate.system.moves_from(
+                    member.locs, member.vars, estimate.mode
                 )
-                materialised = post is not None and bool(post[2])
-                assert enabled == materialised, (
-                    f"{context}: probe={enabled} but full post"
-                    f" {'survives' if materialised else 'dies'}"
-                    f" on {move.label}"
-                )
+                if move.direction == direction
+                and reference._post(member, move) is not None
+            }
+            assert estimate.enabled_labels(direction) == sorted(
+                materialised
+            ), f"{context}: {direction} labels"
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -248,52 +303,37 @@ class TestEnabledEarlyExit:
     )
     def test_probe_agrees_with_materialised_posts(self, seed, family):
         instance = generate_instance(seed, family)
-        system = System(instance.plant)
-        for estimate in estimate_pair(system):
-            context = f"{family} seed {seed}"
-            self.assert_probe_matches_posts(estimate, f"{context} initial")
-            inputs = estimate.enabled_labels("input")
-            if inputs and estimate.observe(inputs[0], "input"):
+        estimate = StateEstimate(System(instance.plant))
+        context = f"{family} seed {seed}"
+        self.assert_probe_matches_posts(estimate, f"{context} initial")
+        inputs = estimate.enabled_labels("input")
+        if inputs and estimate.observe(inputs[0], "input"):
+            self.assert_probe_matches_posts(
+                estimate, f"{context} after {inputs[0]}?"
+            )
+            if estimate.advance(Fraction(1, 3)):
                 self.assert_probe_matches_posts(
-                    estimate, f"{context} after {inputs[0]}?"
+                    estimate, f"{context} after 1/3 (rescaled)"
                 )
 
-    def test_batched_labels_run_the_probe_kernel_not_the_full_post(self):
-        estimate = StateEstimate(
-            System(hidden_chain_network()), batch=True, batch_min=1
-        )
+    def test_labels_probe_compiled_posts_and_stop_early(self):
+        estimate = StateEstimate(System(hidden_chain_network()))
         estimate.observe("go", "input")
         assert estimate.advance(Fraction(1))  # fin! needs c1 >= 1
         counters.reset()
         assert estimate.enabled_labels("output") == ["fin"]
         counts = counters.export()["counts"]
-        assert counts.get("estimate.enable_probes_batched", 0) > 0
-        assert counts.get("stack.any_posts", 0) > 0
-        # The probe never materialises successors: the full-post kernel
-        # (and its copy-out) must not have run at all.
-        assert counts.get("stack.hidden_posts", 0) == 0
-        assert counts.get("estimate.batched_groups", 0) == 0
-
-    def test_scalar_labels_short_circuit_without_the_kernel(self):
-        estimate = StateEstimate(
-            System(hidden_chain_network()), batch=False
-        )
-        estimate.observe("go", "input")
-        assert estimate.advance(Fraction(1))
-        counters.reset()
-        assert estimate.enabled_labels("output") == ["fin"]
-        counts = counters.export()["counts"]
-        assert counts.get("estimate.enable_probes_scalar", 0) > 0
-        assert counts.get("stack.any_posts", 0) == 0
-        assert counts.get("estimate.scalar_groups", 0) == 0
+        # One fin! move, enabled in the first member probed.
+        assert counts.get("estimate.enable_probes") == 1
+        assert not [name for name in counts if name.startswith("stack.")]
+        for name in ("estimate.posts", "estimate.closures"):
+            assert name not in counts
 
 
 class TestClosureMemo:
-    @pytest.fixture(params=[True, False], ids=["batched", "scalar"])
+    @pytest.fixture(params=IMPLEMENTATIONS, ids=["batched", "scalar"])
     def estimate(self, request):
-        estimate = StateEstimate(
-            System(hidden_chain_network()), batch=request.param, batch_min=1
-        )
+        estimate = request.param(System(hidden_chain_network()))
         estimate.observe("go", "input")
         return estimate
 

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.dbm import Federation
+from repro.dbm import DBM, Federation, bound
 from repro.dbm import backends as backends_mod
+from repro.dbm.backends.base import MovePlan
 from repro.game import OnTheFlySolver
 from repro.gen.differential import (
     PRED_CASES,
@@ -27,8 +28,10 @@ from repro.gen.differential import (
     _fused_kernel_mismatch,
 )
 from repro.gen.networks import generate_instance
+from repro.gen.zones import random_zone
 from repro.graph.explorer import SimulationGraph
 from repro.models.lep import TEST_PURPOSES, lep_network
+from repro.semantics.compose import _scaled_zone
 from repro.semantics.system import OPEN, System
 from repro.ta.builder import NetworkBuilder
 from repro.tctl import parse_query
@@ -226,3 +229,39 @@ def test_kernel_check_runs_every_fused_case(case):
             pred_case = PRED_CASES[seed % len(PRED_CASES)]
             rng = random.Random(seed)
             assert _fused_kernel_mismatch(rng, backend, case, pred_case) is None
+
+
+@pytest.mark.parametrize("backend_name", AVAILABLE)
+def test_scaled_plan_steps_scaled_zones(backend_name):
+    """``MovePlan.scaled(k)`` on a zone scaled by ``k`` is the scaled
+    successor: the state estimate's rescaling commutes with its steps."""
+    backend = backends_mod.resolve(backend_name)
+    rng = random.Random(21)
+    for _ in range(60):
+        dim = rng.randint(3, 5)
+        zone = random_zone(rng, dim)
+        if zone.is_empty():
+            continue
+
+        def cons():
+            return tuple(
+                (i, j, bound(rng.randint(-4, 8), rng.random() < 0.5))
+                for i, j in (
+                    (rng.randrange(dim), rng.randrange(dim)) for _ in range(3)
+                )
+                if i != j
+            )
+
+        assigns = tuple(
+            sorted((c, rng.randint(0, 3)) for c in rng.sample(range(1, dim), 2))
+        )
+        plan = MovePlan(cons(), assigns, cons(), rng.random() < 0.5)
+        k = rng.choice((2, 3, 7))
+        scaled = plan.scaled(k)
+        assert plan.scaled(k) is scaled and plan.scaled(1) is plan
+        want = backend.zone_successor(zone.m, plan)
+        got = backend.zone_successor(_scaled_zone(zone, k).m, scaled)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, _scaled_zone(DBM(want), k).m)

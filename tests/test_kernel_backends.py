@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.dbm import DBM, bound, minimal_constraints, verified_minimal_constraints
 from repro.dbm import backends as backends_mod
 from repro.dbm import stack as sk
-from repro.dbm.backends.base import CHANGED, EMPTY, UNCHANGED, KernelBackend
+from repro.dbm.backends.base import CHANGED, EMPTY, UNCHANGED, KernelBackend, MovePlan
 from repro.dbm.backends.numpy_backend import NumpyBackend
 from repro.gen.zones import random_zone
 from repro.graph.explorer import SimulationGraph
@@ -154,45 +154,47 @@ def test_backend_close_matches_reference(backend_name):
 
 @pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_fused_post_matches_reference(backend_name):
+    """``zone_successor`` (the fused post of the explorer and the state
+    estimate) against the same step as separate reference zone
+    operations: guard, clock assignments, invariant, delay, invariant."""
     backend = backends_mod.resolve(backend_name)
     rng = random.Random(11)
     for _ in range(25):
         dim = rng.randint(3, 5)
-        zs = []
-        while len(zs) < rng.randint(1, 4):
-            z = random_zone(rng, dim)
-            if not z.is_empty():
-                zs.append(z)
-        stack = np.stack([z.m for z in zs])
-        from repro.dbm import bound
+        zone = random_zone(rng, dim)
+        while zone.is_empty():
+            zone = random_zone(rng, dim)
 
-        cons = lambda n: [
-            (i, j, bound(rng.randint(-4, 8), rng.random() < 0.5))
-            for i, j in [
+        def cons(n):
+            pairs = [
                 (rng.randrange(dim), rng.randrange(dim))
                 for _ in range(rng.randint(0, n))
             ]
-            if i != j
-        ]
+            return tuple(
+                (i, j, bound(rng.randint(-4, 8), rng.random() < 0.5))
+                for i, j in pairs
+                if i != j
+            )
+
         guard, inv = cons(3), cons(3)
-        resets = rng.sample(range(1, dim), rng.randint(0, dim - 1))
-        shifts = [
-            (c, rng.randint(0, 4))
-            for c in rng.sample(range(1, dim), rng.randint(0, dim - 1))
-        ]
-        delay = rng.random() < 0.5
-        ref_m, got_m = stack.copy(), stack.copy()
-        ref_ok = sk._hidden_post_step_ref(
-            ref_m, guard, resets, shifts, inv, delay
+        assigns = tuple(
+            sorted(
+                (c, rng.randint(0, 4))
+                for c in rng.sample(range(1, dim), rng.randint(0, dim - 1))
+            )
         )
-        got_ok = backend.hidden_post_step(
-            got_m, guard, resets, shifts, inv, delay
-        )
-        assert np.array_equal(ref_ok, got_ok)
-        assert np.array_equal(ref_m[ref_ok], got_m[ref_ok])
-        assert backend.any_hidden_post(
-            stack.copy(), guard, resets, shifts, inv
-        ) == sk._any_hidden_post_ref(stack.copy(), guard, resets, shifts, inv)
+        plan = MovePlan(guard, assigns, inv, rng.random() < 0.5)
+        with backends_mod.use_backend(NumpyBackend()):
+            want = zone.constrained(guard)
+            if not want.is_empty():
+                want = want.assign_clocks(assigns).constrained(inv)
+            if plan.delay and not want.is_empty():
+                want = want.up().constrained(inv)
+        got = backend.zone_successor(zone.m, plan)
+        if want.is_empty():
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want.m)
 
 
 @pytest.mark.parametrize("backend_name", AVAILABLE)
@@ -211,12 +213,7 @@ def test_backend_subsumption_matches_reference(backend_name):
             return np.stack([z.m for z in zs])
 
         new = stack_of(rng.randint(1, 5))
-        seen = stack_of(rng.randint(1, 4)) if rng.random() < 0.8 else None
         assert sk._reduce_indices_ref(new) == backend.reduce_indices(new)
-        ref_keep, ref_drop = sk._subsume_frontier_ref(new.copy(), seen)
-        got_keep, got_drop = backend.subsume_frontier(new.copy(), seen)
-        assert np.array_equal(ref_keep, got_keep)
-        assert np.array_equal(ref_drop, got_drop)
 
 
 _constraint_lists = st.lists(
