@@ -316,7 +316,7 @@ class TestEnabledEarlyExit:
                     estimate, f"{context} after 1/3 (rescaled)"
                 )
 
-    def test_labels_probe_compiled_posts_and_stop_early(self):
+    def test_batched_labels_run_the_probe_kernel_not_the_full_post(self):
         estimate = StateEstimate(System(hidden_chain_network()))
         estimate.observe("go", "input")
         assert estimate.advance(Fraction(1))  # fin! needs c1 >= 1
@@ -325,9 +325,29 @@ class TestEnabledEarlyExit:
         counts = counters.export()["counts"]
         # One fin! move, enabled in the first member probed.
         assert counts.get("estimate.enable_probes") == 1
-        assert not [name for name in counts if name.startswith("stack.")]
+        # The probe never materialises successors or closes over them.
         for name in ("estimate.posts", "estimate.closures"):
             assert name not in counts
+
+    def test_scalar_labels_short_circuit_without_the_kernel(self):
+        """Members are probed one at a time, up to the first survivor."""
+        estimate = StateEstimate(System(hidden_chain_network()))
+        estimate.observe("go", "input")
+        assert estimate.advance(Fraction(1, 2))  # scale 2
+        done = estimate.system.network.location_names
+        disabled = [m for m in estimate.states if "A.Done" in done(m.locs)]
+        assert estimate.advance(Fraction(2))
+        enabled = [m for m in estimate.states if "A.Done" in done(m.locs)]
+        assert len(disabled) == 1 and enabled
+        assert disabled[0][:2] == enabled[0][:2]  # one discrete state
+        # c1 <= 1/2 blocks fin!; c1 >= 2 allows it.
+        estimate.states = disabled * 2 + enabled[:1] * 2
+        counters.reset()
+        assert estimate.enabled_labels("output") == ["fin"]
+        counts = counters.export()["counts"]
+        # Two blocked probes, then the first survivor ends the scan.
+        assert counts.get("estimate.enable_probes") == 3
+        assert not [name for name in counts if name.startswith("stack.")]
 
 
 class TestClosureMemo:
