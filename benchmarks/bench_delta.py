@@ -154,9 +154,9 @@ def main(argv=None) -> int:
             )
             print(f"| `{name}` | {cells} |")
 
-    # Kernel-backend dispatch, when the run recorded it (the stacked
-    # kernel microbenches attach the active backend name plus the
-    # dbm.backend_* counters as extra_info).
+    # Kernel-backend selection, when the run recorded it (the kernel
+    # microbenches attach the active backend name plus the
+    # dbm.backend_* selection/fallback/demotion counters as extra_info).
     backend_rows = []
     for name, info in sorted(extras.items()):
         cells = {
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         print()
         print("### Kernel backend (current run)")
         print()
-        print("| benchmark | backend | dispatch counters |")
+        print("| benchmark | backend | backend counters |")
         print("|---|---|---|")
         for name, info in backend_rows:
             backend = info.pop("kernel_backend", "?")

@@ -8,12 +8,12 @@ Predt operator they compose into.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import faults
 from repro.dbm import DBM, Federation, le
 from repro.dbm import backends as kernel_backends
-from repro.dbm import stack as sk
 from repro.dbm.backends.base import MovePlan
 from repro.game.predt import predt
 from repro.util import counters
@@ -153,11 +153,11 @@ def test_bench_sample(benchmark, zone_pool):
 # ----------------------------------------------------------------------
 #
 # These exercise the kernels the pluggable backends
-# (``REPRO_KERNEL_BACKEND``) implement, at the sizes that bracket real
-# workloads: k=4 (just past the dispatch threshold), k=32 (a large
-# estimate closure), k=256 (stress).  The
-# active backend name and the ``dbm.backend_*`` dispatch counters land
-# in ``extra_info`` so saved JSONs are comparable across backends.
+# (``REPRO_KERNEL_BACKEND``) implement, over k zones at the sizes that
+# bracket real workloads: k=4 (a small federation), k=32 (a large
+# estimate closure), k=256 (stress).  The active backend name and the
+# ``dbm.backend_*`` selection, fallback and demotion counters land in
+# ``extra_info`` so saved JSONs are comparable across backends.
 
 KERNEL_KS = [4, 32, 256]
 
@@ -180,7 +180,7 @@ def kernel_stacks():
             zone = random_zone(rng)
             if not zone.is_empty():
                 zones.append(zone)
-        stack = sk.stack_of(zones)
+        stack = np.stack([z.m for z in zones])
         raw = stack.copy()
         for _ in range(k):  # random tightenings give close() real work
             x = rng.randrange(k)
@@ -192,15 +192,18 @@ def kernel_stacks():
     return out
 
 
+def _close_rows(raw):
+    """``zone_close`` on a copy of every row: the nonempty verdicts."""
+    close = kernel_backends.active().zone_close
+    return [close(m) for m in raw.copy()]
+
+
 @pytest.mark.parametrize("k", KERNEL_KS, ids=[f"k{k}" for k in KERNEL_KS])
 def test_bench_kernel_close(benchmark, kernel_stacks, k):
+    """One ``zone_close`` per zone over k de-canonicalised zones."""
     _, raw = kernel_stacks[k]
-
-    def run():
-        return sk.close(raw.copy())
-
-    keep = benchmark(run)
-    assert keep.shape == (k,)
+    keep = benchmark(lambda: _close_rows(raw))
+    assert len(keep) == k
     _record_backend(benchmark)
 
 
@@ -241,11 +244,12 @@ def test_bench_fault_probe_disarmed(benchmark):
 
 @pytest.mark.parametrize("mode", FAULT_MODES)
 def test_bench_kernel_close_fault_control(benchmark, kernel_stacks, mode):
-    """Real guarded-kernel work (close at k=32) under each probe mode."""
+    """Real guarded-kernel work (32 ``zone_close`` calls) under each
+    probe mode."""
     _, raw = kernel_stacks[32]
     with faults.injected(IDLE_PLAN if mode == "armed_idle" else None):
-        keep = benchmark(lambda: sk.close(raw.copy()))
-    assert keep.shape == (32,)
+        keep = benchmark(lambda: _close_rows(raw))
+    assert len(keep) == 32
     benchmark.extra_info["faults_mode"] = mode
     _record_backend(benchmark)
 

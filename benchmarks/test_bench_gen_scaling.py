@@ -47,7 +47,7 @@ def test_bench_solve_random_by_locations(benchmark, locations):
 
     assert benchmark(run) >= 0
     snap = counters.snapshot()
-    for key in ("dbm.closures", "stack.closures", "federation.zones"):
+    for key in ("dbm.closures", "federation.zones"):
         if key in snap:
             benchmark.extra_info[key] = snap[key]
 

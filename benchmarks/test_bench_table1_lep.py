@@ -28,7 +28,6 @@ def _attach_counters(benchmark):
     snap = counters.snapshot()
     for key in (
         "dbm.closures",
-        "stack.closures",
         "solver.updates",
         "solver.update_skipped",
         "federation.zones",

@@ -1,9 +1,9 @@
 """Kernel backend registry: selection, fallback, and counters.
 
-The stacked-DBM dispatch layer (:mod:`repro.dbm.stack`) and the
-per-zone :class:`~repro.dbm.DBM` operations ask :func:`active` for the
-current :class:`~repro.dbm.backends.base.KernelBackend` on every
-hot-kernel call.  Selection:
+:class:`~repro.dbm.DBM`, :class:`~repro.dbm.Federation`, the semantics
+and the game solvers ask :func:`active` for the current
+:class:`~repro.dbm.backends.base.KernelBackend` on every hot-kernel
+call.  Selection:
 
 * ``REPRO_KERNEL_BACKEND=numpy|cext|auto`` picks the backend at first
   use (default ``auto``).
@@ -15,14 +15,14 @@ hot-kernel call.  Selection:
   counter bump — a missing C compiler must never turn into a hard
   failure in a test campaign.
 
-Every resolution bumps ``dbm.backend_selected_<name>`` and each
-dispatched stacked-kernel call bumps ``dbm.backend_<name>`` (via the backend's
-precomputed ``counter`` attribute), so benchmark ``extra_info`` and fuzz
+Every resolution bumps ``dbm.backend_selected_<name>`` and every
+compiled call that demotes to the reference ``dbm.backend_demotions``
+(see :class:`GuardedBackend`), so benchmark ``extra_info`` and fuzz
 coverage signatures record which implementation actually ran.
 
 This module imports no backend implementation at import time — backend
 modules load lazily inside :func:`resolve`, which keeps
-``repro.dbm.stack`` ↔ ``repro.dbm.backends`` import-order safe and means
+``repro.dbm.dbm`` ↔ ``repro.dbm.backends`` import-order safe and means
 a broken optional toolchain costs nothing until someone asks for it.
 """
 
@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, Union
 
 from ... import faults
 from ...util import counters
-from .base import BackendUnavailable, KernelBackend
+from .base import KERNELS, BackendUnavailable, KernelBackend
 
 __all__ = [
     "BackendUnavailable",
@@ -73,10 +73,10 @@ class GuardedBackend:
     Soundness of replaying on the same buffers: catchable compiled-path
     failures happen during argument marshalling or FFI dispatch —
     *before* the C kernel writes — and injected faults fire at call
-    entry, so the demoted call sees pristine inputs.  The per-zone,
-    fused step, federation and graph-node kernels never write their
-    input matrices at all, and take their constraints as a sequence, a
-    :class:`~repro.dbm.backends.base.MovePlan` or an
+    entry, so the demoted call sees pristine inputs.  ``zone_close``
+    writes its matrix only inside the C body; every other kernel never
+    writes its input matrices at all, and takes its constraints as a
+    sequence, a :class:`~repro.dbm.backends.base.MovePlan` or an
     :class:`~repro.dbm.backends.base.ExpansionTable`, which a replay
     reads again intact.  (A fault inside the C body itself is a
     segfault, which no guard can catch.)
@@ -86,7 +86,6 @@ class GuardedBackend:
         self._inner = inner
         self.name = inner.name
         self.compiled = inner.compiled
-        self.counter = inner.counter
         self._site = f"dbm.{inner.name}.compute"
         self._reference: Optional[KernelBackend] = None
         for kernel in KERNELS:
@@ -116,15 +115,6 @@ class GuardedBackend:
 
         call.__name__ = kernel
         return call
-
-
-#: Every kernel of the :class:`KernelBackend` protocol.
-KERNELS = (
-    "zone_close", "zone_constrain", "zone_extrapolate", "zone_successor",
-    "zone_pred", "fed_subtract", "fed_predt", "fixpoint_body", "zone_expand",
-    "first_superset", "node_equation", "close", "extrapolate",
-    "reduce_indices",
-)
 
 
 def _load(name: str) -> KernelBackend:

@@ -2,10 +2,11 @@
 
 A backend supplies implementations of the *hot* DBM kernels — the
 operations profiling shows every solver fixpoint, state-estimate
-closure, and explorer subsumption scan bottoms out in.  Five families:
+closure, and explorer subsumption scan bottoms out in.  Every zone
+operation of :class:`~repro.dbm.DBM` and :class:`~repro.dbm.Federation`
+that is not a cheap per-entry update runs on exactly one of them.  Four
+families:
 
-* the **stacked** kernels over ``(k, dim, dim)`` arrays, called by
-  :mod:`repro.dbm.stack` (``close``, ``extrapolate``, ...);
 * the **per-zone** kernels over one canonical ``(dim, dim)`` matrix,
   called by :class:`~repro.dbm.DBM` (``zone_close``,
   ``zone_constrain``, ``zone_extrapolate``);
@@ -35,23 +36,21 @@ closure, and explorer subsumption scan bottoms out in.  Five families:
   with ``zone_pred`` and runs ``fixpoint_body`` on them.  One call per
   graph node and direction.
 
-Everything else (gathers, masks, cheap per-entry updates) is shared
-plumbing and stays numpy regardless of the backend.
+Everything else (cheap per-entry updates such as ``up``, ``free`` and
+clock assignment) is written once, as :class:`~repro.dbm.DBM` methods,
+and stays numpy regardless of the backend.
 
 Exactness contract
 ==================
 
-For every kernel the backend must return, for each input row, *exactly*
-the reference (pure-numpy) result:
-
-* the keep/nonempty masks must be identical, and
-* every **kept** row's matrix must be byte-identical to the reference.
-
-Rows the mask discards are scratch: their contents are unspecified (the
-reference leaves them partially closed, a compiled backend may bail out
-of them early) and callers must never read them.  The per-zone
-``zone_constrain`` / ``zone_extrapolate`` kernels never write their
-input and report a verdict, :data:`UNCHANGED`, :data:`CHANGED` or
+For every kernel the backend must return *exactly* the reference
+(pure-numpy) result.  ``zone_close`` closes its matrix in place: the
+nonempty verdict must be identical and a consistent matrix must come
+out byte-identical; an inconsistent one is scratch (the reference leaves
+it partially closed, a compiled backend may bail out early) and callers
+must never read it.  The per-zone ``zone_constrain`` /
+``zone_extrapolate`` kernels never write their input and report a
+verdict, :data:`UNCHANGED`, :data:`CHANGED` or
 :data:`EMPTY`, which must equal the reference's; only a
 :data:`CHANGED` result matrix is read, and it must be byte-identical.
 The fused step kernels never write their inputs either; they return
@@ -63,9 +62,9 @@ return a stack whose zones, *and their order*, must equal the
 reference's (``fed_subtract`` returns its first operand itself exactly
 when the reference does): the order fixes the solver's rank layers and
 so the strategies built on them.  The graph-node kernels never write
-their inputs either: ``zone_expand``'s mask and kept rows,
-``first_superset``'s index and ``node_equation``'s stack must equal
-the reference's.
+their inputs either: ``zone_expand``'s nonempty mask and kept rows
+(the others are scratch, as above), ``first_superset``'s index and
+``node_equation``'s stack must equal the reference's.
 
 The contract is not a convention but a theorem for any correct
 implementation — kept rows are canonical, and canonical forms are
@@ -80,8 +79,7 @@ Argument marshalling
 
 Backends receive constraint arguments exactly as the
 :class:`~repro.dbm.DBM` methods do: Python sequences of ``(i, j, enc)``
-tuples (plus ``caps``, an ``int64`` vector for the stacked
-``extrapolate`` and a sequence of ints for ``zone_extrapolate``).
+tuples (plus ``caps``, a sequence of ints for ``zone_extrapolate``).
 Compiled backends marshal them themselves, to a flat list of ints, so
 the numpy reference path pays no conversion cost at all.  A
 :class:`MovePlan` carries both forms: the tuples the reference reads and
@@ -93,7 +91,7 @@ of them, :attr:`ExpansionTable.flat`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -284,15 +282,12 @@ class ExpansionTable:
 
 @runtime_checkable
 class KernelBackend(Protocol):
-    """Implementations of the hot stacked kernels (see module docstring)."""
+    """Implementations of the hot zone kernels (see module docstring)."""
 
     #: Registry name ("numpy", "cext").
     name: str
     #: True for backends that run compiled (native) code.
     compiled: bool
-    #: Counter bumped on every dispatched stacked-kernel call
-    #: (``dbm.backend_<name>``), surfaced in benchmark ``extra_info``.
-    counter: str
 
     def zone_close(self, m: np.ndarray) -> bool:
         """Floyd-Warshall closure of one matrix in place; nonempty?"""
@@ -425,17 +420,14 @@ class KernelBackend(Protocol):
         """
         ...
 
-    def close(self, stack: np.ndarray) -> np.ndarray:
-        """Batched Floyd-Warshall closure in place; the nonempty mask."""
-        ...
 
-    def extrapolate(self, stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        """Batched ExtraM widening in place; the nonempty mask."""
-        ...
-
-    def reduce_indices(self, stack: np.ndarray) -> List[int]:
-        """Indices surviving pairwise-subsumption reduction."""
-        ...
+#: Every kernel of the :class:`KernelBackend` protocol, in declaration
+#: order: the methods a backend implements and a guarded backend wraps.
+KERNELS = tuple(
+    name
+    for name, value in vars(KernelBackend).items()
+    if callable(value) and not name.startswith("_")
+)
 
 
 class BackendUnavailable(RuntimeError):

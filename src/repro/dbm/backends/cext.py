@@ -1,7 +1,7 @@
 """C-extension kernel backend: system-compiler build, loaded via cffi or ctypes.
 
-The hot kernels, stacked, per-zone, fused step, federation and graph-node,
-as ~1,020 lines of portable C, compiled on first use with the host
+The hot kernels, per-zone, fused step, federation and graph-node, as
+~1,000 lines of portable C, compiled on first use with the host
 toolchain::
 
     cc -O2 -shared -fPIC
@@ -26,12 +26,12 @@ ahead of numpy) otherwise.
 Exactness (see :mod:`repro.dbm.backends.base`): the C loops replicate
 the reference kernels' update structure — same tighten/changed/close
 sequencing, same in-place reset/shift ordering, same saturation of
-drifted infinities back to ``INF`` — with one licensed deviation: rows
+drifted infinities back to ``INF`` — with one licensed deviation: zones
 found inconsistent are abandoned at the first negative diagonal instead
 of being dragged through the remaining steps, which the contract allows
-because dead-row content is scratch.  The in-place Floyd-Warshall is
+because their content is scratch.  The in-place Floyd-Warshall is
 byte-identical to the reference's per-``via`` snapshot form on
-consistent rows because the pivot row and column are fixed points of
+consistent zones because the pivot row and column are fixed points of
 their own iteration (the diagonal stays at ``LE_ZERO``, the additive
 identity of the bound encoding).  The federation kernels follow the
 reference's algorithms step for step (split order, reductions, zone
@@ -54,7 +54,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,11 +185,9 @@ static void shift_one(int64_t *m, const int64_t *shifts, int64_t ns,
     }
 }
 
-void k_close(int64_t *stack, int64_t k, int64_t dim, uint8_t *ok)
+int64_t k_zone_close(int64_t *m, int64_t dim)
 {
-    int64_t z, nn = dim * dim;
-    for (z = 0; z < k; z++)
-        ok[z] = (uint8_t)close_one(stack + z * nn, dim);
+    return close_one(m, dim);
 }
 
 /* ExtraM widening of one matrix in place: 0 if nothing widened, 1 if
@@ -220,32 +218,6 @@ static int extrapolate_one(int64_t *m, int64_t dim, const int64_t *caps)
     if (!changed)
         return 0;
     return close_one(m, dim) ? 1 : 2;
-}
-
-void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
-                   const int64_t *caps, uint8_t *ok)
-{
-    int64_t z, nn = dim * dim;
-    for (z = 0; z < k; z++)
-        ok[z] = (uint8_t)(extrapolate_one(stack + z * nn, dim, caps) != 2);
-}
-
-void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep)
-{
-    int64_t x, y, nn = dim * dim;
-    for (y = 0; y < k; y++) {
-        keep[y] = 1;
-        for (x = 0; x < k; x++) {
-            if (x == y)
-                continue;
-            if (!incl(stack + x * nn, stack + y * nn, nn))
-                continue;
-            if (x < y || !incl(stack + y * nn, stack + x * nn, nn)) {
-                keep[y] = 0;
-                break;
-            }
-        }
-    }
 }
 
 /* One discrete step and, with delay, its time closure, in place on one
@@ -509,22 +481,33 @@ static int fed_add(fed_t *f, const int64_t *zs, int64_t k)
     return 0;
 }
 
-/* Subsumption reduction in place, in order: k_reduce's rule. */
-static int fed_reduce(fed_t *f, int64_t dim)
+/* Subsumption reduction in place, in order: a zone goes when another
+ * zone strictly includes it or an earlier one equals it. */
+static int fed_reduce(fed_t *f)
 {
     uint8_t *keep;
-    int64_t x, w = 0;
+    int64_t x, y, w = 0, nn = f->nn;
     if (f->k < 2)
         return 0;
     keep = malloc((size_t)f->k);
     if (!keep)
         return -1;
-    k_reduce(f->m, f->k, dim, keep);
+    for (y = 0; y < f->k; y++) {
+        keep[y] = 1;
+        for (x = 0; x < f->k; x++) {
+            if (x == y || !incl(f->m + x * nn, f->m + y * nn, nn))
+                continue;
+            if (x < y || !incl(f->m + y * nn, f->m + x * nn, nn)) {
+                keep[y] = 0;
+                break;
+            }
+        }
+    }
     for (x = 0; x < f->k; x++)
         if (keep[x]) {
             if (w != x)
-                memcpy(f->m + w * f->nn, f->m + x * f->nn,
-                       (size_t)f->nn * sizeof(int64_t));
+                memcpy(f->m + w * nn, f->m + x * nn,
+                       (size_t)nn * sizeof(int64_t));
             w++;
         }
     f->k = w;
@@ -533,14 +516,14 @@ static int fed_reduce(fed_t *f, int64_t dim)
 }
 
 /* f := f union zs: no reduction when either side is empty. */
-static int fed_union(fed_t *f, const int64_t *zs, int64_t k, int64_t dim)
+static int fed_union(fed_t *f, const int64_t *zs, int64_t k)
 {
     int was_empty = f->k == 0;
     if (!k)
         return 0;
     if (fed_add(f, zs, k) < 0)
         return -1;
-    return was_empty ? 0 : fed_reduce(f, dim);
+    return was_empty ? 0 : fed_reduce(f);
 }
 
 static int disjoint(const int64_t *a, const int64_t *b, int64_t dim)
@@ -628,7 +611,7 @@ static int fed_sub(fed_t *f, const int64_t *zs, int64_t kb, int64_t dim,
             fed_free(&nxt);
             continue;
         }
-        if (fed_reduce(&nxt, dim) < 0) {
+        if (fed_reduce(&nxt) < 0) {
             fed_free(&nxt);
             return -1;
         }
@@ -684,7 +667,7 @@ static int predt_into(fed_t *res, const int64_t *goal, int64_t kg,
         goto fail;
     for (x = 0; x < gd.k; x++)
         down_one(gd.m + x * nn, dim);
-    if (fed_reduce(&gd, dim) < 0)
+    if (fed_reduce(&gd) < 0)
         goto fail;
     if (!kb) {
         *res = gd;
@@ -700,7 +683,7 @@ static int predt_into(fed_t *res, const int64_t *goal, int64_t kg,
         for (x = 0; x < kg; x++)
             if (meet_into(&over, goal + x * nn, bdown, dim) < 0)
                 goto fail;
-        if (fed_reduce(&over, dim) < 0)
+        if (fed_reduce(&over) < 0)
             goto fail;
         if (over.k) {
             const int64_t *blk = b;
@@ -717,12 +700,12 @@ static int predt_into(fed_t *res, const int64_t *goal, int64_t kg,
                 goto fail;
             for (x = 0; x < over.k; x++)
                 down_one(over.m + x * nn, dim);
-            if (fed_reduce(&over, dim) < 0
-                || fed_union(&acc, over.m, over.k, dim) < 0)
+            if (fed_reduce(&over) < 0
+                || fed_union(&acc, over.m, over.k) < 0)
                 goto fail;
         }
         fed_free(&over);
-        if (lenient && fed_union(&acc, goal, kg, dim) < 0)
+        if (lenient && fed_union(&acc, goal, kg) < 0)
             goto fail;
         if (!first) {
             for (x = 0; x < res->k; x++)
@@ -730,7 +713,7 @@ static int predt_into(fed_t *res, const int64_t *goal, int64_t kg,
                     if (meet_into(&met, res->m + x * nn, acc.m + z * nn,
                                   dim) < 0)
                         goto fail;
-            if (fed_reduce(&met, dim) < 0)
+            if (fed_reduce(&met) < 0)
                 goto fail;
             fed_free(&acc);
             acc = met;
@@ -885,7 +868,7 @@ static int boundary_into(fed_t *f, const int64_t *zone, const int64_t *inv,
             || tighten1(face, dim, 0, i, -c * 2 + 1) == 2)
             f->k--;
     }
-    return fed_reduce(f, dim);
+    return fed_reduce(f);
 }
 
 /* The solver's fixpoint equation for one node with zone Z and invariant I:
@@ -914,34 +897,34 @@ static int fixpoint_into(fed_t *win, const int64_t *zone, const int64_t *inv,
             for (y = 0; y < ku; y++)
                 if (meet_into(&s, l.m + x * nn, uen + y * nn, dim) < 0)
                     goto fail;
-        if (fed_reduce(&s, dim) < 0)
+        if (fed_reduce(&s) < 0)
             goto fail;
         fed_free(&l);
     } else if (!can_delay && fed_add(&s, uen, ku) < 0) {
         goto fail;
     }
     if (fed_sub(&s, bad, kb, dim, scr) < 0 || fed_add(&gg, goal, kg) < 0
-        || fed_union(&gg, s.m, s.k, dim) < 0)
+        || fed_union(&gg, s.m, s.k) < 0)
         goto fail;
     fed_free(&s);
     if (can_delay) {
         if (predt_into(&s, gact, ka, bad, kb, 0, dim, scr) < 0
             || predt_into(&l, gg.m, gg.k, bad, kb, 1, dim, scr) < 0
-            || fed_union(&s, l.m, l.k, dim) < 0)
+            || fed_union(&s, l.m, l.k) < 0)
             goto fail;
         for (x = 0; x < s.k; x++)
             if (meet_into(win, s.m + x * nn, zone, dim) < 0)
                 goto fail;
-        if (fed_reduce(win, dim) < 0)
+        if (fed_reduce(win) < 0)
             goto fail;
     } else {
         if (fed_add(win, gact, ka) < 0
-            || fed_union(win, gg.m, gg.k, dim) < 0
+            || fed_union(win, gg.m, gg.k) < 0
             || fed_sub(win, bad, kb, dim, scr) < 0
-            || fed_union(win, goal, kg, dim) < 0)
+            || fed_union(win, goal, kg) < 0)
             goto fail;
     }
-    if (fed_union(win, goal, kg, dim) < 0 || compact(win, dim, scr) < 0)
+    if (fed_union(win, goal, kg) < 0 || compact(win, dim, scr) < 0)
         goto fail;
     fed_free(&gg);
     fed_free(&s);
@@ -1029,7 +1012,7 @@ static int pred_into(fed_t *f, const int64_t *zs, int64_t k,
         else if (r == 2)
             memcpy(slot, src, (size_t)f->nn * sizeof(int64_t));
     }
-    return fed_reduce(f, dim);
+    return fed_reduce(f);
 }
 
 /* One node's fixpoint equation from its out-edges.  The buffer packs Z,
@@ -1063,17 +1046,17 @@ int64_t k_node_equation(const int64_t *in, const int64_t *desc,
         flat = table + table[1 + 2 * slot];
         if (table[2 + 2 * slot]) {
             if (pred_into(&p, win, kw, flat, zone, dim) < 0
-                || fed_union(&gact, p.m, p.k, dim) < 0)
+                || fed_union(&gact, p.m, p.k) < 0)
                 goto fail;
         } else {
             if (pred_into(&q, tgt + e * nn, 1, flat, zone, dim) < 0
-                || fed_union(&uen, q.m, q.k, dim) < 0)
+                || fed_union(&uen, q.m, q.k) < 0)
                 goto fail;
             if (q.k && kw
                 && (pred_into(&p, win, kw, flat, zone, dim) < 0
                     || fed_sub(&q, p.m, p.k, dim, scr) < 0))
                 goto fail;
-            if (fed_union(&bad, q.m, q.k, dim) < 0)
+            if (fed_union(&bad, q.m, q.k) < 0)
                 goto fail;
             fed_free(&q);
         }
@@ -1101,10 +1084,7 @@ fail:
 """
 
 _DECLS = """
-void k_close(int64_t *stack, int64_t k, int64_t dim, uint8_t *ok);
-void k_extrapolate(int64_t *stack, int64_t k, int64_t dim,
-                   const int64_t *caps, uint8_t *ok);
-void k_reduce(const int64_t *stack, int64_t k, int64_t dim, uint8_t *keep);
+int64_t k_zone_close(int64_t *m, int64_t dim);
 int64_t k_zone_constrain(const int64_t *src, int64_t *dst, int64_t dim,
                          const int64_t *cons, int64_t nc);
 int64_t k_zone_extrapolate(const int64_t *src, int64_t *dst, int64_t dim,
@@ -1136,9 +1116,7 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 #: Every exported kernel: ``name -> (ctypes restype, ctypes argtypes)``.
 _SIGNATURES = {
-    "k_close": (None, [_PTR, _I64, _I64, _PTR]),
-    "k_extrapolate": (None, [_PTR, _I64, _I64, _PTR, _PTR]),
-    "k_reduce": (None, [_PTR, _I64, _I64, _PTR]),
+    "k_zone_close": (_I64, [_PTR, _I64]),
     "k_zone_constrain": (_I64, [_PTR, _PTR, _I64, _PTR, _I64]),
     "k_zone_extrapolate": (_I64, [_PTR, _PTR, _I64, _PTR]),
     "k_zone_successor": (_I64, [_PTR, _PTR, _I64, _PTR]),
@@ -1278,18 +1256,6 @@ def _library():
     return _BINDING
 
 
-def _inplace_i64(stack: np.ndarray):
-    """A C-contiguous int64 buffer for ``stack``, plus a write-back flag.
-
-    Dispatch-path stacks are contiguous already (``np.stack``, boolean
-    fancy-indexing, leading-axis slices all yield contiguous arrays), so
-    the copy branch is a correctness net for exotic callers, not a cost
-    on the hot path.
-    """
-    buf = np.ascontiguousarray(stack, dtype=np.int64)
-    return buf, buf is not stack
-
-
 def _ro_i64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
@@ -1297,7 +1263,6 @@ def _ro_i64(arr: np.ndarray) -> np.ndarray:
 class CExtBackend:
     name = "cext"
     compiled = True
-    counter = "dbm.backend_cext"
 
     def __init__(self) -> None:
         self._b = _library()
@@ -1308,7 +1273,9 @@ class CExtBackend:
         self._caps = {}
 
     def zone_close(self, m: np.ndarray) -> bool:
-        return bool(self.close(m[None])[0])
+        if not (m.flags.c_contiguous and m.flags.writeable and m.dtype == np.int64):
+            raise ValueError("zone_close closes a writable C-contiguous int64 matrix")
+        return bool(self._b.k_zone_close(self._b._i64(m), m.shape[0]))
 
     def zone_constrain(
         self, m: np.ndarray, constraints: Sequence[Constraint]
@@ -1496,32 +1463,3 @@ class CExtBackend:
             (zone[None], invariant[None], goal, targets, *wins),
             self._b._ints(desc), self._flat_ptr(table), 1 if can_delay else 0,
         )
-
-    def close(self, stack: np.ndarray) -> np.ndarray:
-        b = self._b
-        buf, copied = _inplace_i64(stack)
-        k, dim = buf.shape[0], buf.shape[-1]
-        ok = np.empty(k, dtype=np.uint8)
-        b.k_close(b._i64(buf), k, dim, b._u8(ok))
-        if copied:
-            stack[...] = buf
-        return ok.view(np.bool_)
-
-    def extrapolate(self, stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        b = self._b
-        buf, copied = _inplace_i64(stack)
-        k, dim = buf.shape[0], buf.shape[-1]
-        caps = _ro_i64(caps)
-        ok = np.empty(k, dtype=np.uint8)
-        b.k_extrapolate(b._i64(buf), k, dim, b._i64(caps), b._u8(ok))
-        if copied:
-            stack[...] = buf
-        return ok.view(np.bool_)
-
-    def reduce_indices(self, stack: np.ndarray) -> List[int]:
-        b = self._b
-        buf = _ro_i64(stack)
-        k, dim = buf.shape[0], buf.shape[-1]
-        keep = np.empty(k, dtype=np.uint8)
-        b.k_reduce(b._i64(buf), k, dim, b._u8(keep))
-        return [int(i) for i in np.flatnonzero(keep)]

@@ -1,24 +1,23 @@
 """The pure-numpy kernel backend: the reference.
 
-A thin class over the ``_*_ref`` bodies in :mod:`repro.dbm.stack` plus
-the per-zone reference kernels below — the exact code every other
-backend is differentially fuzzed against.  It adds nothing to the
-stacked kernels: no marshalling, no copies, no extra counters beyond
-the dispatch layer's.  The fused step kernels compose this class's own
-per-zone kernels with the stack module's reset/shift/free/up plumbing,
-one operation at a time, so the reference for a fused call is the
-sequence of zone operations it stands for.
+The exact code every other backend is differentially fuzzed against.
+The per-zone kernels (``zone_close``, ``zone_constrain``,
+``zone_extrapolate``) are written out below.  The fused step kernels
+compose them with :class:`~repro.dbm.DBM`'s own clock-assignment,
+``free`` and ``up`` operations, which call no backend, one operation at
+a time, so the reference for a fused call is the sequence of zone
+operations it stands for.
 
 The federation kernels (``fed_subtract``, ``fed_predt`` and
 ``fixpoint_body``) are the solver's federation algebra written over
 lists of canonical matrices: zone subtraction splitting on the
 subtrahend's constraints in row-major order, subsumption reduction after
-every step that can add zones, ``Predt`` per bad zone, and the exact
-single-pass ``compact``.  They fix the zones a compiled backend must
-return and their order, not just the sets.  The graph-node kernels
-(``zone_expand``, ``first_superset``, ``node_equation``) loop this
-class's fused step and federation kernels over an expansion table, or
-broadcast one comparison over a zone stack.
+every step that can add zones (:func:`repro.dbm.stack._reduce_indices_ref`),
+``Predt`` per bad zone, and the exact single-pass ``compact``.  They fix
+the zones a compiled backend must return and their order, not just the
+sets.  The graph-node kernels (``zone_expand``, ``first_superset``,
+``node_equation``) loop this class's fused step and federation kernels
+over an expansion table, or broadcast one comparison over a zone stack.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import stack as _sk
 from ..bounds import INF, INF_SOFT, LE_ZERO, add_bounds
+from ..dbm import DBM, _saturating_add
+from ..stack import _reduce_indices_ref
 from .base import CHANGED, EMPTY, UNCHANGED, ExpansionTable, MovePlan
 
 Constraint = Tuple[int, int, int]
@@ -51,7 +51,7 @@ def _reduced(zones: List[np.ndarray]) -> List[np.ndarray]:
         if (a >= b).all():
             return [a]
         return [b] if (b >= a).all() else zones
-    return [zones[i] for i in _sk._reduce_indices_ref(np.stack(zones))]
+    return [zones[i] for i in _reduce_indices_ref(np.stack(zones))]
 
 
 def _union(a: List[np.ndarray], b: List[np.ndarray]) -> List[np.ndarray]:
@@ -64,7 +64,7 @@ def _union(a: List[np.ndarray], b: List[np.ndarray]) -> List[np.ndarray]:
 
 def _disjoint(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact disjointness of two canonical nonempty zones."""
-    return bool((_sk.saturating_add(a, b.T) < LE_ZERO).any())
+    return bool((_saturating_add(a, b.T) < LE_ZERO).any())
 
 
 def up_strict_matrix(m: np.ndarray) -> np.ndarray:
@@ -119,7 +119,6 @@ def _extra_caps(dim: int, key: Tuple[int, ...]):
 class NumpyBackend:
     name = "numpy"
     compiled = False
-    counter = "dbm.backend_numpy"
 
     def zone_close(self, m: np.ndarray) -> bool:
         dim = m.shape[0]
@@ -175,18 +174,13 @@ class NumpyBackend:
         out = self._constrain_into(m, plan.guard)
         if out is None:
             return None
-        out = out.copy()  # the plumbing below works in place
-        stacked = out[None]
-        if plan.resets:
-            _sk.reset(stacked, plan.resets)
-        if plan.shifts:
-            _sk.shift(stacked, plan.shifts)
+        if plan.assigns:
+            out = DBM(out).assign_clocks(plan.assigns).m
         out = self._constrain_into(out, plan.invariant)
         if out is None:
             return None
         if plan.delay:
-            _sk.up(out[None])
-            out = self._constrain_into(out, plan.invariant)
+            out = self._constrain_into(DBM(out).up().m, plan.invariant)
             if out is None:
                 return None
         if plan.caps is not None:
@@ -195,7 +189,7 @@ class NumpyBackend:
                 return None
             if status == CHANGED:
                 out = widened
-        return out
+        return m.copy() if out is m else out
 
     def zone_pred(
         self, m: np.ndarray, plan: MovePlan, source: np.ndarray
@@ -208,8 +202,7 @@ class NumpyBackend:
             out = self._constrain_into(m, fixed)
             if out is None:
                 return None
-            out = out.copy()
-            _sk.free(out[None], plan.resets)
+            out = DBM(out).free(plan.resets).m
         out = self._constrain_into(out, plan.guard)
         if out is None:
             return None
@@ -473,12 +466,3 @@ class NumpyBackend:
             _stacked(u_enabled, dim),
             can_delay,
         )
-
-    def close(self, stack: np.ndarray) -> np.ndarray:
-        return _sk._close_ref(stack)
-
-    def extrapolate(self, stack: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        return _sk._extrapolate_ref(stack, caps)
-
-    def reduce_indices(self, stack: np.ndarray) -> List[int]:
-        return _sk._reduce_indices_ref(stack)

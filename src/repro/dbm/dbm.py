@@ -204,10 +204,6 @@ class DBM:
             return False
         return bool((self.m >= other.m).all())
 
-    def intersects(self, other: "DBM") -> bool:
-        """Whether the zones share a point."""
-        return not (self._empty or other._empty or self.disjoint_from(other))
-
     def disjoint_from(self, other: "DBM") -> bool:
         """Exact O(dim^2) disjointness test for canonical nonempty zones.
 
@@ -344,13 +340,6 @@ class DBM:
             m[x, x] = LE_ZERO
             m[0, x] = LE_ZERO
         return DBM(m)  # construction is canonical (see module tests)
-
-    def reset_pred(self, clocks: Sequence[int]) -> "DBM":
-        """Pre-image of a reset: ``{v | v[clocks := 0] ∈ self}``."""
-        if not clocks:
-            return self
-        at_zero = self.constrained([(x, 0, LE_ZERO) for x in clocks])
-        return at_zero.free(clocks)
 
     def assign_clocks(self, pairs: Sequence[Tuple[int, int]]) -> "DBM":
         """The zone after ``x := c`` for each ``(x, c)`` (c >= 0)."""

@@ -6,44 +6,34 @@ by subsumption reduction (zones contained in a sibling zone are dropped)
 but is not guaranteed minimal; set-level comparisons (:meth:`includes`,
 :meth:`equals`) are exact, via zone subtraction.
 
-DESIGN — the stacked representation
-===================================
+DESIGN — one engine
+===================
 
-The public API hands out per-zone :class:`~repro.dbm.dbm.DBM` objects
-(``fed.zones``), but internally every bulk operation runs on the *stack*:
-the members' matrices gathered into one ``(k, dim, dim)`` int64 array
-(:mod:`repro.dbm.stack`).  At game dimensions (dim <= 8) the cost of a
-per-zone numpy call is dominated by allocation and Python dispatch, so
-``up``/``down``/``constrained``/``extrapolate``/``intersect`` each make
-**one** batched kernel call — a single Floyd-Warshall sweep closes every
-member at once — and subsumption reduction is one broadcast
-``all(a >= b)`` comparison over all pairs instead of O(k^2)
-Python-level ``includes`` calls.  The zones handed
-back out are views into the result stack, so no per-zone copies are made
-either.
+Every operation on a federation runs on one path, whatever the member
+count, the way the UPPAAL DBM library (Bengtsson & Yi, 2004) keeps one
+implementation per operation under its federation type:
 
-Set algebra on the kernel seam.  Subtraction and inclusion are each one
-``fed_subtract`` call on the active
-:class:`~repro.dbm.backends.base.KernelBackend`, and :meth:`compact` one
-per member zone (the solver's ``Predt`` and fixpoint body are
-``fed_predt`` and ``fixpoint_body``).  The kernel
-splits each zone on the subtrahend's constraints, skips pairs that are
-disjoint or where the zone lies inside the subtrahend, and reduces after
-every subtrahend.  The operands travel as the members' stack
-(:meth:`_rows`), built once per federation and shared.  A kernel's result
-stack is adopted as is: its zones are views of its rows.  Solver
-federations hold about one zone, so the cost of these operations was
-Python dispatch per tiny zone operation, not arithmetic; one call per
-operation removes it.  The numpy backend holds the reference algorithms,
-and the compiled backend returns the same zones in the same order.
+* The convex operations (:meth:`down`, :meth:`constrained`,
+  :meth:`intersect`, :meth:`intersect_zone`) map each member through its
+  :class:`~repro.dbm.dbm.DBM` method, which is one per-zone kernel call
+  on the active :class:`~repro.dbm.backends.base.KernelBackend`
+  (``zone_constrain`` or ``zone_close``).
+* Subtraction and inclusion are each one ``fed_subtract`` kernel call,
+  and :meth:`compact` one per member zone (the solver's ``Predt`` and
+  fixpoint body are ``fed_predt`` and ``fixpoint_body``).  The kernel
+  splits each zone on the subtrahend's constraints, skips pairs that are
+  disjoint or where the zone lies inside the subtrahend, and reduces
+  after every subtrahend.  The operands travel as the members' stack
+  (:meth:`_rows`), built once per federation and shared.  A kernel's
+  result stack is adopted as is: its zones are views of its rows.
+* Subsumption reduction (:func:`_reduce`) drops every member included in
+  a sibling, pair by pair, with the rule of the federation kernels'
+  reduction.
 
-Hybrid dispatch for the remaining operations: below ``stack.BATCH_MIN``
-member zones the per-zone DBM path is used instead — at one or two
-members the stacked kernel's fixed cost (gather, masks, re-wrap) exceeds
-the dispatch overhead it amortizes.  Every such decision is recorded
-(``federation.batched_dispatch`` / ``federation.scalar_dispatch``).  Both
-paths compute the same sets; the differential kernel tests drive each op
-through both and assert extensional equality.
+Solver and monitor federations hold about one zone, so the cost of these
+operations is Python dispatch per tiny zone operation, not arithmetic.
+The numpy backend holds the reference algorithms, and the compiled
+backend returns the same zones in the same order.
 """
 
 from __future__ import annotations
@@ -54,21 +44,7 @@ import numpy as np
 
 from ..util import counters
 from . import backends as _backends
-from . import stack as _sk
 from .dbm import DBM, scale
-
-def _use_batched(batched: bool) -> bool:
-    """Record a batched-vs-scalar dispatch decision as it is made.
-
-    The threshold itself is :data:`repro.dbm.stack.BATCH_MIN`; benchmarks
-    surface these counters in ``extra_info`` so a result always says
-    which path actually ran.
-    """
-    if batched:
-        counters.inc("federation.batched_dispatch")
-    else:
-        counters.inc("federation.scalar_dispatch")
-    return batched
 
 
 def subtract_zone(a: DBM, b: DBM) -> List[DBM]:
@@ -128,26 +104,11 @@ class Federation:
             if len(zones) == 1:
                 rows = zones[0].m[None]
             elif zones:
-                rows = _sk.stack_of(zones)
+                rows = np.stack([z.m for z in zones])
             else:
                 rows = np.empty((0, self.dim, self.dim), dtype=np.int64)
             self._rows_cache = rows
         return rows
-
-    def _stack(self) -> np.ndarray:
-        """The members' matrices as one ``(k, dim, dim)`` array (a copy)."""
-        return _sk.stack_of(self.zones)
-
-    @classmethod
-    def _from_stack(
-        cls, dim: int, stacked: np.ndarray, keep: Optional[np.ndarray] = None
-    ) -> "Federation":
-        """Wrap surviving stack rows as zones (views, no copies) and reduce."""
-        if keep is None:
-            rows = range(stacked.shape[0])
-        else:
-            rows = np.flatnonzero(keep)
-        return cls(dim, [DBM(stacked[i]) for i in rows])
 
     # ------------------------------------------------------------------
     # Construction
@@ -223,10 +184,6 @@ class Federation:
             return True  # identical reduced zone sets
         return self.includes(other) and other.includes(self)
 
-    def intersects(self, other: "Federation") -> bool:
-        """Whether the two federations share at least one point."""
-        return any(a.intersects(b) for a in self.zones for b in other.zones)
-
     def hash_key(self) -> bytes:
         """An order-insensitive bytes key over the member zones (memoized)."""
         if self._hash_key is None:
@@ -253,91 +210,40 @@ class Federation:
         return Federation(self.dim, self.zones + [zone])
 
     def intersect(self, other: "Federation") -> "Federation":
-        """Set intersection (pairwise over member zones, batched when
-        the pair count is large enough to amortize one stacked closure)."""
+        """Set intersection: every pair of member zones intersected."""
         if not self.zones or not other.zones:
             return Federation.empty(self.dim)
-        bm = _sk.BATCH_MIN
-        if not _use_batched(len(self.zones) * len(other.zones) >= bm * bm):
-            out: List[DBM] = []
-            for a in self.zones:
-                for b in other.zones:
-                    c = a.intersect(b)
-                    if not c.is_empty():
-                        out.append(c)
-            return Federation(self.dim, out)
-        stacked, keep = _sk.pairwise_intersect(self._stack(), other._stack())
-        return Federation._from_stack(self.dim, stacked, keep)
+        return Federation(
+            self.dim, [a.intersect(b) for a in self.zones for b in other.zones]
+        )
 
     def intersect_zone(self, zone: DBM) -> "Federation":
         """Intersection with a single zone."""
         if zone.is_empty() or not self.zones:
             return Federation.empty(self.dim)
-        if not _use_batched(len(self.zones) >= _sk.BATCH_MIN):
-            out = []
-            for a in self.zones:
-                c = a.intersect(zone)
-                if not c.is_empty():
-                    out.append(c)
-            return Federation(self.dim, out)
-        stacked = self._stack()
-        keep = _sk.intersect_zone(stacked, zone.m)
-        return Federation._from_stack(self.dim, stacked, keep)
-
-    def subtract_dbm(self, zone: DBM) -> "Federation":
-        """Set difference ``self \\ zone`` (exact, possibly more zones)."""
-        if zone.is_empty():
-            return self
-        return self._minus(zone.m[None])
+        return self._map(lambda z: z.intersect(zone))
 
     def subtract(self, other: "Federation") -> "Federation":
-        """Set difference ``self \\ other`` (exact)."""
-        if not other.zones:
-            return self
-        return self._minus(other._rows())
-
-    def _minus(self, rows: np.ndarray) -> "Federation":
-        """``self`` minus the zones of a stack: one ``fed_subtract`` call,
-        ``self`` itself when nothing is removed."""
-        if not self.zones:
+        """Set difference ``self \\ other`` (exact): one ``fed_subtract``
+        call, ``self`` itself when nothing is removed."""
+        if not other.zones or not self.zones:
             return self
         mine = self._rows()
-        out = _backends.active().fed_subtract(mine, rows)
+        out = _backends.active().fed_subtract(mine, other._rows())
         return self if out is mine else Federation._adopt(self.dim, out)
 
-    def complement_within(self, universe: DBM) -> "Federation":
-        """``universe \\ self``."""
-        return Federation.from_zone(universe).subtract(self)
-
     # ------------------------------------------------------------------
-    # Timed operators (batched over the member stack)
+    # Member-wise operators
     # ------------------------------------------------------------------
 
     def _map(self, fn: Callable[[DBM], DBM]) -> "Federation":
         return Federation(self.dim, (fn(z) for z in self.zones))
 
-    def _batchable(self) -> bool:
-        return _use_batched(len(self.zones) >= _sk.BATCH_MIN)
-
-    def up(self) -> "Federation":
-        """Delay successors of every member zone."""
-        if not self.zones:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.up())
-        stacked = self._stack()
-        _sk.up(stacked)
-        return Federation._from_stack(self.dim, stacked)
-
     def down(self) -> "Federation":
         """Delay predecessors of every member zone."""
         if not self.zones:
             return self
-        if not self._batchable():
-            return self._map(lambda z: z.down())
-        stacked = self._stack()
-        keep = _sk.down(stacked)
-        return Federation._from_stack(self.dim, stacked, keep)
+        return self._map(lambda z: z.down())
 
     def constrained(self, constraints) -> "Federation":
         """Intersect every member zone with encoded constraints."""
@@ -346,21 +252,7 @@ class Federation:
         constraints = list(constraints)
         if not constraints:
             return self
-        if not self._batchable():
-            return self._map(lambda z: z.constrained(constraints))
-        stacked = self._stack()
-        keep = _sk.constrain(stacked, constraints)
-        return Federation._from_stack(self.dim, stacked, keep)
-
-    def extrapolate(self, max_consts: Sequence[int]) -> "Federation":
-        """ExtraM extrapolation of every member zone."""
-        if not self.zones:
-            return self
-        if not self._batchable():
-            return self._map(lambda z: z.extrapolate(max_consts))
-        stacked = self._stack()
-        keep = _sk.extrapolate(stacked, max_consts)
-        return Federation._from_stack(self.dim, stacked, keep)
+        return self._map(lambda z: z.constrained(constraints))
 
     def compact(self) -> "Federation":
         """Drop zones covered by the union of the remaining zones (exact).
@@ -377,7 +269,7 @@ class Federation:
         kept: List[DBM] = list(self.zones)
         idx = 0
         while len(kept) > 1 and idx < len(kept):
-            rest = _sk.stack_of(kept[:idx] + kept[idx + 1 :])
+            rest = np.stack([z.m for z in kept[:idx] + kept[idx + 1 :]])
             if kernel.fed_subtract(kept[idx].m[None], rest).shape[0]:
                 idx += 1
             else:
@@ -406,19 +298,10 @@ class Federation:
 def _reduce(zones: List[DBM]) -> List[DBM]:
     """Drop zones pairwise included in another zone (cheap reduction).
 
-    Small lists use the legacy per-pair loop; larger ones one batched
-    inclusion-matrix comparison (identical keep/drop semantics, kept
-    separately as the reference implementation for the differential
-    kernel tests).
+    The earliest of equal zones stays and the survivors keep their input
+    order: the rule of the federation kernels' reduction
+    (:func:`repro.dbm.stack._reduce_indices_ref`).
     """
-    if len(zones) > 2:
-        keep = _sk.reduce_indices(_sk.stack_of(zones))
-        return [zones[i] for i in keep]
-    return _reduce_pairwise(zones)
-
-
-def _reduce_pairwise(zones: List[DBM]) -> List[DBM]:
-    """Reference per-pair subsumption reduction (legacy implementation)."""
     kept: List[DBM] = []
     for zone in zones:
         dominated = False

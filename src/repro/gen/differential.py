@@ -73,7 +73,6 @@ import numpy as np
 from .. import faults
 from ..dbm import DBM, INF, LE_ZERO, Federation, bound, negate
 from ..dbm import backends as dbm_backends
-from ..dbm import stack as _sk
 from ..dbm.backends.base import CHANGED, ExpansionTable, MovePlan
 from ..dbm.backends.numpy_backend import NumpyBackend
 from ..game.solver import GameResult, OnTheFlySolver, TwoPhaseSolver
@@ -101,7 +100,7 @@ from .networks import (
     generate_instance,
     mutate_instance,
 )
-from .zones import check_zone_algebra, random_zone
+from .zones import check_zone_algebra, random_constraints, random_plan, random_zone
 
 OK, SKIP, FAIL = "ok", "skip", "fail"
 
@@ -831,19 +830,6 @@ def check_warmstart(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult
 # ----------------------------------------------------------------------
 
 
-def _random_kernel_constraints(
-    rng: random.Random, dim: int, max_n: int
-) -> List[Tuple[int, int, int]]:
-    out: List[Tuple[int, int, int]] = []
-    for _ in range(rng.randint(0, max_n)):
-        i = rng.randrange(dim)
-        j = rng.randrange(dim)
-        if i == j:
-            continue
-        out.append((i, j, bound(rng.randint(-4, 9), rng.random() < 0.5)))
-    return out
-
-
 _REFERENCE = NumpyBackend()
 
 
@@ -861,7 +847,9 @@ def _kernel_stack(rng: random.Random, dim: int, k: int) -> np.ndarray:
 
 
 def _zone_kernel_mismatch(rng: random.Random, backend) -> Optional[str]:
-    """Run the per-zone kernels once on a random canonical zone.
+    """One ``kernel`` trial: the per-zone kernels once on a random
+    canonical zone, then the fused step chain
+    (:func:`_fused_kernel_mismatch`).
 
     Verdicts must equal the numpy reference's, :data:`CHANGED` matrices
     and closed matrices must be byte-identical, and the input zone must
@@ -878,7 +866,7 @@ def _zone_kernel_mismatch(rng: random.Random, backend) -> Optional[str]:
             for i, j in (rng.sample(range(dim), 2) for _ in range(3))
         ]
     else:
-        cons = _random_kernel_constraints(rng, dim, 4)
+        cons = random_constraints(rng, dim, 4)
         i, j = rng.sample(range(dim), 2)
         back = int(zone[j, i])
         if back < INF and roll < 0.5:
@@ -923,17 +911,6 @@ SUCCESSOR_CASES = (
 PRED_CASES = ("disjoint_source", "random")
 
 
-def _random_plan(rng: random.Random, dim: int) -> MovePlan:
-    clocks = rng.sample(range(1, dim), rng.randint(0, dim - 1))
-    assigns = tuple(sorted((x, rng.choice((0, 0, 1, 3, 5))) for x in clocks))
-    return MovePlan(
-        tuple(_random_kernel_constraints(rng, dim, 3)),
-        assigns,
-        tuple(_random_kernel_constraints(rng, dim, 3)),
-        rng.random() < 0.5,
-    )
-
-
 def _complement_of_some_bound(
     rng: random.Random, zone: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -973,7 +950,7 @@ def _fused_kernel_mismatch(
     zone = _kernel_stack(rng, dim, 1)[0]
     pristine = zone.copy()
     case = successor_case or rng.choice(SUCCESSOR_CASES)
-    base = _random_plan(rng, dim)
+    base = random_plan(rng, dim)
     guard, assigns, invariant = base.guard, base.assigns, base.invariant
     caps = None
     if rng.random() < 0.5:
@@ -1014,7 +991,7 @@ def _fused_kernel_mismatch(
         return f"zone_successor wrote its input zone ({case})"
 
     case = pred_case or rng.choice(PRED_CASES)
-    plan = _random_plan(rng, dim)
+    plan = random_plan(rng, dim)
     source = _kernel_stack(rng, dim, 1)[0]
     if case == "disjoint_source":
         # A source zone disjoint from the whole pre-image, so the answer
@@ -1088,7 +1065,7 @@ def _expand_kernel_mismatch(
     caps = tuple(rng.randint(0, 8) for _ in range(dim))
     plans = []
     for _ in range(0 if case == "zero_moves" else rng.randint(1, 4)):
-        base = _random_plan(rng, dim)
+        base = random_plan(rng, dim)
         extrapolate = {"extrapolation": True, "no_extrapolation": False}.get(
             case, rng.random() < 0.5
         )
@@ -1099,7 +1076,7 @@ def _expand_kernel_mismatch(
         guard = ((j, i, bound(rng.randint(0, 4), False)),) if back >= INF else ()
         back = guard[0][2] if guard else back
         guard += ((i, j, bound(-(back >> 1), True)),)
-        base = _random_plan(rng, dim)
+        base = random_plan(rng, dim)
         plans.insert(
             rng.randint(0, len(plans)),
             MovePlan(guard, base.assigns, base.invariant, base.delay),
@@ -1207,7 +1184,7 @@ def _federation_kernel_mismatch(
             for z in pool
             if not (
                 (z.m >= a).all(axis=(1, 2)).any()
-                or _sk.disjoint_mask(a, z.m).all()
+                or all(DBM(m).disjoint_from(z) for m in a)
             )
         ]
         b = _kernel_fed(rng, pool, 1)
@@ -1326,7 +1303,7 @@ def _equation_kernel_mismatch(
     controllable = {"controllable_only": True, "uncontrollable_only": False}
     table = _kernel_table(
         rng,
-        [_random_plan(rng, dim) for _ in range(ne + 1)],
+        [random_plan(rng, dim) for _ in range(ne + 1)],
         controllable.get(case, False if case == "losing_target" else None),
     )
     slots = [rng.randrange(ne + 1) for _ in range(ne)]
@@ -1350,57 +1327,10 @@ def _equation_kernel_mismatch(
     return None
 
 
-def _kernel_trial_mismatch(
-    rng: random.Random, backend
-) -> Optional[str]:
-    """Run every kernel once on random inputs; the first mismatch, or None.
-
-    The contract checked is the backend exactness contract
-    (:mod:`repro.dbm.backends.base`): masks identical to the numpy
-    reference, kept rows byte-identical; discarded rows are scratch; the
-    per-zone kernels as in :func:`_zone_kernel_mismatch`.
-    """
-    dim = rng.randint(2, 5)
-    k = rng.randint(1, 6)
-    stack = _kernel_stack(rng, dim, k)
-
-    def rows_match(ref_m, got_m, keep) -> bool:
-        return bool(np.array_equal(ref_m[keep], got_m[keep]))
-
-    # close — on a deliberately un-closed (possibly inconsistent) stack.
-    raw = stack.copy()
-    for _ in range(rng.randint(0, 2 * k)):
-        z, i, j = rng.randrange(k), rng.randrange(dim), rng.randrange(dim)
-        if i != j:
-            raw[z, i, j] = bound(rng.randint(-6, 10), rng.random() < 0.5)
-    ref_m, got_m = raw.copy(), raw.copy()
-    ref_ok = _sk._close_ref(ref_m)
-    got_ok = backend.close(got_m)
-    if not np.array_equal(ref_ok, got_ok):
-        return f"close mask: ref={ref_ok.tolist()} got={got_ok.tolist()}"
-    if not rows_match(ref_m, got_m, ref_ok):
-        return "close kept rows differ"
-
-    # extrapolate — canonical input, random per-clock caps.
-    caps = [rng.randint(0, 8) for _ in range(dim)]
-    ref_m, got_m = stack.copy(), stack.copy()
-    ref_ok = _sk._extrapolate_ref(ref_m, caps)
-    got_ok = backend.extrapolate(got_m, np.asarray(caps, dtype=np.int64))
-    if not np.array_equal(ref_ok, got_ok):
-        return f"extrapolate mask: caps={caps}"
-    if not rows_match(ref_m, got_m, ref_ok):
-        return f"extrapolate kept rows differ: caps={caps}"
-
-    # reduce_indices — read-only.
-    if _sk._reduce_indices_ref(stack) != backend.reduce_indices(stack):
-        return "reduce_indices differs"
-    return _zone_kernel_mismatch(rng, backend)
-
-
 def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     """Backend exactness differential: every loadable compiled kernel
-    backend against the numpy reference kernels, on seeded random zone
-    stacks.
+    backend against the numpy reference kernels, on seeded random zones
+    and federations (eight trials of :func:`_zone_kernel_mismatch`).
 
     The kernel-level twin of the ``estimate`` check's session
     differential: always on, so no campaign can silently run on a kernel
@@ -1421,7 +1351,7 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
         for backend in backends_under_test:
             before = _demotions()
             with faults.injected(None):
-                mismatch = _kernel_trial_mismatch(
+                mismatch = _zone_kernel_mismatch(
                     random.Random(trial_seed), backend
                 )
             demoted = _demotions() - before
@@ -1469,10 +1399,10 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
        must make identical fire decisions, hit for hit;
     2. *kernel demotion* — every compiled backend, forced to demote on
        every call by an injected ``dbm.<name>.compute`` fault, must
-       return byte-identical masks and rows to the numpy reference, on
-       a stacked kernel and on the chain of :func:`_zone_kernel_mismatch`
-       (per-zone and fused step kernels, then the expansion kernels or
-       the federation and node-equation kernels);
+       return byte-identical results to the numpy reference on the
+       chain of :func:`_zone_kernel_mismatch` (per-zone and fused step
+       kernels, then the expansion kernels or the federation and
+       node-equation kernels);
     3. *store degradation* — a corpus write torn by an injected
        ``corpus.store.write`` fault must quarantine on read (no torn
        payload ever served) and ``fsck(repair=True)`` must restore the
@@ -1504,25 +1434,14 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
         if name == "numpy":
             continue
         backend = dbm_backends.resolve(name)
-        stack = _kernel_stack(rng, rng.randint(2, 4), rng.randint(1, 5))
-        caps = np.asarray(
-            [rng.randint(0, 8) for _ in range(stack.shape[1])],
-            dtype=np.int64,
-        )
-        ref_m, got_m = stack.copy(), stack.copy()
-        ref_ok = _sk._extrapolate_ref(ref_m, caps.tolist())
         with faults.injected(f"dbm.{name}.compute:*"):
-            got_ok = backend.extrapolate(got_m, caps)
             zone_mismatch = _zone_kernel_mismatch(rng, backend)
-        if zone_mismatch or not (
-            np.array_equal(ref_ok, got_ok)
-            and np.array_equal(ref_m[ref_ok], got_m[ref_ok])
-        ):
+        if zone_mismatch:
             return CheckResult(
                 "faults",
                 FAIL,
                 f"backend {name!r} demoted under injection but differs"
-                f" from the numpy reference: {zone_mismatch or 'extrapolate'}",
+                f" from the numpy reference: {zone_mismatch}",
             )
 
     # Leg 3: torn corpus writes quarantine and repair clean.

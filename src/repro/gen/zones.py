@@ -9,18 +9,22 @@ failure from a printed integer seed.
 
 :func:`check_zone_algebra` is the membership-differential oracle: every
 DBM/federation operation is compared, on sampled rational points, against
-its set-theoretic definition evaluated directly on the points.  Exact
-identities (inclusion vs. subtraction emptiness, ``compact`` preserving
-semantics, ``predt`` bounds) are checked exactly.
+its set-theoretic definition evaluated directly on the points.  That
+includes the active kernel backend's ``zone_pred``, the solvers'
+backward step, which is otherwise checked only against the other
+backend.  Exact identities (inclusion vs. subtraction emptiness,
+``compact`` preserving semantics, ``predt`` bounds) are checked exactly.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from ..dbm import DBM, Federation, bound, subtract_zone
+from ..dbm import DBM, Federation, bound, decode, subtract_zone
+from ..dbm import backends as dbm_backends
+from ..dbm.backends.base import MovePlan
 from ..game.predt import predt
 
 
@@ -87,6 +91,52 @@ def _sample_points(
     return points
 
 
+def random_constraints(
+    rng: random.Random, dim: int, max_n: int
+) -> List[Tuple[int, int, int]]:
+    """Up to ``max_n`` random ``(i, j, enc)`` constraints, constants in
+    ``[-4, 9]``, strict or not."""
+    out: List[Tuple[int, int, int]] = []
+    for _ in range(rng.randint(0, max_n)):
+        i = rng.randrange(dim)
+        j = rng.randrange(dim)
+        if i == j:
+            continue
+        out.append((i, j, bound(rng.randint(-4, 9), rng.random() < 0.5)))
+    return out
+
+
+def random_plan(rng: random.Random, dim: int) -> MovePlan:
+    """A random symbolic step: guard, clock assignments (a reset assigns
+    0), target invariant, and delay on or off."""
+    clocks = rng.sample(range(1, dim), rng.randint(0, dim - 1))
+    assigns = tuple(sorted((x, rng.choice((0, 0, 1, 3, 5))) for x in clocks))
+    return MovePlan(
+        tuple(random_constraints(rng, dim, 3)),
+        assigns,
+        tuple(random_constraints(rng, dim, 3)),
+        rng.random() < 0.5,
+    )
+
+
+def _satisfies(point: Sequence[Fraction], constraints) -> bool:
+    """Whether ``point`` meets every ``(i, j, enc)``: ``x_i - x_j ≺ b``."""
+    for i, j, enc in constraints:
+        value, strict = decode(enc)
+        diff = point[i] - point[j]
+        if diff > value or (strict and diff == value):
+            return False
+    return True
+
+
+def _zone_pred(target: DBM, plan: MovePlan, source: DBM) -> DBM:
+    """The active backend's ``zone_pred`` of ``target`` into ``source``."""
+    if target.is_empty() or source.is_empty():
+        return DBM.empty(target.dim)
+    pre = dbm_backends.active().zone_pred(target.m, plan, source.m)
+    return DBM.empty(target.dim) if pre is None else DBM(pre)
+
+
 def check_zone_algebra(
     rng: random.Random, dim: int = 4, trials: int = 25
 ) -> List[str]:
@@ -102,7 +152,9 @@ def check_zone_algebra(
         b = random_zone(rng, dim)
         f = random_federation(rng, dim)
         g = random_federation(rng, dim)
-        points = _sample_points(rng, dim, [z for z in (a, b) if z] + [f, g])
+        plan = random_plan(rng, dim)
+        pre = _zone_pred(a, plan, b)
+        points = _sample_points(rng, dim, [z for z in (a, b, pre) if z] + [f, g])
 
         # -- zone operations vs. membership ---------------------------------
         inter = a.intersect(b)
@@ -132,12 +184,17 @@ def check_zone_algebra(
                     a.down().contains(p) and a.up().contains(p),
                     f"trial {trial}: up/down not inflationary at {p}",
                 )
-            reset = a.reset_pred([1])
             mapped = list(p)
-            mapped[1] = Fraction(0)
+            for x, value in plan.assigns:
+                mapped[x] = Fraction(value)
             expect(
-                reset.contains(p) == a.contains(mapped),
-                f"trial {trial}: reset_pred membership mismatch at {p}",
+                pre.contains(p)
+                == (
+                    b.contains(p)
+                    and _satisfies(p, plan.guard)
+                    and a.contains(mapped)
+                ),
+                f"trial {trial}: zone_pred membership mismatch at {p} ({plan})",
             )
             c = rng.randint(0, 6)
             assigned = a.assign_pred([(dim - 1, c)])

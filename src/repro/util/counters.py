@@ -1,10 +1,9 @@
 """Cheap op-level profiling counters for the zone engine and solvers.
 
 Benchmarks should report *what the engine did*, not only wall clock: how
-many Floyd-Warshall closures ran (and over how many stacked zones), how
-often the exact subtraction fallback fired versus the vectorized
-subsumption pre-filter, how large federations get, and how the solver's
-incremental caches hit.  Counters are plain dict increments (~100ns), far
+many Floyd-Warshall closures ran, how large federations get, how the
+solver's incremental caches hit, and which kernel backend was selected
+or demoted.  Counters are plain dict increments (~100ns), far
 below the cost of any counted operation, and are always on.
 
 Usage::

@@ -1,26 +1,36 @@
-"""Differential tests: batched federation kernels vs the per-zone path.
+"""Federations of many members against pointwise set semantics.
 
-The federation layer dispatches between two implementations of every
-timed/set operation: the legacy per-zone DBM path (small federations)
-and the stacked numpy kernels of :mod:`repro.dbm.stack` (three or more
-member zones).  These tests drive both through the same inputs and
-assert extensional equality — exact set equality via subtraction, plus
-membership spot checks on sampled rational points — including the
-empty/universal/zero/diagonal edge cases, and a seeded bulk run over
-more than 500 fuzzed federations.
+Federation operations once ran on a separate stacked path from three
+member zones up; the test names below keep that history.  Every
+operation now runs on one path, so these tests hold it to set semantics
+instead: each result's membership, on sampled rational points, must
+equal the operation's definition evaluated directly on the points
+(:func:`repro.dbm.dbm.fold_delay_window` for the delay predecessors,
+which shares no code with ``down``).  Inputs span the small and the big
+federations of :mod:`tests.zone_strategies`, the empty, universal, zero
+and diagonal edge cases, every loadable kernel backend, and a seeded
+bulk run over more than 500 fuzzed federations.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.dbm import DBM, Federation, le
+from repro.dbm import DBM, Federation, le, scale
 from repro.dbm import backends as backends_mod
-from repro.dbm import stack as sk
-from repro.dbm.federation import _reduce_pairwise
-from repro.gen.zones import random_federation, random_point, random_zone
+from repro.dbm.backends.numpy_backend import _disjoint
+from repro.dbm.dbm import fold_delay_window
+from repro.dbm.federation import _reduce
+from repro.dbm.stack import _inclusion_matrix_ref, _reduce_indices_ref
+from repro.gen.zones import (
+    _satisfies,
+    random_federation,
+    random_point,
+    random_zone,
+)
 from tests.zone_strategies import (
     DIM,
     big_federations,
@@ -32,19 +42,16 @@ from tests.zone_strategies import (
 #: Every kernel backend loadable here.
 BACKENDS = backends_mod.available_backends()
 
-
-def legacy_map(fed, fn):
-    """The reference result: the per-zone DBM op applied member-wise."""
-    return Federation(fed.dim, [fn(z) for z in fed.zones])
+GUARD = [(1, 0, le(5)), (0, 2, le(-1))]
 
 
-def assert_same_set(batched, reference, points, label):
-    __tracebackhint__ = True
-    assert batched.equals(reference), f"{label}: sets differ"
-    for p in points:
-        assert batched.contains(p) == reference.contains(p), (
-            f"{label}: membership differs at {p}"
-        )
+def in_past(fed, point):
+    """``point`` reaches the federation by some delay ``d >= 0``."""
+    nums, den = scale(point)
+    return any(
+        fold_delay_window(z.finite_bounds, nums, den) is not None
+        for z in fed.zones
+    )
 
 
 def sample_points(rng, dim, feds, count=4):
@@ -53,32 +60,34 @@ def sample_points(rng, dim, feds, count=4):
         p = fed.sample_random(rng) if fed else None
         if p is not None:
             points.append(list(p))
-    return points
+            points.append([p[0]] + [v - Fraction(1, 2) for v in p[1:]])
+    return [p for p in points if min(p) >= 0]
 
 
-#: Every batched Federation op, paired with its per-zone reference map.
+#: Every member-wise Federation op, with its pointwise definition.
 OPS = [
-    ("up", lambda f: f.up(), lambda z: z.up()),
-    ("down", lambda f: f.down(), lambda z: z.down()),
+    ("down", lambda f: f.down(), in_past),
     (
         "constrained",
-        lambda f: f.constrained([(1, 0, le(5)), (0, 2, le(-1))]),
-        lambda z: z.constrained([(1, 0, le(5)), (0, 2, le(-1))]),
+        lambda f: f.constrained(GUARD),
+        lambda f, p: f.contains(p) and _satisfies(p, GUARD),
     ),
     (
-        "extrapolate",
-        lambda f: f.extrapolate([0, 3, 3, 3]),
-        lambda z: z.extrapolate([0, 3, 3, 3]),
+        "intersect_zone",
+        lambda f: f.intersect_zone(DBM.from_constraints(f.dim, GUARD)),
+        lambda f, p: f.contains(p) and _satisfies(p, GUARD),
     ),
 ]
 
 
 def check_all_ops(fed, rng):
-    points = sample_points(rng, fed.dim, [fed])
-    for label, batched_op, zone_op in OPS:
-        assert_same_set(
-            batched_op(fed), legacy_map(fed, zone_op), points, label
-        )
+    points = sample_points(rng, fed.dim, [fed, fed.down()])
+    for label, op, member in OPS:
+        result = op(fed)
+        for p in points:
+            assert result.contains(p) == member(fed, p), (
+                f"{label}: membership differs at {p}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -105,14 +114,10 @@ def test_batched_ops_match_legacy_on_small_federations(fed):
 def test_batched_zone_intersection_and_subtraction(fed, zone):
     rng = random.Random(2)
     points = sample_points(rng, fed.dim, [fed, Federation.from_zone(zone)])
-    assert_same_set(
-        fed.intersect_zone(zone),
-        legacy_map(fed, lambda z: z.intersect(zone)),
-        points,
-        "intersect_zone",
-    )
-    sub = fed.subtract_dbm(zone)
+    inter = fed.intersect_zone(zone)
+    sub = fed.subtract(Federation.from_zone(zone))
     for p in points:
+        assert inter.contains(p) == (fed.contains(p) and zone.contains(p))
         assert sub.contains(p) == (fed.contains(p) and not zone.contains(p))
 
 
@@ -124,7 +129,7 @@ def test_batched_pairwise_intersect(f, g):
     inter = f.intersect(g)
     for p in points:
         assert inter.contains(p) == (f.contains(p) and g.contains(p))
-    # Reference: per-pair DBM intersections, no batching.
+    # The same set as per-pair DBM intersections, reduced.
     reference = Federation(
         f.dim, [a.intersect(b) for a in f.zones for b in g.zones]
     )
@@ -148,15 +153,19 @@ def test_compact_preserves_semantics(fed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(big_federations())
-def test_batched_reduce_matches_pairwise_reduce(fed):
-    zones_list = list(fed.zones)
+@given(big_federations(), big_federations())
+def test_batched_reduce_matches_pairwise_reduce(f, g):
+    """Federation's pair-by-pair reduction keeps the zones, in the order,
+    that the kernels' inclusion-matrix reduction keeps, duplicates and
+    included zones mixed in."""
+    zones_list = list(f.zones) + list(g.zones) + list(f.zones[:1])
+    zones_list += [z.intersect(h) for z in f.zones for h in g.zones[:1]]
+    zones_list = [z for z in zones_list if not z.is_empty()]
     if not zones_list:
         return
-    batched = sk.reduce_indices(sk.stack_of(zones_list))
-    reference = _reduce_pairwise(zones_list)
-    assert [zones_list[i].hash_key() for i in batched] == [
-        z.hash_key() for z in reference
+    survivors = _reduce_indices_ref(np.stack([z.m for z in zones_list]))
+    assert [z.hash_key() for z in _reduce(zones_list)] == [
+        zones_list[i].hash_key() for i in survivors
     ]
 
 
@@ -166,17 +175,14 @@ def test_stack_kernels_exact_on_diagonal_zones(a, b, c):
     members = [z for z in (a, b, c) if not z.is_empty()]
     if len(members) < 2:
         return
-    stack = sk.stack_of(members)
-    # The reference inclusion matrix (behind reduce_indices) and
-    # disjoint_mask are exact per pair of canonical zones.
-    inc = sk._inclusion_matrix_ref(stack, stack)
+    stack = np.stack([z.m for z in members])
+    # The reference inclusion matrix and disjointness test are exact per
+    # pair of canonical zones.
+    inc = _inclusion_matrix_ref(stack, stack)
     for x, zx in enumerate(members):
         for y, zy in enumerate(members):
             assert bool(inc[x, y]) == zx.includes(zy)
-    for x, zx in enumerate(members):
-        disj = sk.disjoint_mask(stack, zx.m)
-        for y, zy in enumerate(members):
-            assert bool(disj[y]) == (not zy.intersects(zx))
+            assert _disjoint(zx.m, zy.m) == zx.intersect(zy).is_empty()
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +192,11 @@ def test_stack_kernels_exact_on_diagonal_zones(a, b, c):
 
 def test_empty_federation_ops():
     fed = Federation.empty(DIM)
-    for label, batched_op, _ in OPS:
-        assert batched_op(fed).is_empty(), label
+    for label, op, _ in OPS:
+        assert op(fed).is_empty(), label
     assert fed.intersect(Federation.universal(DIM)).is_empty()
-    assert fed.subtract_dbm(DBM.universal(DIM)).is_empty()
+    assert fed.subtract(Federation.universal(DIM)).is_empty()
+    assert Federation.universal(DIM).subtract(Federation.universal(DIM)).is_empty()
     assert Federation.universal(DIM).includes(fed)
     assert not fed.includes(Federation.universal(DIM))
 
@@ -197,9 +204,9 @@ def test_empty_federation_ops():
 def test_universal_and_zero_edge_cases():
     uni = Federation.universal(DIM)
     zero = Federation.from_zone(DBM.zero(DIM))
-    assert uni.up().equals(uni)
+    assert Federation(DIM, [z.up() for z in uni]).equals(uni)
     assert uni.down().equals(uni)
-    assert zero.up().down().includes(zero)
+    assert Federation(DIM, [z.up() for z in zero]).down().includes(zero)
     assert uni.includes(zero)
     assert not zero.includes(uni)
     # A universal member makes every sibling redundant in one reduction.
@@ -216,6 +223,8 @@ def test_duplicate_zones_reduce_to_one():
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_stack_close_matches_per_zone_close(backend_name):
+    """Each backend's ``zone_close`` on possibly inconsistent matrices
+    against the numpy reference's."""
     rng = random.Random(99)
     raw = []
     for _ in range(8):
@@ -226,16 +235,14 @@ def test_stack_close_matches_per_zone_close(backend_name):
         m[1, 0] = le(rng.randint(-3, 6))  # possibly inconsistent tightening
         raw.append(m)
     assert raw
-    # References: the per-zone closure of the numpy reference backend.
     with backends_mod.use_backend(backends_mod.resolve("numpy")):
         references = [DBM._from_raw(m.copy()) for m in raw]
-    with backends_mod.use_backend(backends_mod.resolve(backend_name)):
-        stack = np.stack([m.copy() for m in raw])
-        keep = sk.close(stack)
-    for idx, reference in enumerate(references):
-        assert bool(keep[idx]) == (not reference.is_empty())
-        if keep[idx]:
-            assert np.array_equal(stack[idx], reference.m)
+    backend = backends_mod.resolve(backend_name)
+    for m, reference in zip(raw, references):
+        got = m.copy()
+        assert backend.zone_close(got) == (not reference.is_empty())
+        if not reference.is_empty():
+            assert np.array_equal(got, reference.m)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +252,7 @@ def test_stack_close_matches_per_zone_close(backend_name):
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_bulk_fuzzed_federations_across_backends(backend_name):
-    """Fuzzed federations through every batched op, per kernel backend."""
+    """Fuzzed federations through every member-wise op, per backend."""
     rng = random.Random(0xBA7C4E)
     with backends_mod.use_backend(backends_mod.resolve(backend_name)):
         for trial in range(40):
@@ -255,7 +262,7 @@ def test_bulk_fuzzed_federations_across_backends(backend_name):
 
 @pytest.mark.parametrize("chunk", range(5))
 def test_bulk_fuzzed_federations_batched_vs_legacy(chunk):
-    """>= 500 fuzzed federations (100 per chunk) through every batched op."""
+    """>= 500 fuzzed federations (100 per chunk) through every op."""
     rng = random.Random(0xBA7C4 + chunk)
     for trial in range(100):
         fed = random_federation(rng, DIM, max_zones=6)
@@ -264,15 +271,11 @@ def test_bulk_fuzzed_federations_batched_vs_legacy(chunk):
         zone = random_zone(rng, DIM)
         points = sample_points(rng, DIM, [fed, other])
         inter = fed.intersect(other)
+        inter_zone = fed.intersect_zone(zone)
         sub = fed.subtract(other)
         for p in points:
             assert inter.contains(p) == (fed.contains(p) and other.contains(p))
             assert sub.contains(p) == (fed.contains(p) and not other.contains(p))
+            assert inter_zone.contains(p) == (fed.contains(p) and zone.contains(p))
         assert fed.includes(other) == other.subtract(fed).is_empty()
         assert fed.compact().equals(fed)
-        assert_same_set(
-            fed.intersect_zone(zone),
-            legacy_map(fed, lambda z: z.intersect(zone)),
-            points,
-            f"trial {trial}: intersect_zone",
-        )

@@ -172,14 +172,14 @@ class TestResetFree:
 
     def test_reset_pred_roundtrip(self):
         target = box(3, [(0, 0), (3, 7)])  # x == 0, 3 <= y <= 7
-        pred = target.reset_pred([1])
+        pred = target.assign_pred([(1, 0)])  # the pre-image of x := 0
         # Any x with y in range maps into the target.
         assert pred.contains([0, Fraction(42), Fraction(5)])
         assert not pred.contains([0, Fraction(42), Fraction(8)])
 
     def test_reset_pred_of_unreachable_reset_is_empty(self):
         target = box(2, [(1, 2)])  # x in [1,2]: x==0 not inside
-        assert target.reset_pred([1]).is_empty()
+        assert target.assign_pred([(1, 0)]).is_empty()
 
     def test_assign_pred(self):
         target = box(2, [(4, 6)])
@@ -192,8 +192,8 @@ class TestResetFree:
     @given(zones(), points())
     @settings(max_examples=200, deadline=None)
     def test_reset_pred_exact(self, z, p):
-        """p in reset_pred(Z) iff p[x:=0] in Z."""
-        pred = z.reset_pred([1])
+        """p in assign_pred(Z, x := 0) iff p[x:=0] in Z."""
+        pred = z.assign_pred([(1, 0)])
         mapped = list(p)
         mapped[1] = Fraction(0)
         assert pred.contains(p) == z.contains(mapped)
@@ -301,7 +301,7 @@ class TestDiagonalZones:
     @given(diagonal_zones(), points())
     @settings(max_examples=200, deadline=None)
     def test_reset_pred_exact(self, z, p):
-        pred = z.reset_pred([1])
+        pred = z.assign_pred([(1, 0)])
         mapped = list(p)
         mapped[1] = Fraction(0)
         assert pred.contains(p) == z.contains(mapped)

@@ -23,7 +23,7 @@ from repro import faults
 from repro.corpus import CampaignCheckpoint, Corpus, CorpusEntry
 from repro.corpus.__main__ import fsck_tree
 from repro.dbm import backends as dbm_backends
-from repro.dbm import stack as _sk
+from repro.dbm.backends.numpy_backend import NumpyBackend
 from repro.gen.differential import DiffConfig, check_faults, run_campaign
 from repro.gen.networks import generate_instance
 from repro.par import steal_map
@@ -578,16 +578,18 @@ class TestKernelDemotion:
             zone = random_zone(rng, dim=4, max_constraints=5)
             if not zone.is_empty():
                 zones.append(zone)
-        stack = np.stack([z.m for z in zones])
-        ref_m, got_m = stack.copy(), stack.copy()
-        ref_ok = _sk._close_ref(ref_m)
-        with faults.injected(f"dbm.{name}.compute:*"):
-            got_ok = backend.close(got_m)
-        assert np.array_equal(ref_ok, got_ok)
-        assert np.array_equal(ref_m[ref_ok], got_m[ref_ok])
+        reference = NumpyBackend()
+        for zone in zones:
+            ref_m, got_m = zone.m.copy(), zone.m.copy()
+            ref_m[1, 0] = got_m[1, 0] = 3  # (1, <=): maybe inconsistent
+            ref_ok = reference.zone_close(ref_m)
+            with faults.injected(f"dbm.{name}.compute:*"):
+                got_ok = backend.zone_close(got_m)
+            assert ref_ok == got_ok
+            assert not ref_ok or np.array_equal(ref_m, got_m)
         got = counts()
-        assert got.get("dbm.backend_demotions") == 1
-        assert got.get(f"faults.fired.dbm.{name}.compute") == 1
+        assert got.get("dbm.backend_demotions") == len(zones)
+        assert got.get(f"faults.fired.dbm.{name}.compute") == len(zones)
 
     def test_check_faults_green(self):
         for seed in (0, 3):

@@ -158,7 +158,7 @@ def test_kernels_on_nested_and_disjoint_operands(name, f, data):
         check_subtract(backend, g, f)
     check_predt(backend, f, cover)  # a bad set covering the goal
     check_predt(backend, nested, f)
-    outside = f.complement_within(DBM.universal(f.dim))
+    outside = Federation.from_zone(DBM.universal(f.dim)).subtract(f)
     check_subtract(backend, f, outside)  # disjoint: f stands
     assert f.subtract(outside).equals(f)
 

@@ -348,6 +348,24 @@ def test_zone_algebra_clean():
         assert check_zone_algebra(random.Random(seed), trials=12) == []
 
 
+def test_zone_algebra_catches_a_pred_kernel_that_skips_the_guard():
+    """The ``zone_pred`` trial checks the active backend against set
+    semantics, so a bug the reference shares with the compiled kernel
+    shows too."""
+    from repro.dbm import backends as dbm_backends
+    from repro.dbm.backends.base import MovePlan
+    from repro.dbm.backends.numpy_backend import NumpyBackend
+
+    class GuardlessPred(NumpyBackend):
+        def zone_pred(self, m, plan, source):
+            bare = MovePlan((), plan.assigns, plan.invariant, plan.delay)
+            return super().zone_pred(m, bare, source)
+
+    with dbm_backends.use_backend(GuardlessPred()):
+        failures = check_zone_algebra(random.Random(0), trials=25)
+    assert any("zone_pred membership mismatch" in f for f in failures)
+
+
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Covers the selection/fallback behavior of :mod:`repro.dbm.backends`
 (environment variable, ``auto`` default and probing, unavailable-backend
-fallback, counters), the federation's batched-vs-scalar dispatch
-records, per-backend exactness differentials on the stacked and the
-per-zone kernels (including the ctypes binding of ``cext``), the
+fallback, counters, the guarded backend's kernel list), per-backend
+exactness differentials on the per-zone, fused step and subsumption
+kernels (including the ctypes binding of ``cext``), the
 minimal-constraint form of :mod:`repro.dbm.minform` (round trip), and
 the explorer's zone-object interning by canonical bytes.
 """
 
+import inspect
 import random
 import warnings
 
@@ -17,9 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dbm import DBM, bound, minimal_constraints, verified_minimal_constraints
+from repro.dbm import (
+    DBM,
+    INF,
+    bound,
+    minimal_constraints,
+    verified_minimal_constraints,
+)
 from repro.dbm import backends as backends_mod
-from repro.dbm import stack as sk
 from repro.dbm.backends.base import CHANGED, EMPTY, UNCHANGED, KernelBackend, MovePlan
 from repro.dbm.backends.numpy_backend import NumpyBackend
 from repro.gen.zones import random_zone
@@ -79,12 +85,17 @@ def test_unavailable_explicit_backend_falls_back_with_warning():
 
 
 def test_resolution_and_dispatch_counters():
+    """Resolution is counted; kernel calls themselves add no backend
+    counter (only a demotion would)."""
     counters.reset()
     with backends_mod.use_backend(backends_mod.resolve("numpy")):
-        sk.close(np.stack([DBM.universal(3).m.copy()]))
+        zone = DBM.universal(3).tighten(1, 0, bound(4, False)).down()
+    assert not zone.is_empty()
     exported = counters.export()["counts"]
     assert exported["dbm.backend_selected_numpy"] == 1
-    assert exported["dbm.backend_numpy"] >= 1
+    assert [k for k in exported if k.startswith("dbm.backend")] == [
+        "dbm.backend_selected_numpy"
+    ]
 
 
 def test_use_backend_restores_previous():
@@ -101,30 +112,23 @@ def test_every_available_backend_satisfies_protocol():
     for name in AVAILABLE:
         backend = backends_mod.resolve(name)
         assert isinstance(backend, KernelBackend)
-        assert backend.counter.startswith("dbm.backend_")
 
 
-# ----------------------------------------------------------------------
-# Dispatch threshold
-# ----------------------------------------------------------------------
-
-
-def test_federation_records_dispatch_decisions(monkeypatch):
-    from repro.dbm import Federation, le
-
-    counters.reset()
-    strips = [
-        DBM.from_constraints(3, [(1, 0, le(b)), (0, 1, le(-b + 1))])
-        for b in (2, 4, 6, 8)
-    ]
-    small = Federation(3, strips[:2])
-    big = Federation(3, strips)
-    assert len(small) == 2 < sk.BATCH_MIN <= len(big) == 4
-    small.intersect_zone(strips[0])  # below threshold: scalar path
-    big.intersect_zone(strips[0])  # above threshold: batched path
-    exported = counters.export()["counts"]
-    assert exported.get("federation.scalar_dispatch", 0) >= 1
-    assert exported.get("federation.batched_dispatch", 0) >= 1
+def test_guarded_backend_wraps_every_protocol_method():
+    """Every kernel of the protocol is guarded, and nothing else is."""
+    protocol = {
+        name
+        for name, _ in inspect.getmembers(KernelBackend, inspect.isfunction)
+        if not name.startswith("_")
+    }
+    assert protocol  # the protocol declares its kernels as methods
+    guarded = backends_mod.GuardedBackend(NumpyBackend())
+    wrapped = {
+        name for name, value in vars(guarded).items() if callable(value)
+    }
+    assert wrapped == protocol
+    for name in protocol:
+        assert getattr(guarded, name).__name__ == name
 
 
 # ----------------------------------------------------------------------
@@ -134,22 +138,24 @@ def test_federation_records_dispatch_decisions(monkeypatch):
 
 @pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_close_matches_reference(backend_name):
+    """``zone_close`` on possibly inconsistent matrices: the verdict, and
+    a consistent matrix byte for byte, equal the numpy reference's."""
     backend = backends_mod.resolve(backend_name)
+    reference = NumpyBackend()
     rng = random.Random(7)
     for _ in range(25):
         dim = rng.randint(2, 5)
-        zs = [random_zone(rng, dim) for _ in range(rng.randint(1, 5))]
-        zs = [z for z in zs if not z.is_empty()] or [DBM.universal(dim)]
-        raw = np.stack([z.m for z in zs])
+        zone = random_zone(rng, dim)
+        raw = (DBM.universal(dim) if zone.is_empty() else zone).m.copy()
         for _ in range(rng.randint(0, 4)):
             i, j = rng.randrange(dim), rng.randrange(dim)
             if i != j:
-                raw[rng.randrange(len(zs)), i, j] = rng.randint(-9, 17)
+                raw[i, j] = rng.randint(-9, 17)
         ref_m, got_m = raw.copy(), raw.copy()
-        ref_ok = sk._close_ref(ref_m)
-        got_ok = backend.close(got_m)
-        assert np.array_equal(ref_ok, got_ok)
-        assert np.array_equal(ref_m[ref_ok], got_m[ref_ok])
+        ref_ok = reference.zone_close(ref_m)
+        assert backend.zone_close(got_m) == ref_ok
+        if ref_ok:
+            assert np.array_equal(ref_m, got_m)
 
 
 @pytest.mark.parametrize("backend_name", AVAILABLE)
@@ -199,21 +205,25 @@ def test_backend_fused_post_matches_reference(backend_name):
 
 @pytest.mark.parametrize("backend_name", AVAILABLE)
 def test_backend_subsumption_matches_reference(backend_name):
+    """``first_superset``, the explorer's and the estimate's subsumption
+    probe, finds the first including zone by pointwise comparison."""
     backend = backends_mod.resolve(backend_name)
     rng = random.Random(13)
     for _ in range(25):
         dim = rng.randint(2, 5)
-
-        def stack_of(n):
-            zs = []
-            while len(zs) < n:
-                z = random_zone(rng, dim)
-                if not z.is_empty():
-                    zs.append(z)
-            return np.stack([z.m for z in zs])
-
-        new = stack_of(rng.randint(1, 5))
-        assert sk._reduce_indices_ref(new) == backend.reduce_indices(new)
+        n, zs = rng.randint(1, 5), []
+        while len(zs) < n:
+            z = random_zone(rng, dim)
+            if not z.is_empty():
+                zs.append(z)
+        stack = np.stack([z.m for z in zs])
+        for probe in zs + [zs[0].intersect(zs[-1]), DBM.universal(dim)]:
+            if probe.is_empty():
+                continue
+            want = next(
+                (x for x, z in enumerate(zs) if z.includes(probe)), -1
+            )
+            assert backend.first_superset(stack, probe.m) == want
 
 
 _constraint_lists = st.lists(
@@ -236,7 +246,7 @@ _constraint_lists = st.lists(
 def test_zone_kernels_match_full_closure(backend_name, zone, cons, caps):
     """Per-zone kernels against oracles that share none of their code:
     incremental constraining against tighten-all-then-close from
-    scratch, per-zone extrapolation against the stacked reference."""
+    scratch, extrapolation against widen-entry-by-entry-then-close."""
     if zone.is_empty():
         return
     backend = backends_mod.resolve(backend_name)
@@ -258,10 +268,17 @@ def test_zone_kernels_match_full_closure(backend_name, zone, cons, caps):
     assert backend.zone_constrain(m, implied)[0] == UNCHANGED
 
     status, got = backend.zone_extrapolate(m, caps)
-    stacked = m[None].copy()
-    assert sk._extrapolate_ref(stacked, caps)[0]
+    widened = m.copy()
+    for i in range(DIM):
+        for j in range(DIM):
+            enc = int(widened[i, j])
+            if i and i != j and enc < INF and (enc >> 1) > caps[i]:
+                widened[i, j] = INF
+            elif not i and enc < INF and (enc >> 1) < -caps[j]:
+                widened[i, j] = bound(-caps[j], True)
+    assert NumpyBackend().zone_close(widened)
     assert status in (UNCHANGED, CHANGED)
-    assert np.array_equal(m if status == UNCHANGED else got, stacked[0])
+    assert np.array_equal(m if status == UNCHANGED else got, widened)
     assert np.array_equal(m, pristine)  # inputs are never written
 
 
@@ -272,7 +289,7 @@ def test_cext_ctypes_binding_matches_reference(monkeypatch, seed):
     if "cext" not in AVAILABLE:
         pytest.skip("cext does not load here")
     from repro.dbm.backends import cext
-    from repro.gen.differential import _kernel_trial_mismatch
+    from repro.gen.differential import _zone_kernel_mismatch
 
     monkeypatch.setattr(
         cext, "_BINDING", cext._CtypesBinding(cext._build_library())
@@ -281,7 +298,7 @@ def test_cext_ctypes_binding_matches_reference(monkeypatch, seed):
     assert backend.binding == "ctypes"
     rng = random.Random(seed)
     for _ in range(25):
-        assert _kernel_trial_mismatch(rng, backend) is None
+        assert _zone_kernel_mismatch(rng, backend) is None
 
 
 @pytest.mark.parametrize(
@@ -425,10 +442,10 @@ def test_kernel_check_fails_on_a_kernel_that_always_demotes(monkeypatch):
     instance = generate_instance(0, "random")
     assert check_kernel(instance, DiffConfig()).status == OK
 
-    def broken(self, stack):
+    def broken(self, m):
         raise RuntimeError("compiled kernel fault")
 
-    monkeypatch.setattr(CExtBackend, "close", broken)
+    monkeypatch.setattr(CExtBackend, "zone_close", broken)
     result = check_kernel(instance, DiffConfig())
     assert result.status == FAIL
     assert "demoted" in result.detail
