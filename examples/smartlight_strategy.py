@@ -32,7 +32,7 @@ def main():
     plant = System(smartlight_plant())
     query = parse_query(PURPOSE)
 
-    print(f"model: Smart Light (Fig. 2/3), Tidle=20, Tsw=4, Tp<=2, Treact=1")
+    print("model: Smart Light (Fig. 2/3), Tidle=20, Tsw=4, Tp<=2, Treact=1")
     print(f"test purpose: {PURPOSE}\n")
 
     for name, solver_cls in (("two-phase", TwoPhaseSolver),

@@ -28,7 +28,6 @@ setup(
         "test": [
             "pytest>=7",
             "hypothesis>=6",
-            "pytest-benchmark>=4",
         ],
     },
     entry_points={

@@ -17,8 +17,10 @@ call.  Selection:
 
 Every resolution bumps ``dbm.backend_selected_<name>`` and every
 compiled call that demotes to the reference ``dbm.backend_demotions``
-(see :class:`GuardedBackend`), so benchmark ``extra_info`` and fuzz
-coverage signatures record which implementation actually ran.
+(see :class:`GuardedBackend`), so campaign reports and fuzz coverage
+signatures record which implementation actually ran.  The compiled
+backends the differential checks hold against the reference come from
+:func:`compiled_backends`, which selects nothing.
 
 This module imports no backend implementation at import time — backend
 modules load lazily inside :func:`resolve`, which keeps
@@ -31,7 +33,8 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Union
+from functools import lru_cache
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ... import faults
 from ...util import counters
@@ -43,6 +46,7 @@ __all__ = [
     "KernelBackend",
     "active",
     "available_backends",
+    "compiled_backends",
     "resolve",
     "set_backend",
     "use_backend",
@@ -226,3 +230,24 @@ def available_backends() -> List[str]:
             continue
         out.append(name)
     return out
+
+
+@lru_cache(maxsize=None)
+def compiled_backends() -> Tuple[KernelBackend, ...]:
+    """Every compiled backend that loads here, loaded once per process.
+
+    These are what the differential checks compare against the numpy
+    reference, whatever backend is :func:`active`, so loading them is no
+    selection and bumps no ``dbm.backend_selected_<name>`` counter.
+    Sharing one instance across checks is safe: :class:`GuardedBackend`
+    demotes per call and keeps no demotion state.
+    """
+    out = []
+    for name in BACKEND_NAMES:
+        if name == "numpy":
+            continue
+        try:
+            out.append(_load(name))
+        except BackendUnavailable:
+            continue
+    return tuple(out)

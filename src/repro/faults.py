@@ -34,8 +34,9 @@ hit lists, ``every=``, ``p=`` — model transient faults and never fire
 on a retry, so bounded retries absorb them *by construction*; ``*``
 models a hard fault (a poison task) and fires on every attempt.
 
-Disarmed cost is one module-global load and an ``is None`` test —
-measured by ``benchmarks/test_bench_dbm_ops.py`` as a control.
+Disarmed cost is one module-global load and an ``is None`` test per
+probe.  No perfbench workload arms an ambient plan, so every probe it
+reaches is priced inside its end-to-end numbers.
 
 Probabilistic triggers hash ``(seed, site, hit)`` rather than drawing
 from shared RNG state, so two sites never perturb each other's schedule

@@ -297,9 +297,8 @@ class _BaseSolver:
 class TwoPhaseSolver(_BaseSolver):
     """Explore everything, then run the backward fixpoint to convergence."""
 
-    def solve(self, *, early_stop: bool = False) -> GameResult:
-        """Run exploration + fixpoint; ``early_stop`` stops once the
-        initial state is winning (sound: winning sets only grow)."""
+    def solve(self) -> GameResult:
+        """Run exploration, then the fixpoint to convergence."""
         started = time.monotonic()
         deadline = None if self.time_limit is None else started + self.time_limit
         self.graph.explore_all()
@@ -316,8 +315,6 @@ class TwoPhaseSolver(_BaseSolver):
             queued[node.id] = False
             new_win = self._update(node)
             if self._record_growth(node, new_win):
-                if early_stop and self._initial_winning():
-                    break
                 for edge in node.in_edges:
                     source = edge.source
                     if not queued.get(source.id):
@@ -362,6 +359,13 @@ class OnTheFlySolver(_BaseSolver):
                 queue.append(node)
                 queued[node.id] = True
 
+        def expand(node: GraphNode) -> None:
+            """Materialize every successor, queueing new ones to expand."""
+            for edge in graph.expand(node):
+                if edge.target.id not in seen:
+                    seen.add(edge.target.id)
+                    frontier.append(edge.target)
+
         while frontier:
             if deadline is not None and time.monotonic() > deadline:
                 raise ExplorationLimit("game solving timed out")
@@ -369,23 +373,18 @@ class OnTheFlySolver(_BaseSolver):
             while frontier and len(wave) < wave_size:
                 wave.append(frontier.popleft())
             for node in wave:
-                for edge in graph.expand(node):
-                    if edge.target.id not in seen:
-                        seen.add(edge.target.id)
-                        frontier.append(edge.target)
+                expand(node)
                 # Always evaluate a freshly expanded node: it may have a
                 # goal of its own, or an already-winning successor.
                 enqueue(node)
-            # Uncontrollable successors must be expanded before a node can
-            # be judged (its B-term needs all its u-edges): expand frontier
-            # nodes reachable by one uncontrollable step.
             while queue:
                 if deadline is not None and time.monotonic() > deadline:
                     raise ExplorationLimit("game solving timed out")
                 node = queue.popleft()
                 queued[node.id] = False
-                if not self._fully_expanded_for_bad(node, seen, frontier):
-                    continue
+                # A node's B-term needs all its uncontrollable edges, so
+                # every successor is materialized before it is judged.
+                expand(node)
                 new_win = self._update(node)
                 if self._record_growth(node, new_win):
                     if self._initial_winning():
@@ -440,14 +439,6 @@ class OnTheFlySolver(_BaseSolver):
                         queued[edge.source.id] = True
         return self._result(started, self._initial_winning())
 
-    def _fully_expanded_for_bad(self, node, seen, frontier) -> bool:
-        """Ensure every successor of the node is already materialized."""
-        for edge in self.graph.expand(node):
-            if edge.target.id not in seen:
-                seen.add(edge.target.id)
-                frontier.append(edge.target)
-        return True
-
     def _result(self, started: float, winning: bool) -> GameResult:
         return GameResult(
             winning,
@@ -470,7 +461,7 @@ def solve_reachability_game(
     time_limit: Optional[float] = None,
     warm_cache=None,
 ) -> GameResult:
-    """Convenience front-end used by examples and benchmarks.
+    """One-call front-end over both solvers, used by the examples and tests.
 
     ``warm_cache`` (a :class:`repro.game.warm.WinSetCache` or a cache
     directory path) consults the machine-wide win-set solve cache first:

@@ -732,7 +732,7 @@ def check_estimate(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     single-state paths, composed plants the hidden-move closure proper.
     SKIP where no compiled backend loads, like ``kernel``.
     """
-    backends_under_test = _compiled_backends()
+    backends_under_test = dbm_backends.compiled_backends()
     if not backends_under_test:
         return CheckResult("estimate", SKIP, "no compiled backend loads")
     plant_sys = System(instance.plant)
@@ -1342,7 +1342,7 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
     raises on every call would otherwise compare equal (it *is* the
     reference then) without ever running compiled code.
     """
-    backends_under_test = _compiled_backends()
+    backends_under_test = dbm_backends.compiled_backends()
     if not backends_under_test:
         return CheckResult("kernel", SKIP, "no compiled backend loads")
     rng = random.Random(instance.seed ^ 0x6B65726E)  # "kern"
@@ -1364,15 +1364,6 @@ def check_kernel(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
                     f"backend {backend.name!r} trial {trial}: {mismatch}",
                 )
     return CheckResult("kernel", OK)
-
-
-def _compiled_backends() -> list:
-    """Every kernel backend that loads here but the numpy reference."""
-    return [
-        dbm_backends.resolve(name)
-        for name in dbm_backends.available_backends()
-        if name != "numpy"
-    ]
 
 
 def _demotions() -> int:
@@ -1430,10 +1421,8 @@ def check_faults(instance: GeneratedInstance, cfg: DiffConfig) -> CheckResult:
 
     # Leg 2: injected kernel faults demote byte-exactly.
     rng = random.Random(instance.seed ^ 0x66617574)  # "faut"
-    for name in dbm_backends.available_backends():
-        if name == "numpy":
-            continue
-        backend = dbm_backends.resolve(name)
+    for backend in dbm_backends.compiled_backends():
+        name = backend.name
         with faults.injected(f"dbm.{name}.compute:*"):
             zone_mismatch = _zone_kernel_mismatch(rng, backend)
         if zone_mismatch:

@@ -276,7 +276,7 @@ class GenConfig:
     var_prob: float = 0.4
 
     def scaled(self, **overrides) -> "GenConfig":
-        """A copy with some knobs overridden (for scaling benchmarks)."""
+        """A copy with some knobs overridden (``--max-locations`` on the CLI)."""
         return replace(self, **overrides)
 
 

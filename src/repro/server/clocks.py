@@ -5,7 +5,7 @@
   (``output`` or ``quiet``), whose ``delay`` field is taken at face
   value (and validated against the deadline by the session).  Logical
   time runs as fast as the wire: deterministic, and what the parity
-  tests and load benchmarks use.
+  tests and perfbench's ``serve`` workload use.
 
 * :class:`RealTimeClock` — the *server* owns time.  A wait deadline of
   ``d`` time units is armed as a wall-clock timer of ``d * timescale``

@@ -26,6 +26,12 @@ from repro.gen import generate_instance
 from repro.semantics import StateEstimate, System
 from repro.semantics.compose import EstimateLimit
 from repro.ta.builder import NetworkBuilder
+from repro.testing import (
+    EagerPolicy,
+    RandomPolicy,
+    SimulatedImplementation,
+    TiocoMonitor,
+)
 from repro.util import counters
 from tests.estimate_reference import ReferenceEstimate
 
@@ -233,7 +239,163 @@ def test_estimate_agrees_on_payloads_and_urgent_locations(payload):
         assert_agree(batched, scalar, f"payload {payload} after {delay}")
 
 
+def hidden_choices_network(m: int, window: int = 3):
+    """``m`` hidden routing choices, each resetting a different clock.
+
+    Components ``C0..Cm-1`` leave their initial location through one of
+    two internalised syncs (``r_i!`` resets ``x_i``, ``s_i!`` resets
+    ``y_i``) within a bounded window: redundant internal failover paths
+    invisible at the boundary, which pile ``2^m`` pairwise-incomparable
+    zones up per discrete state, the closure's worst shape.  The
+    observable face is a plain ``go? … fin!`` exchange.
+    """
+    net = NetworkBuilder(f"choices{m}")
+    net.clock(*[f"x{i}" for i in range(m)], *[f"y{i}" for i in range(m)], "cf")
+    net.input_channel("go")
+    hidden = [name for i in range(m) for name in (f"r{i}", f"s{i}")]
+    net.output_channel("fin", *hidden)
+    net.interface("go", "fin")
+    for i in range(m):
+        c = net.automaton(f"C{i}")
+        c.location("Busy", f"x{i} <= {window}", initial=True)
+        c.location("Done")
+        c.edge("Busy", "Done", sync=f"r{i}!", assign=f"x{i} := 0")
+        c.edge("Busy", "Done", sync=f"s{i}!", assign=f"y{i} := 0")
+    r = net.automaton("R")
+    r.location("Idle", initial=True)
+    for i in range(m):
+        r.edge("Idle", "Idle", sync=f"r{i}?")
+        r.edge("Idle", "Idle", sync=f"s{i}?")
+    f = net.automaton("F")
+    f.location("Wait", initial=True)
+    f.location("Armed", "cf <= 6")
+    f.location("End")
+    f.edge("Wait", "Armed", sync="go?", assign="cf := 0")
+    f.edge("Armed", "End", sync="fin!", guard="cf >= 1")
+    return net.build()
+
+
+@pytest.mark.parametrize("m,window", [(2, 4), (3, 3)], ids=["m2w4", "m3w3"])
+def test_estimate_agrees_on_hidden_choices(m, window):
+    """Closure, rational delays and closure again on a ``2^m``-way
+    estimate: both paths agree, and ``fin`` is offered from ``cf >= 1``
+    on while the hidden choices stay invisible."""
+    batched, scalar = estimate_pair(
+        System(hidden_choices_network(m, window)), max_states=2048
+    )
+    for estimate in (batched, scalar):
+        assert estimate.observe("go", "input")
+    assert_agree(batched, scalar, "after go")
+    elapsed = Fraction(0)
+    for delay in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+        assert batched.advance(delay) and scalar.advance(delay)
+        elapsed += delay
+        assert_agree(batched, scalar, f"at {elapsed}")
+        expected = ["fin"] if elapsed >= 1 else []
+        assert batched.enabled_labels("output") == expected
+    assert batched.max_quiescence()[0] is not None
+
+
+def test_estimate_counters_track_closures():
+    """The op counters count the closure's kernel calls, and the
+    estimator runs no stacked kernel."""
+    counters.reset()
+    estimate = StateEstimate(
+        System(hidden_choices_network(3, 3)), max_states=2048
+    )
+    estimate.observe("go", "input")
+    estimate.max_quiescence()
+    counts = counters.export()["counts"]
+    assert counts.get("estimate.timed_closures") == 1
+    assert counts.get("estimate.expansions", 0) > 0
+    assert counts.get("estimate.posts", 0) > 0
+    assert not [name for name in counts if name.startswith("stack.")]
+
+
+# ----------------------------------------------------------------------
+# Estimated-monitor sessions
+# ----------------------------------------------------------------------
+
+
+def monitor_session(imp, monitor, steps):
+    """Feed a simulated implementation's run to a tioco monitor: its
+    outputs as observed, unit delays while the monitor allows
+    quiescence.  Every step must be accepted; returns the step count."""
+    done = 0
+    for _ in range(steps):
+        scheduled = imp.next_output()
+        if scheduled is None:
+            delay = Fraction(1)
+            if not monitor.max_quiescence().allows(delay):
+                break
+            imp.advance(delay)
+            assert monitor.advance(delay)
+        else:
+            label = imp.advance(scheduled.delay)
+            assert monitor.advance(scheduled.delay), monitor.violation
+            if label is not None:
+                assert monitor.observe(label, "output"), monitor.violation
+        done += 1
+    return done
+
+
+def generated_session(instance, policy, steps=12):
+    """One session on a generated plant, opened by its first input."""
+    imp = SimulatedImplementation(System(instance.plant), policy)
+    monitor = TiocoMonitor(System(instance.plant))
+    inputs = monitor.enabled_labels("input")
+    if inputs and imp.give_input(inputs[0]):
+        assert monitor.observe(inputs[0], "input")
+    return monitor_session(imp, monitor, steps)
+
+
+@pytest.mark.parametrize("family", ["clientserver", "chain"])
+def test_estimated_session(family):
+    """Eager conforming implementations of generated composed plants
+    pass the estimated monitor."""
+    instances = [generate_instance(seed, family) for seed in (0, 2, 4)]
+    assert sum(generated_session(i, EagerPolicy()) for i in instances) > 0
+
+
+@pytest.mark.parametrize("family", ["chain", "ring", "clientserver"])
+def test_estimated_conformance_session(family):
+    """Conforming implementations that pick their outputs and delays at
+    random pass the estimated monitor too."""
+    instances = [generate_instance(seed, family) for seed in range(3)]
+    steps = [
+        generated_session(instance, RandomPolicy(seed))
+        for seed, instance in enumerate(instances)
+    ]
+    assert sum(steps) > 0
+
+
+def test_estimated_session_hidden_choices():
+    """The implementation takes the hidden failover syncs itself; the
+    monitor tracks the full ``2^m``-way estimate through delays and the
+    final output."""
+    network = hidden_choices_network(3, 3)
+    imp = SimulatedImplementation(System(network), EagerPolicy())
+    monitor = TiocoMonitor(System(network), max_states=2048)
+    assert imp.give_input("go")
+    assert monitor.observe("go", "input")
+    assert monitor_session(imp, monitor, 10) > 0
+
+
 class TestRescaledDelays:
+    def test_quiescence_probes_between_rescaling_delays(self):
+        """Quiescence probes between delays that rescale the zones agree
+        on both paths, and the bound stays finite."""
+        batched, scalar = estimate_pair(
+            System(hidden_choices_network(3, 3)), max_states=2048
+        )
+        for estimate in (batched, scalar):
+            assert estimate.observe("go", "input")
+        for delay in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)):
+            assert batched.max_quiescence() == scalar.max_quiescence()
+            assert batched.advance(delay) and scalar.advance(delay)
+        assert batched.max_quiescence() == scalar.max_quiescence()
+        assert batched.max_quiescence()[0] is not None
+
     def test_rational_delays_agree_through_rescaling(self):
         system = System(hidden_chain_network())
         batched, scalar = estimate_pair(system)

@@ -127,6 +127,19 @@ class TestFaultPlan:
         assert not faults.should_fire("anything.at.all")
         assert "faults.fired" not in counts()
 
+    def test_injected_none_disarms_an_armed_plan(self):
+        """``injected(None)`` inside an armed block disarms the probe:
+        1024 probes of a kernel site the outer plan always fires fire
+        none, and the outer plan is back afterwards."""
+        with faults.injected("dbm.cext.compute:*"):
+            with faults.injected(None):
+                fired = sum(
+                    faults.should_fire("dbm.cext.compute") for _ in range(1024)
+                )
+            assert fired == 0
+            assert "faults.fired" not in counts()
+            assert faults.should_fire("dbm.cext.compute")
+
     def test_injected_restores_plan_and_env(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "outer.site:*")
         faults.install("outer.site:*")
@@ -390,6 +403,10 @@ def _imp():
 
 SPEC = {"model": "smartlight"}
 
+#: An armed plan whose only rule matches no site: every probe runs its
+#: match, none fires.
+IDLE_PLAN = "test.never.fires:*"
+
 
 class TestServerDegradation:
     def test_idle_timeout_is_fail_sound(self):
@@ -430,6 +447,33 @@ class TestServerDegradation:
         frame = sync(go())
         assert frame["type"] == "verdict" and frame["verdict"] == "pass"
         assert counts().get("server.pings") == 3
+
+    @pytest.mark.parametrize(
+        "plan", [None, IDLE_PLAN], ids=["disarmed", "armed_idle"]
+    )
+    def test_server_sessions_fault_control(self, plan):
+        """Ten concurrent sessions, disarmed and under an armed plan whose
+        only rule matches no site: the armed probes run per frame and per
+        guarded kernel call, yet fire nothing, demote no kernel call and
+        change no verdict."""
+        from repro.server.client import IUTClient
+        from repro.server.server import ServerConfig, TestServer
+
+        async def go():
+            async with TestServer(ServerConfig()) as server:
+                host, port = server.address
+
+                async def one():
+                    async with await IUTClient.connect(host, port) as client:
+                        return await client.run_session(_imp(), SPEC)
+
+                return await asyncio.gather(*(one() for _ in range(10)))
+
+        with faults.injected(plan):
+            frames = sync(go())
+        assert [f["verdict"] for f in frames] == ["pass"] * 10
+        assert not [name for name in counts() if name.startswith("faults.fired")]
+        assert "dbm.backend_demotions" not in counts()
 
     def test_injected_drop_releases_session(self):
         from repro.server.client import IUTClient
@@ -590,6 +634,39 @@ class TestKernelDemotion:
         got = counts()
         assert got.get("dbm.backend_demotions") == len(zones)
         assert got.get(f"faults.fired.dbm.{name}.compute") == len(zones)
+
+    @pytest.mark.parametrize(
+        "plan", [None, IDLE_PLAN], ids=["disarmed", "armed_idle"]
+    )
+    def test_kernel_close_fault_control(self, plan):
+        """32 ``zone_close`` calls on the active backend, disarmed and
+        under an armed-but-idle plan: byte-equal to the numpy reference,
+        nothing fired, nothing demoted."""
+        import random
+
+        from repro.gen.zones import random_zone
+
+        rng = random.Random(90)
+        raws = []
+        while len(raws) < 32:
+            zone = random_zone(rng, dim=5, max_constraints=6)
+            if zone.is_empty():
+                continue
+            raw = zone.m.copy()
+            i, j = rng.randrange(5), rng.randrange(5)
+            if i != j:  # a random tightening gives the closure real work
+                raw[i, j] = (rng.randint(-4, 10) << 1) | 1
+            raws.append(raw)
+        backend = dbm_backends.active()
+        reference = NumpyBackend()
+        with faults.injected(plan):
+            for raw in raws:
+                ref_m, got_m = raw.copy(), raw.copy()
+                ref_ok = reference.zone_close(ref_m)
+                assert backend.zone_close(got_m) == ref_ok
+                assert not ref_ok or np.array_equal(ref_m, got_m)
+        assert not [name for name in counts() if name.startswith("faults.")]
+        assert "dbm.backend_demotions" not in counts()
 
     def test_check_faults_green(self):
         for seed in (0, 3):

@@ -264,6 +264,12 @@ def test_different_seeds_differ():
     assert len(hashes) >= 15  # collisions would make seeds ambiguous
 
 
+def test_default_rotation_seeds_differ():
+    """Seeds across the default family rotation name distinct networks."""
+    hashes = {generate_instance(seed).structural_hash() for seed in range(20)}
+    assert len(hashes) >= 19
+
+
 def test_same_seed_same_verdict():
     for seed in range(6):
         instance = generate_instance(seed, "random")
@@ -306,6 +312,16 @@ def test_differential_checks_pass_per_family(family):
             f"{family} seed {seed}: "
             + "; ".join(f"{r.name}: {r.detail}" for r in report.failures)
         )
+
+
+def test_differential_bundle():
+    """The whole check bundle on the default family rotation: every
+    check reports on every instance, and none disagrees."""
+    cfg = DiffConfig(sim_runs=1, sim_steps=20, conf_steps=15)
+    for seed in range(4):
+        report = run_instance_checks(generate_instance(seed), cfg)
+        assert [r.name for r in report.results] == list(CHECKS)
+        assert report.ok, [f"{r.name}: {r.detail}" for r in report.failures]
 
 
 def test_campaign_smoke():

@@ -98,6 +98,23 @@ def test_resolution_and_dispatch_counters():
     ]
 
 
+def test_differential_checks_select_no_compiled_backend():
+    """Every check on one instance, pinned to numpy: the compiled
+    backends the checks compare against are loaded, never selected."""
+    from repro.gen import generate_instance
+    from repro.gen.differential import SKIP, run_instance_checks
+
+    with backends_mod.use_backend("numpy"):
+        counters.reset()
+        report = run_instance_checks(generate_instance(0))
+    assert report.ok
+    statuses = {result.name: result.status for result in report.results}
+    if "cext" in AVAILABLE:
+        assert statuses["kernel"] != SKIP
+    assert "dbm.backend_selected_cext" not in counters.export()["counts"]
+    assert backends_mod.compiled_backends() is backends_mod.compiled_backends()
+
+
 def test_use_backend_restores_previous():
     previous = backends_mod.active()
     replacement = backends_mod.resolve("numpy")
@@ -446,6 +463,11 @@ def test_kernel_check_fails_on_a_kernel_that_always_demotes(monkeypatch):
         raise RuntimeError("compiled kernel fault")
 
     monkeypatch.setattr(CExtBackend, "zone_close", broken)
+    # The checks share one backend per process, bound before the patch:
+    # load a fresh one (and leave the shared one unpatched).
+    monkeypatch.setattr(
+        backends_mod, "compiled_backends", backends_mod.compiled_backends.__wrapped__
+    )
     result = check_kernel(instance, DiffConfig())
     assert result.status == FAIL
     assert "demoted" in result.detail

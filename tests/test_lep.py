@@ -1,8 +1,18 @@
 """Tests for the Leader Election Protocol case study (paper §4, Table 1)."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.game import Strategy, solve_reachability_game
+from repro.dbm import Federation
+from repro.game import (
+    OnTheFlySolver,
+    Strategy,
+    TwoPhaseSolver,
+    solve_reachability_game,
+)
 from repro.graph import check_reachable
 from repro.models.lep import TEST_PURPOSES, TP1, TP2, TP3, lep_network, lep_plant
 from repro.semantics.system import OPEN, System
@@ -138,3 +148,130 @@ class TestPlantModel:
         iut = plant.network.automaton("IUT")
         for name in ("rcv", "rcvF", "rcvA"):
             assert iut.locations[name].committed
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "lep_case_study.py"
+
+
+@pytest.fixture(scope="module")
+def case_study():
+    """``examples/lep_case_study.py``, the Table 1 harness, loaded by path."""
+    spec = importlib.util.spec_from_file_location("lep_case_study", EXAMPLE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestTable1:
+    """The paper's Table 1 cells, each solved once and not timed."""
+
+    def test_table1_shape(self, case_study):
+        """The qualitative Table 1 claims on a quick n=3..5 on-the-fly
+        sweep of the example's own harness: every cell solved and
+        winning, TP2/TP3 harder than TP1, TP2 growing with n."""
+        cells = case_study.generate_table([3, 4, 5], track_memory=False)
+        unsolved = [
+            f"{tp} n={n}: {cell.measurement.error}"
+            for tp, row in cells.items()
+            for n, cell in row.items()
+            if cell.measurement.failed
+        ]
+        assert not unsolved, unsolved
+        failures = case_study.shape_checks(cells)
+        assert not failures, "\n".join(failures)
+        table = case_study.render_table(cells, "Table 1, n=3..5")
+        assert "TP2 time(s)" in table and "n=5" in table
+        assert "TP2 time(s)" in case_study.render_paper_table()
+
+    #: Nodes the on-the-fly solver explores before the initial state wins.
+    OTF_NODES = {
+        ("TP1", 3): 64, ("TP2", 3): 125, ("TP3", 3): 125,
+        ("TP1", 4): 79, ("TP2", 4): 403, ("TP3", 4): 403,
+        ("TP1", 5): 93, ("TP2", 5): 871, ("TP3", 5): 871,
+        ("TP1", 6): 107, ("TP2", 6): 1931, ("TP3", 6): 1931,
+        ("TP1", 7): 121, ("TP2", 7): 3935, ("TP3", 7): 3935,
+        ("TP1", 8): 135, ("TP2", 8): 7171, ("TP3", 8): 7171,
+    }
+
+    #: Nodes of the whole simulation graph, which two-phase solving
+    #: explores whatever the purpose.
+    FULL_NODES = {3: 761, 4: 2882}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("tp", ["TP1", "TP2", "TP3"])
+    def test_table1_cell_on_the_fly(self, tp, n):
+        """Every Table 1 cell, including the two UPPAAL-TIGA ran out of
+        memory on (TP2/TP3 at n=8), is winning on the fly."""
+        system = System(lep_network(n))
+        result = OnTheFlySolver(system, parse_query(TEST_PURPOSES[tp])).solve()
+        assert result.winning
+        assert result.nodes_explored == self.OTF_NODES[tp, n]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("tp", ["TP1", "TP2", "TP3"])
+    def test_table1_cell_exhaustive(self, tp, n):
+        """The exhaustive (two-phase) variant explores the whole graph
+        whatever the purpose, at least twice the nodes the on-the-fly
+        solver needs for the same winning cell."""
+        system = System(lep_network(n))
+        result = TwoPhaseSolver(system, parse_query(TEST_PURPOSES[tp])).solve()
+        assert result.winning
+        assert result.nodes_explored == self.FULL_NODES[n]
+        assert self.OTF_NODES[tp, n] * 2 <= result.nodes_explored
+
+
+class TestOnTheFlyAblation:
+    """On-the-fly against two-phase solving on the buffer-filling purpose."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lep_tp2_on_the_fly(self, n):
+        """A strategy extracted from the early-stopped on-the-fly result
+        still decides the initial state."""
+        system = System(lep_network(n))
+        result = OnTheFlySolver(system, parse_query(TP2), time_limit=120).solve()
+        assert result.winning
+        strategy = Strategy(result)
+        assert 0 < strategy.size <= result.nodes_explored
+        assert strategy.decide(system.initial_concrete()).kind in ("fire", "wait")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lep_tp2_two_phase(self, n):
+        """A strategy extracted from the full two-phase fixpoint decides
+        the initial state."""
+        system = System(lep_network(n))
+        result = TwoPhaseSolver(system, parse_query(TP2), time_limit=120).solve()
+        assert result.winning
+        strategy = Strategy(result)
+        assert 0 < strategy.size <= result.nodes_explored
+        assert strategy.decide(system.initial_concrete()).kind in ("fire", "wait")
+
+    def test_early_termination_explores_less(self):
+        """The ablation's point, solved live: on a winning purpose the
+        on-the-fly solver stops after at most half the nodes the
+        two-phase solver explores."""
+        otf = OnTheFlySolver(System(lep_network(4)), parse_query(TP2)).solve()
+        full = TwoPhaseSolver(System(lep_network(4)), parse_query(TP2)).solve()
+        assert otf.winning and full.winning
+        assert otf.nodes_explored * 2 <= full.nodes_explored
+
+
+class TestRankLayerOverhead:
+    def test_layer_bookkeeping(self):
+        """Strategy-grade solving keeps per-step rank layers: on every
+        winning node they are in fixpoint-step order and together make
+        up the node's winning federation."""
+        system = System(lep_network(3))
+        result = TwoPhaseSolver(system, parse_query(TP1)).solve()
+        assert result.winning and result.wins
+        for entry in result.wins.values():
+            steps = [step for step, _ in entry.layers]
+            assert steps and steps == sorted(steps)
+            union = Federation.empty(system.dim)
+            for _, fed in entry.layers:
+                union = union.union(fed)
+            assert union.equals(entry.win)
+        assert Strategy(result).size > 0

@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.models.smartlight import smartlight_plant
+from repro.game import Strategy, solve_reachability_game
+from repro.models.smartlight import smartlight_network, smartlight_plant
 from repro.semantics.system import System
+from repro.tctl import parse_query
+from repro.testing import (
+    EagerPolicy,
+    LazyPolicy,
+    QuiescentPolicy,
+    RandomPolicy,
+    SimulatedImplementation,
+    execute_test,
+)
 from repro.testing.mutants import (
+    Mutant,
     MutationError,
     add_spurious_edge,
     clone_network,
@@ -15,6 +26,7 @@ from repro.testing.mutants import (
     swap_output_channel,
     widen_invariant,
 )
+from repro.testing.trace import FAIL, PASS
 
 
 class TestClone:
@@ -149,3 +161,138 @@ class TestOperators:
             sys_ = System(mutant)
             init = sys_.initial_symbolic()
             assert init is not None
+
+
+# ----------------------------------------------------------------------
+# Fault detection of the Smart Light strategy test
+# ----------------------------------------------------------------------
+#
+# How effective are winning-strategy tests at detecting faults (the
+# paper's future-work item 3)?  Every on-path tioco violation in this
+# pool must be caught under some output policy, and no conforming
+# implementation (refinements included) may ever be flagged.  Off-path
+# faults may survive: that is the price of targeted testing.
+
+POLICIES = [
+    ("eager", EagerPolicy),
+    ("lazy", LazyPolicy),
+    ("quiescent", QuiescentPolicy),
+    ("random0", lambda: RandomPolicy(0)),
+    ("random1", lambda: RandomPolicy(1)),
+]
+
+
+def mutant_pool():
+    plant = smartlight_plant
+    return [
+        Mutant(
+            "wrong-output-L1",
+            swap_output_channel(plant(), "bright", automaton="IUT",
+                                source="L1", sync="dim!"),
+            "L1 answers bright! instead of dim!",
+            expected_caught=True,
+        ),
+        Mutant(
+            "wrong-output-L6",
+            swap_output_channel(plant(), "dim", automaton="IUT",
+                                source="L6", sync="bright!"),
+            "L6 answers dim! instead of bright!",
+            expected_caught=True,
+        ),
+        Mutant(
+            "late-L6",
+            widen_invariant(plant(), "IUT", "L6", +2),
+            "L6 may answer 2 time units late",
+            expected_caught=True,
+        ),
+        Mutant(
+            "missing-bright-L6",
+            drop_edge(plant(), automaton="IUT", source="L6", sync="bright!"),
+            "L6 never answers",
+            expected_caught=True,
+        ),
+        Mutant(
+            "late-L2",
+            widen_invariant(plant(), "IUT", "L2", +2),
+            "L2 may answer late (off the strategy's path)",
+            expected_caught=False,
+        ),
+        Mutant(
+            "early-L1",
+            widen_invariant(plant(), "IUT", "L1", -1),
+            "L1 answers faster: a tioco refinement, conforming",
+            expected_caught=False,
+        ),
+        Mutant(
+            "idle-threshold-off-by-one",
+            shift_guard_constant(plant(), -1, automaton="IUT",
+                                 source="Off", target="L5"),
+            "reactivation threshold off by one (boundary-only fault)",
+            expected_caught=False,
+        ),
+        Mutant(
+            "retarget-bright-to-off",
+            retarget_edge(plant(), "Off", automaton="IUT", source="L6",
+                          sync="bright!"),
+            "bright! emitted but light actually turns off (post-goal)",
+            expected_caught=False,
+        ),
+    ]
+
+
+@pytest.fixture(scope="module")
+def bright_test():
+    """The ``control: A<> IUT.Bright`` strategy and the spec plant."""
+    result = solve_reachability_game(
+        System(smartlight_network()),
+        parse_query("control: A<> IUT.Bright"),
+        on_the_fly=False,
+    )
+    return Strategy(result), System(smartlight_plant())
+
+
+@pytest.mark.parametrize(
+    "policy_factory", [f for _, f in POLICIES], ids=[n for n, _ in POLICIES]
+)
+def test_conforming_plant_passes(bright_test, policy_factory):
+    strategy, spec = bright_test
+    imp = SimulatedImplementation(System(smartlight_plant()), policy_factory())
+    assert execute_test(strategy, spec, imp).verdict == PASS
+
+
+@pytest.fixture(scope="module")
+def kill_outcomes(bright_test):
+    """Per mutant of the pool: whether some output policy catches it."""
+    strategy, spec = bright_test
+    return [
+        (
+            mutant,
+            any(
+                execute_test(
+                    strategy,
+                    spec,
+                    SimulatedImplementation(System(mutant.network), factory()),
+                ).verdict == FAIL
+                for _, factory in POLICIES
+            ),
+        )
+        for mutant in mutant_pool()
+    ]
+
+
+def test_mutation_detection_report(kill_outcomes):
+    for mutant, caught in kill_outcomes:
+        if mutant.expected_caught:
+            assert caught, f"{mutant.name} should be caught ({mutant.description})"
+        else:
+            assert not caught, (
+                f"{mutant.name} unexpectedly caught: either the mutant is"
+                f" on-path after all or the executor produced a false alarm"
+            )
+
+
+def test_mutation_score(kill_outcomes):
+    """Half the pool is killed: every on-path fault and nothing else."""
+    killed = sum(caught for _, caught in kill_outcomes)
+    assert killed == sum(m.expected_caught for m, _ in kill_outcomes) == 4
+    assert killed * 2 == len(kill_outcomes)

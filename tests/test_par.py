@@ -15,7 +15,9 @@ import os
 
 import pytest
 
+from repro.gen import run_campaign
 from repro.gen.cli import VOLATILE_REPORT_KEYS, main as cli_main
+from repro.gen.differential import DiffConfig
 from repro.models.smartlight import smartlight_network, smartlight_plant
 from repro.par import auto_jobs, parse_jobs, resolve_jobs, steal_map
 from repro.testing import MutantSpec, MutationCampaign
@@ -231,6 +233,26 @@ class TestCampaignDeterminism:
             assert code in (0, 1)
             blobs.append(json.dumps(stable_payload(report), sort_keys=True))
         assert blobs[0] == blobs[1]
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_sharded(self, jobs):
+        """A small estimate-and-conformance window runs clean serially
+        and over a two-worker pool."""
+        config = DiffConfig(
+            max_nodes=800, sim_steps=8, conf_steps=8, check_fixpoint=False
+        )
+        summary = run_campaign(
+            count=12,
+            seed=4200,
+            diff_config=config,
+            checks=("estimate", "conformance"),
+            zone_trials=0,
+            shrink=False,
+            jobs=jobs,
+        )
+        assert summary.ok, summary.format()
+        assert len(summary.reports) == 12
 
 
 # ----------------------------------------------------------------------

@@ -241,6 +241,18 @@ class TestRegistry:
         assert b1 is b2
         assert len(resolver) == 1
 
+    def test_resolved_bundle_passes_in_process(self):
+        """The sans-IO executor alone, on the bundle the server would
+        share: the Smart Light plant passes under either policy."""
+        from repro.models.smartlight import smartlight_plant
+        from repro.testing import TestExecutor
+
+        bundle = SpecResolver().resolve({"model": "smartlight"})
+        for policy in (EagerPolicy(), RandomPolicy(1)):
+            imp = SimulatedImplementation(System(smartlight_plant()), policy)
+            run = TestExecutor(bundle.strategy, bundle.plant, imp).run()
+            assert run.verdict == "pass"
+
     def test_resolver_rejects_junk(self):
         resolver = SpecResolver()
         for bad in (
@@ -614,11 +626,13 @@ class TestAdmissionControl:
         assert evicted >= 1
         assert held["type"] == "verdict" or frame.get("evicted")
 
-    def test_fifty_concurrent_sessions(self):
+    @staticmethod
+    def smartlight_wave(count, config):
+        """``count`` Smart Light sessions at once on one server."""
         from repro.models.smartlight import smartlight_plant
 
         async def go():
-            server = TestServer(ServerConfig())
+            server = TestServer(config)
             await server.start()
             try:
                 host, port = server.address
@@ -632,18 +646,36 @@ class TestAdmissionControl:
                             imp, {"model": "smartlight"}
                         )
 
-                frames = await asyncio.gather(*(one(i) for i in range(50)))
+                frames = await asyncio.gather(*(one(i) for i in range(count)))
                 return frames, server.stats()
             finally:
                 await server.close()
 
-        frames, stats = sync(go())
+        return sync(go())
+
+    def test_fifty_concurrent_sessions(self):
+        frames, stats = self.smartlight_wave(50, ServerConfig())
         assert len(frames) == 50
         assert all(f["type"] == "verdict" for f in frames)
         assert all(f["verdict"] == "pass" for f in frames)
         assert stats["started"] == 50
         assert stats["finished"] == 50
         assert stats["bundles"] == 1  # one shared strategy, 50 sessions
+
+    @pytest.mark.parametrize("concurrency", [10, 50, 200])
+    def test_server_sessions(self, concurrency):
+        """``concurrency`` sessions at once, under a global state budget
+        of eight states per session (at least 1000), all PASS on one
+        shared bundle."""
+        frames, stats = self.smartlight_wave(
+            concurrency,
+            ServerConfig(
+                max_sessions=4 * concurrency,
+                state_budget=max(1000, concurrency * 8),
+            ),
+        )
+        assert [f["verdict"] for f in frames] == ["pass"] * concurrency
+        assert stats["bundles"] == 1
 
     def test_profile_counter_scoping(self):
         """Per-session profiles capture that session's symbolic ops."""

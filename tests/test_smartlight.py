@@ -104,6 +104,44 @@ class TestBrightGame:
         assert "IUT.Off" in text
         assert "touch" in text
 
+    def test_fig5_strategy_structure(self, bright_result):
+        """The Fig. 5 strategy's qualitative content: wait in Off until the
+        user may touch, take touch transitions, finish in Bright."""
+        strategy = Strategy(bright_result)
+        text = strategy.describe()
+        assert "State:" in text
+        assert "IUT.Off" in text and "IUT.Bright" in text
+        assert "take transition" in text and "wait" in text
+        # Every decision's move is a controllable touch.
+        for ns in strategy.per_node.values():
+            for decision in ns.actions:
+                assert decision.move.label == "touch"
+                assert decision.move.controllable
+
+    def test_fig5_strategy_synthesis(self, bright_result):
+        """Synthesis is reproducible: a fresh two-phase solve explores the
+        same graph and yields a strategy of the same size."""
+        again = solve_reachability_game(
+            System(smartlight_network()),
+            parse_query("control: A<> IUT.Bright"),
+            on_the_fly=False,
+        )
+        assert again.winning
+        assert again.nodes_explored == bright_result.nodes_explored
+        assert Strategy(again).size == Strategy(bright_result).size > 0
+
+    def test_fig5_strategy_rendering(self, bright_result):
+        """The rendering is a deterministic multi-line listing."""
+        text = Strategy(bright_result).describe()
+        assert len(text) > 100 and text.count("\n") > 2
+        assert Strategy(bright_result).describe() == text
+
+    def test_purpose_holds_on_the_fly(self, composed):
+        result = solve_reachability_game(
+            composed, parse_query("control: A<> IUT.Bright"), on_the_fly=True
+        )
+        assert result.winning
+
     def test_goal_location_in_strategy_domain(self, bright_result):
         strategy = Strategy(bright_result)
         names = {

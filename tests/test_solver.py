@@ -220,6 +220,17 @@ class TestSolverVariants:
         assert otf.winning and full.winning
         assert otf.nodes_explored < full.nodes_explored
 
+    def test_lost_game_explores_the_same_graph(self):
+        """On a lost game early termination cannot help: the on-the-fly
+        solver ends up exploring exactly the two-phase solver's graph."""
+        from repro.models.smartlight import smartlight_network
+
+        query = "control: A<> IUT.L5 && Tp > 2"  # unsatisfiable goal
+        _, otf = solve(smartlight_network(), query, on_the_fly=True)
+        _, full = solve(smartlight_network(), query, on_the_fly=False)
+        assert not otf.winning and not full.winning
+        assert otf.nodes_explored == full.nodes_explored
+
     def test_wrong_query_kind_rejected(self):
         sys_ = System(simple_reach())
         with pytest.raises(GameError):

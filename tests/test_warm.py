@@ -3,8 +3,8 @@
 The serialization property here is the load-bearing one: the on-disk
 cache stores federations in minimal-constraint form, and a single lossy
 round-trip would silently corrupt every restored fixpoint.  The cache
-tests pin the counter protocol (hit/miss/store/mismatch) the benchmarks
-and the ``warmstart`` differential check rely on.
+tests pin the counter protocol (hit/miss/store/mismatch) the
+``warmstart`` differential check relies on.
 """
 
 import json
@@ -220,6 +220,80 @@ def test_warm_equals_cold_on_generated(family, seed, tmp_path):
     warm = warm_solve(System(instance.arena), query, cache=cache)
     assert warm.winning == cold.winning
     assert _win_map(warm) == _win_map(cold)
+
+
+# ---------------------------------------------------------------------------
+# A campaign's spec pool
+# ---------------------------------------------------------------------------
+#
+# Mutation campaigns re-solve the same specs over and over: every mutant
+# is tested against the unchanged arena strategy.  After the first pass
+# every repeat solve is a cache lookup.
+
+SPEC_POOL = ["smartlight", "lep2", "lep3", "clientserver7", "ring7", "chain7"]
+
+
+@pytest.fixture(scope="module")
+def warm_pool(tmp_path_factory):
+    """A win-set cache populated by one pass over the spec pool, and the
+    pool as ``name -> (system, query, first result)``."""
+    from repro.models.lep import TP1, lep_network
+
+    specs = {
+        "smartlight": (System(smartlight_network()), parse_query(QUERY)),
+        "lep2": (System(lep_network(2)), parse_query(TP1)),
+        "lep3": (System(lep_network(3)), parse_query(TP1)),
+    }
+    for family, seed in (("clientserver", 7), ("ring", 7), ("chain", 7)):
+        instance = generate_instance(seed, family)
+        specs[f"{family}{seed}"] = (
+            System(instance.arena), parse_query(instance.query)
+        )
+    cache = WinSetCache(str(tmp_path_factory.mktemp("warm-pool")))
+    pool = {
+        name: (system, query, warm_solve(system, query, cache=cache))
+        for name, (system, query) in specs.items()
+    }
+    return cache, pool
+
+
+@pytest.mark.parametrize("name", SPEC_POOL)
+def test_warm_spec_synthesis(warm_pool, name):
+    """A repeat solve of one spec is a memo hit on the first result."""
+    cache, pool = warm_pool
+    system, query, first = pool[name]
+    counters.reset()
+    assert warm_solve(system, query, cache=cache) is first
+    assert _counts() == {"solver.warm_hits": 1, "solver.warm_result_hits": 1}
+
+
+def test_warm_campaign_sweep(warm_pool):
+    """A second pass over the whole pool solves nothing cold."""
+    cache, pool = warm_pool
+    counters.reset()
+    for system, query, first in pool.values():
+        assert warm_solve(system, query, cache=cache) is first
+    counts = _counts()
+    assert counts.get("solver.warm_hits") == len(pool)
+    assert not counts.get("solver.warm_misses")
+
+
+def test_warm_cross_process_restore(warm_pool):
+    """A fresh cache object over the pool's directory, as a new worker
+    process would open it, restores every spec from disk: same verdicts,
+    same fixpoint step counts and win sets, no cold solve."""
+    cache, pool = warm_pool
+    fresh = WinSetCache(cache.directory)
+    counters.reset()
+    for system, query, first in pool.values():
+        restored = warm_solve(system, query, cache=fresh)
+        assert restored is not first
+        assert restored.winning == first.winning
+        assert restored.steps == first.steps
+        assert _win_map(restored) == _win_map(first)
+    counts = _counts()
+    assert counts.get("solver.warm_hits") == len(pool)
+    assert not counts.get("solver.warm_misses")
 
 
 # ---------------------------------------------------------------------------
