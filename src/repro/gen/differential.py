@@ -1609,6 +1609,22 @@ def _run_one_task(
     return report
 
 
+def _zone_trials(seed: int, trials: int) -> List[str]:
+    """A campaign's zone-algebra trials, off its seed: failure details."""
+    return check_zone_algebra(random.Random(seed ^ 0x5EED5), trials=trials)
+
+
+def _pool_task(name: str, *args):
+    """One :func:`run_campaign` pool task: this module's function ``name``
+    (``_run_one_task`` or ``_zone_trials``) applied to ``args``.
+
+    The function is looked up when the task runs, so a wrapper installed
+    on the module attribute before the campaign starts (a profiler timing
+    each instance) runs inside forked workers too.
+    """
+    return globals()[name](*args)
+
+
 def _quarantined_report(
     seed: int,
     family: Optional[str],
@@ -1794,11 +1810,15 @@ def run_campaign(
 
     ``jobs > 1`` steals tasks across a :mod:`repro.par` worker pool
     (:func:`~repro.par.steal_map`: single-task dispatch, so one
-    solver-heavy seed never straggles a chunk).  The summary (statuses,
-    per-family counts, failing seeds, shrunk reproducers) is **identical
-    to the serial run**: tasks are seed-independent, results are
-    reassembled in task order, and shrinking of funneled-back failure
-    seeds happens serially in the parent, after the pool.  Only
+    solver-heavy seed never straggles a chunk).  The zone-algebra trials
+    are one more task, queued after the instances, so the first worker
+    to go idle runs them while the others finish the slowest instances;
+    if that task is quarantined, the parent runs the trials itself.  The
+    summary (statuses, per-family counts, failing seeds, shrunk
+    reproducers, zone failures) is **identical to the serial run**:
+    tasks are seed-independent, results are reassembled in task order,
+    and shrinking of funneled-back failure seeds happens serially in the
+    parent, after the pool.  Only
     ``on_report`` ordering (progress) and per-worker memo cache hit
     rates (profiling counters) depend on scheduling.  Under
     ``fail_fast`` the parallel path still runs the whole batch but
@@ -1827,6 +1847,10 @@ def run_campaign(
         for index, task in enumerate(tasks)
         if results[index] is None
     ]
+    # The zone trials run once, in a run that finishes every task.
+    zone_task = zone_trials > 0 and (
+        stop_after is None or stop_after >= len(pending)
+    )
     if stop_after is not None:
         pending = pending[:stop_after]
 
@@ -1837,14 +1861,28 @@ def run_campaign(
         if on_report is not None:
             on_report(report)
 
+    zone_failures: Optional[List[str]] = None
     if jobs > 1:
         payloads = [
-            (task_seed, family, mutation_seed, gen_config, diff_config,
-             check_names)
+            ("_run_one_task", task_seed, family, mutation_seed, gen_config,
+             diff_config, check_names)
             for _, (task_seed, family, mutation_seed) in pending
         ]
+        if zone_task:
+            # Queued last: the first worker to go idle runs the trials
+            # while the others finish the batch's slowest instances.
+            payloads.append(("_zone_trials", seed, zone_trials))
+
+        def delivered(pos: int, result) -> None:
+            nonlocal zone_failures
+            if pos == len(pending):
+                zone_failures = result
+            else:
+                record(pending[pos][0], result)
 
         def quarantined(pos: int, error: BaseException) -> None:
+            if pos == len(pending):
+                return  # the zone trials: the parent runs them below
             # A worker crashed/hung on this task through every retry:
             # record a deterministic harness failure and keep going —
             # one poison task costs itself, never the campaign.
@@ -1857,10 +1895,10 @@ def run_campaign(
             )
 
         steal_map(
-            _run_one_task,
+            _pool_task,
             payloads,
             jobs=jobs,
-            on_result=lambda pos, report: record(pending[pos][0], report),
+            on_result=delivered,
             retries=2,
             quarantine=quarantined,
         )
@@ -1914,7 +1952,6 @@ def run_campaign(
             )
             if shrunk is not instance:
                 report.shrunk = shrunk.describe()
-    zone_failures = check_zone_algebra(
-        random.Random(seed ^ 0x5EED5), trials=zone_trials
-    )
+    if zone_failures is None:
+        zone_failures = _zone_trials(seed, zone_trials)
     return CampaignSummary(reports, zone_failures, zone_trials)

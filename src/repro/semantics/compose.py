@@ -37,11 +37,16 @@ encodings, same resets.  Every step the estimate takes is therefore a
 :class:`~repro.dbm.backends.base.MovePlan` compiled once per discrete
 state by :class:`~repro.semantics.system.System` (:meth:`System.expansion`
 for the moves enabled there, :meth:`System.step_plan` for a move named
-by the observer), scaled to the estimate's time scale once
-(:meth:`MovePlan.scaled`) and cached per discrete state until the scale
-changes.  The closure expands a member with one ``zone_expand`` kernel
-call over an :class:`~repro.dbm.backends.base.ExpansionTable` of its
-state's hidden moves (delayed plans for the timed closure, ``bare()``
+by the observer) and scaled to the estimate's time scale once
+(:meth:`MovePlan.scaled`).  The scaled steps live in a table that
+:class:`~repro.semantics.system.System` shares between every wrapper of
+its network, keyed by (mode, discrete state, scale), so the several
+monitors built over one model compile each step once; the table is
+bounded (:data:`STEP_TABLE_BOUND`), since scales follow the observed
+delays' denominators.  The closure expands a member with one
+``zone_expand`` kernel call over an
+:class:`~repro.dbm.backends.base.ExpansionTable` of its state's hidden
+moves (delayed plans for the timed closure, ``bare()``
 plans for the instant one); the delay frontier, observed actions and
 enabledness probes are one ``zone_successor`` call per member and move,
 and a delay one ``zone_constrain`` per member.  The plans fit the padded
@@ -134,39 +139,99 @@ class _Member(NamedTuple):
 
 
 class _Steps:
-    """One discrete state's compiled steps at an estimate's time scale.
+    """One discrete state's compiled steps at one time scale.
 
     ``moves`` and ``targets`` are those of :meth:`System.expansion` (the
     enabled moves whose discrete part does not block), ``posts`` their
-    scaled discrete posts (no delay).  The closure tables over the hidden
-    moves and the delay-frontier plan are built on first use.
+    scaled discrete posts (no delay) and ``hidden`` the indices of the
+    internal moves.  The closure tables over the hidden moves, the
+    delay-frontier plan and the posts indexed by label or direction are
+    built on first use.  Shared by every estimate over one network
+    (:func:`_steps`), so nothing here depends on an estimate's members.
     """
 
-    __slots__ = ("moves", "targets", "posts", "frontier", "_delayed", "_tables")
+    __slots__ = (
+        "moves", "targets", "posts", "hidden", "frontier", "_delayed",
+        "_tables", "_by_label", "_by_direction",
+    )
 
     def __init__(self, table: ExpansionTable, scale: int):
         self.moves = table.moves
         self.targets = table.targets
         self._delayed = [plan.scaled(scale) for plan in table.plans]
         self.posts = [plan.bare() for plan in self._delayed]
+        self.hidden = [
+            x for x, move in enumerate(self.moves)
+            if move.direction == "internal"
+        ]
         self.frontier: Optional[MovePlan] = None
         self._tables: List[Optional[ExpansionTable]] = [None, None]
+        self._by_label: Optional[Dict[tuple, list]] = None
+        self._by_direction: Optional[Dict[str, list]] = None
 
     def closure_table(self, timed: bool) -> ExpansionTable:
         """The hidden moves, with their delayed plans iff ``timed``."""
         table = self._tables[timed]
         if table is None:
             plans = self._delayed if timed else self.posts
-            hidden = [
-                x for x, move in enumerate(self.moves)
-                if move.direction == "internal"
-            ]
             table = self._tables[timed] = ExpansionTable(
-                [self.moves[x] for x in hidden],
-                [self.targets[x] for x in hidden],
-                [plans[x] for x in hidden],
+                [self.moves[x] for x in self.hidden],
+                [self.targets[x] for x in self.hidden],
+                [plans[x] for x in self.hidden],
             )
         return table
+
+    def labelled(self, label: str, direction: str) -> list:
+        """``(target, post)`` of the moves with this label and direction."""
+        index = self._by_label
+        if index is None:
+            index = self._by_label = {}
+            for move, target, plan in zip(self.moves, self.targets, self.posts):
+                index.setdefault((move.label, move.direction), []).append(
+                    (target, plan)
+                )
+        return index.get((label, direction), ())
+
+    def directed(self, direction: str) -> list:
+        """``(label, post)`` of the moves in this direction."""
+        index = self._by_direction
+        if index is None:
+            index = self._by_direction = {}
+            for move, plan in zip(self.moves, self.posts):
+                index.setdefault(move.direction, []).append((move.label, plan))
+        return index.get(direction, ())
+
+
+#: Most entries a network's shared step table (:func:`_steps`) holds.  The
+#: table lives as long as the network (a server bundle lives as long as
+#: the process), and every new observed-delay denominator brings a new
+#: time scale, so without a bound it would grow with the trace.
+STEP_TABLE_BOUND = 4096
+
+
+def _steps(
+    system: System,
+    mode: str,
+    locs: Tuple[int, ...],
+    vars: Tuple[int, ...],
+    scale: int,
+) -> _Steps:
+    """The discrete state's compiled steps at ``scale``, from the table
+    :class:`System` shares between every wrapper of its network.
+
+    Past :data:`STEP_TABLE_BOUND` entries the oldest is evicted (counted
+    as ``estimate.steps_evicted``); an estimate still using it rebuilds
+    it on its next step.
+    """
+    table = system.estimate_steps
+    key = (mode, locs, vars, scale)
+    steps = table.get(key)
+    if steps is None:
+        if len(table) >= STEP_TABLE_BOUND:
+            table.pop(next(iter(table)), None)
+            counters.inc("estimate.steps_evicted")
+        steps = table[key] = _Steps(system.expansion(locs, vars, mode), scale)
+    return steps
 
 
 class _Antichain:
@@ -246,8 +311,6 @@ class StateEstimate:
         # EstimateLimit instead of silently corrupting closures.
         max_const = max([1] + system.network.max_constants())
         self._scale_cap = max(1, MAX_BOUND_CONST // (max_const + 1))
-        # (locs, vars) -> _Steps at the current scale.
-        self._steps_cache: Dict[tuple, _Steps] = {}
         self.states: List[_Member] = []
         self._closure: Optional[List[_Member]] = None
         #: Most members ever tracked at once (budget accounting).
@@ -266,9 +329,7 @@ class StateEstimate:
         system = self.system
         locs = system.network.initial_locations()
         vars = system.decls.initial_state()
-        if self.scale != 1:
-            self.scale = 1
-            self._steps_cache = {}
+        self.scale = 1
         zone = DBM.zero(self.tdx + 1)
         zone = zone.constrained(system.invariant_constraints(locs, vars))
         self.states = self._instant_closure([_Member(locs, vars, zone)])
@@ -319,7 +380,6 @@ class StateEstimate:
         self.states = states
         self._closure = closure
         self.scale = new_scale
-        self._steps_cache = {}
 
     @staticmethod
     def _rescaled(members: List[_Member], factor: int) -> List[_Member]:
@@ -335,13 +395,7 @@ class StateEstimate:
 
     def _steps(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> _Steps:
         """The discrete state's compiled steps at the current scale."""
-        key = (locs, vars)
-        steps = self._steps_cache.get(key)
-        if steps is None:
-            steps = self._steps_cache[key] = _Steps(
-                self.system.expansion(locs, vars, self.mode), self.scale
-            )
-        return steps
+        return _steps(self.system, self.mode, locs, vars, self.scale)
 
     def _frontier_plan(self, locs: Tuple[int, ...], vars: Tuple[int, ...]) -> MovePlan:
         """Reset the elapsed clock, then delay within the invariant."""
@@ -429,6 +483,16 @@ class StateEstimate:
         state, then move, then member.
         """
         counters.inc("estimate.closures")
+        if len(work) == 1:
+            # One member and no hidden move: the closure is the member.
+            member = work[0]
+            if (
+                self.max_states >= 1
+                and not member.zone.is_empty()
+                and not self._steps(member.locs, member.vars).hidden
+            ):
+                counters.observe("estimate.closure_members", 1)
+                return [member]
         expand = _backends.active().zone_expand
         seen: Dict[tuple, _Antichain] = {}
         retained = [0]
@@ -501,17 +565,17 @@ class StateEstimate:
         Returns ``(bound, strict)``; bound ``None`` means silence is
         allowed forever.
         """
-        best: Optional[Fraction] = None
-        best_strict = False
-        for member in self._timed_closure():
-            enc = int(member.zone.m[self.tdx, 0])
-            if enc >= INF:
-                return None, False
-            value, strict = decode(enc)
-            bound = Fraction(value, self.scale)
-            if best is None or bound > best or (bound == best and not strict):
-                best, best_strict = bound, strict
-        return best, best_strict
+        closure = self._timed_closure()
+        if not closure:
+            return None, False
+        # The largest encoded bound is the largest value, non-strict
+        # before strict.
+        tdx = self.tdx
+        enc = max(int(member.zone.m[tdx, 0]) for member in closure)
+        if enc >= INF:
+            return None, False
+        value, strict = decode(enc)
+        return Fraction(value, self.scale), strict
 
     def advance(self, d: Fraction) -> bool:
         """Extend the trace by a silent delay of exactly ``d``.
@@ -560,12 +624,9 @@ class StateEstimate:
         for (locs, vars), group in self._grouped(self.states).items():
             if updates:
                 vars = apply_var_updates(decls, vars, updates)
-            steps = self._steps(locs, vars)
-            for move, (new_locs, new_vars), plan in zip(
-                steps.moves, steps.targets, steps.posts
+            for (new_locs, new_vars), plan in self._steps(locs, vars).labelled(
+                label, direction
             ):
-                if move.label != label or move.direction != direction:
-                    continue
                 counters.inc("estimate.posts", len(group))
                 for member in group:
                     zone = successor(member.zone.m, plan)
@@ -605,14 +666,13 @@ class StateEstimate:
         successor = _backends.active().zone_successor
         labels: set = set()
         for (locs, vars), group in self._grouped(self.states).items():
-            steps = self._steps(locs, vars)
-            for move, plan in zip(steps.moves, steps.posts):
-                if move.direction != direction or move.label in labels:
+            for label, plan in self._steps(locs, vars).directed(direction):
+                if label in labels:
                     continue
                 for member in group:
                     counters.inc("estimate.enable_probes")
                     if successor(member.zone.m, plan) is not None:
-                        labels.add(move.label)
+                        labels.add(label)
                         break
         return sorted(labels)
 

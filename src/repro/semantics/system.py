@@ -71,7 +71,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..dbm import DBM, Federation
 from ..dbm import backends as _backends
@@ -231,10 +231,13 @@ class System:
                 "invariants": {},
                 "step_statics": {},
                 "inv": {},
+                "inv_upper": {},
                 "moves": {},
                 "steps": {},
                 "plans": {},
                 "expansions": {},
+                "concrete_moves": {},
+                "estimate_steps": {},
             }
         # Integer guards, compiled once per distinct content: a guard id
         # indexes ``_guard_fns``; edges without integer atoms have None.
@@ -258,6 +261,8 @@ class System:
         self._step_statics: Dict[tuple, tuple] = shared["step_statics"]
         # Invariant constraints -> invariant zone.
         self._inv_cache: Dict[tuple, DBM] = shared["inv"]
+        # Invariant constraints -> the invariant zone's upper bounds.
+        self._inv_upper: Dict[tuple, tuple] = shared["inv_upper"]
         # (mode, locs, vars) -> enabled moves.
         self._moves_cache: Dict[tuple, List["Move"]] = shared["moves"]
         # (move, source locs, source vars) -> (target or None, plan); the
@@ -267,6 +272,12 @@ class System:
         self._plans: Dict[tuple, MovePlan] = shared["plans"]
         # (mode, locs, vars, caps) -> ExpansionTable.
         self._expansions: Dict[tuple, ExpansionTable] = shared["expansions"]
+        # (mode, locs, vars) -> the concrete semantics' feasible moves
+        # with their decoded clock guards (see _concrete_moves).
+        self._concrete: Dict[tuple, list] = shared["concrete_moves"]
+        # (mode, locs, vars, time scale) -> the state estimator's compiled
+        # steps (repro.semantics.compose, which bounds the table).
+        self.estimate_steps: Dict[tuple, object] = shared["estimate_steps"]
         # Per automaton: location index -> internal edges.  Sync edges are
         # double-indexed channel -> automaton -> source location, so move
         # enumeration only ever touches edges leaving the current
@@ -899,13 +910,20 @@ class System:
         """:meth:`max_delay` as a numerator over ``state.scaled``'s denominator."""
         if not self.can_delay(state.locs):
             return 0, False
+        constraints = self.invariant_constraints(state.locs, state.vars)
+        upper = self._inv_upper.get(constraints)
+        if upper is None:
+            upper = self._inv_upper[constraints] = tuple(
+                (i, b, strict)
+                for i, j, b, strict in self.invariant_zone(
+                    state.locs, state.vars
+                ).finite_bounds
+                if i and not j
+            )
         nums, den = state.scaled
         hi: Optional[int] = None
         hi_strict = False
-        invariant = self.invariant_zone(state.locs, state.vars)
-        for i, j, b, strict in invariant.finite_bounds:
-            if j or not i:
-                continue
+        for i, b, strict in upper:
             slack = b * den - nums[i]
             if hi is None or slack < hi or (slack == hi and strict):
                 hi, hi_strict = slack, strict
@@ -931,6 +949,52 @@ class System:
         guards = decoded(self.guard_constraints(move, state.vars))
         return fold_delay_window(guards, nums, den, hi, hi_strict)
 
+    def _concrete_moves(
+        self, locs: Tuple[int, ...], vars: Tuple[int, ...], mode: str
+    ) -> list:
+        """``[move, decoded clock guard]`` of every move of
+        :meth:`moves_from` whose discrete part does not block.
+
+        Variable feasibility: a move whose update leaves a bounded
+        variable's range (or violates the target's integer invariant) is
+        not a transition — :meth:`fire` refuses it, so it must not be
+        offered as enabled either.  Delays don't change variables, so
+        this is delay-independent and memoized per (mode, discrete
+        state).  The guard slot is None until :meth:`_move_windows`
+        first needs it (decoding a bound that reads a variable can
+        raise).
+        """
+        key = (mode, locs, vars)
+        moves = self._concrete.get(key)
+        if moves is None:
+            moves = self._concrete[key] = [
+                [move, None]
+                for move in self.moves_from(locs, vars, mode)
+                if (new_vars := self.apply_move_vars(vars, move)) is not None
+                and self.invariant_int_ok(self.target_locs(locs, move), new_vars)
+            ]
+        return moves
+
+    def _move_windows(
+        self,
+        state: ConcreteState,
+        mode: str,
+        directions: Optional[Tuple[str, ...]],
+    ) -> Iterator[Tuple[Move, Window]]:
+        """The enabled moves of :meth:`move_options` with their windows."""
+        vars = state.vars
+        nums, den = state.scaled
+        hi, hi_strict = self._delay_limit(state)
+        for entry in self._concrete_moves(state.locs, vars, mode):
+            move, guards = entry
+            if directions is not None and move.direction not in directions:
+                continue
+            if guards is None:
+                guards = entry[1] = decoded(self.guard_constraints(move, vars))
+            window = fold_delay_window(guards, nums, den, hi, hi_strict)
+            if window is not None:
+                yield move, window
+
     def move_options(
         self,
         state: ConcreteState,
@@ -947,25 +1011,11 @@ class System:
         :mod:`repro.gen`.  ``mode`` selects the enumeration semantics
         (closed, open or partial; see :meth:`moves_from`).
         """
-        moves = self.moves_from(state.locs, state.vars, mode)
-        options: List[Tuple[Move, DelayInterval]] = []
-        for move in moves:
-            if directions is not None and move.direction not in directions:
-                continue
-            # Variable feasibility: a move whose update leaves a bounded
-            # variable's range (or violates the target's integer
-            # invariant) is not a transition — :meth:`fire` refuses it,
-            # so it must not be offered as enabled either.  Delays don't
-            # change variables, so this is delay-independent.
-            new_vars = self.apply_move_vars(state.vars, move)
-            if new_vars is None:
-                continue
-            if not self.invariant_int_ok(self.target_locs(state.locs, move), new_vars):
-                continue
-            interval = self.enabled_interval(state, move)
-            if interval is not None:
-                options.append((move, interval))
-        return options
+        den = state.scaled[1]
+        return [
+            (move, DelayInterval.from_window(window, den))
+            for move, window in self._move_windows(state, mode, directions)
+        ]
 
     def enabled_now(
         self,
@@ -975,13 +1025,11 @@ class System:
         directions: Optional[Tuple[str, ...]] = None,
     ) -> List[Tuple[Move, DelayInterval]]:
         """Moves enabled at the current instant (zero delay)."""
-        zero = Fraction(0)
+        den = state.scaled[1]
         return [
-            (move, interval)
-            for move, interval in self.move_options(
-                state, mode=mode, directions=directions
-            )
-            if interval.contains(zero)
+            (move, DelayInterval.from_window(window, den))
+            for move, window in self._move_windows(state, mode, directions)
+            if not (window[0] or window[1])  # delay 0 is in the window
         ]
 
     def fire(self, state: ConcreteState, move: Move) -> Optional[ConcreteState]:
@@ -997,10 +1045,14 @@ class System:
         new_locs = self.target_locs(state.locs, move)
         if not self.invariant_int_ok(new_locs, new_vars):
             return None
-        clocks = list(state.clocks)
-        for clock, value in self.resets_of(move):
-            clocks[clock] = Fraction(value)
-        new_state = ConcreteState(new_locs, new_vars, tuple(clocks))
+        nums, den = state.scaled
+        resets = self.resets_of(move)
+        if resets:
+            nums = list(nums)
+            for clock, value in resets:
+                nums[clock] = value * den
+            nums = tuple(nums)
+        new_state = ConcreteState._of(new_locs, new_vars, nums, den)
         inv = self.invariant_zone(new_locs, new_vars)
         if not new_state.in_zone(inv):
             return None

@@ -3,16 +3,46 @@
 The library compares clock valuations as integer numerators over one
 shared denominator (``repro.dbm.scale``).  These are the straightforward
 ``Fraction`` versions the integer code replaced: every difference and
-slack is an exact rational, compared against the decoded bound.  The
-property tests in ``tests/test_integer_valuations.py`` check the library
-against them; nothing in ``src/`` uses them.
+slack is an exact rational, compared against the decoded bound.
+:class:`ReferenceConcreteState` is the concrete state as a frozen
+dataclass whose ``Fraction`` clocks are its identity, which
+``repro.semantics.state.ConcreteState`` (integer numerators over one
+reduced denominator) replaced.  The property tests in
+``tests/test_integer_valuations.py`` check the library against them;
+nothing in ``src/`` uses them.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.dbm import INF, DBM, Federation, decode
 from repro.semantics.system import DelayInterval
+
+
+@dataclass(frozen=True)
+class ReferenceConcreteState:
+    """(location vector, variable values, ``Fraction`` clock valuation)."""
+
+    locs: Tuple[int, ...]
+    vars: Tuple[int, ...]
+    clocks: Tuple[Fraction, ...]
+
+    @property
+    def key(self):
+        return (self.locs, self.vars)
+
+    def delayed(self, d: Fraction) -> "ReferenceConcreteState":
+        """The state after ``d`` time units (clocks advance together)."""
+        if d < 0:
+            raise ValueError("negative delay")
+        if d == 0:
+            return self
+        new_clocks = (Fraction(0),) + tuple(c + d for c in self.clocks[1:])
+        return ReferenceConcreteState(self.locs, self.vars, new_clocks)
+
+    def in_zone(self, zone: DBM) -> bool:
+        return contains(zone, self.clocks)
 
 
 def satisfies(difference, enc: int) -> bool:
@@ -114,6 +144,33 @@ def enabled_interval(system, state, move) -> Optional[DelayInterval]:
                 lo, lo_strict = need, strict
     interval = DelayInterval(lo, lo_strict, hi, hi_strict)
     return None if interval.is_empty() else interval
+
+
+def move_options(system, state, mode="closed", directions=None):
+    """``System.move_options``: the moves of ``moves_from`` whose discrete
+    part does not block, with the delays enabling them."""
+    options = []
+    for move in system.moves_from(state.locs, state.vars, mode):
+        if directions is not None and move.direction not in directions:
+            continue
+        new_vars = system.apply_move_vars(state.vars, move)
+        if new_vars is None or not system.invariant_int_ok(
+            system.target_locs(state.locs, move), new_vars
+        ):
+            continue
+        interval = enabled_interval(system, state, move)
+        if interval is not None:
+            options.append((move, interval))
+    return options
+
+
+def enabled_now(system, state, mode="closed", directions=None):
+    """``System.enabled_now``: the options whose interval holds delay 0."""
+    return [
+        (move, interval)
+        for move, interval in move_options(system, state, mode, directions)
+        if interval.contains(Fraction(0))
+    ]
 
 
 def fire(system, state, move):

@@ -16,10 +16,12 @@ from repro.gen import generate_instance
 from repro.gen.differential import OK, DiffConfig, check_composition
 from repro.graph.explorer import SimulationGraph
 from repro.semantics import StateEstimate, System
+from repro.semantics import compose
 from repro.semantics.compose import EstimateLimit
 from repro.semantics.system import CLOSED, OPEN, PARTIAL
 from repro.ta.builder import NetworkBuilder
 from repro.ta.model import ModelError
+from repro.util import counters
 
 
 def chain2_network(*, declare_interface: bool = True):
@@ -412,6 +414,24 @@ class TestStateEstimate:
         estimate.observe("go", "input")
         text = estimate.describe()
         assert "A.Busy" in text and "B.Hold" in text
+
+    def test_shared_step_table_is_bounded(self, monkeypatch):
+        """Estimates over one network share one step table, keyed by time
+        scale among others; delays with ever new denominators evict from
+        it instead of growing it."""
+        monkeypatch.setattr(compose, "STEP_TABLE_BOUND", 16)
+        system = System(chain2_network())
+        assert System(system.network).estimate_steps is system.estimate_steps
+        evicted = counters.snapshot().get("estimate.steps_evicted", 0)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            estimate = StateEstimate(system)
+            assert estimate.observe("go", "input")
+            assert estimate.advance(Fraction(1, p))
+            assert estimate.max_quiescence()[0] is not None
+            estimate.allowed_outputs()
+            assert estimate.scale == p
+            assert len(system.estimate_steps) <= 16
+        assert counters.snapshot().get("estimate.steps_evicted", 0) > evicted
 
 
 # ----------------------------------------------------------------------

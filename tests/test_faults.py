@@ -24,6 +24,7 @@ from repro.corpus import CampaignCheckpoint, Corpus, CorpusEntry
 from repro.corpus.__main__ import fsck_tree
 from repro.dbm import backends as dbm_backends
 from repro.dbm.backends.numpy_backend import NumpyBackend
+from repro.gen import differential
 from repro.gen.differential import DiffConfig, check_faults, run_campaign
 from repro.gen.networks import generate_instance
 from repro.par import steal_map
@@ -220,7 +221,20 @@ class TestPoolRecovery:
         assert sorted(bad) == [0, 1, 2]
         assert counts().get("par.task_quarantined") == 3
 
-    def test_campaign_quarantine_is_deterministic_harness_fail(self):
+    def test_campaign_quarantine_is_deterministic_harness_fail(
+        self, monkeypatch
+    ):
+        # A planted zone failure (from the trials' own random stream)
+        # shows that the quarantined zone task falls back to the parent.
+        original = differential.check_zone_algebra
+        monkeypatch.setattr(
+            differential, "check_zone_algebra",
+            lambda rng, trials: original(rng, trials=trials)
+            + [f"planted {rng.random()!r}"],
+        )
+        serial = run_campaign(count=2, seed=5, checks=["semantics"],
+                              zone_trials=2, jobs=1)
+        assert serial.zone_failures and serial.zone_trials == 2
         with faults.injected("par.worker.crash:*", env=True):
             one = run_campaign(count=2, seed=5, checks=["semantics"],
                                zone_trials=2, jobs=2)
@@ -231,6 +245,9 @@ class TestPoolRecovery:
             for report in summary.reports:
                 assert [f.name for f in report.failures] == ["harness"]
                 assert report.shrunk is None  # harness failures don't shrink
+            assert (summary.zone_failures, summary.zone_trials) == (
+                serial.zone_failures, serial.zone_trials,
+            )
         assert [r.to_dict() for r in one.reports] == [
             dict(r.to_dict(), coverage=one.reports[i].coverage)
             for i, r in enumerate(two.reports)

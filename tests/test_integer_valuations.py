@@ -5,9 +5,12 @@ shared denominator (``repro.dbm.scale``).  Every check here compares them
 with the ``Fraction`` versions in ``tests/fraction_reference.py`` on
 random zones from ``repro.gen.zones``, on valuations with random
 denominators, and on points placed exactly on strict and non-strict
-bounds.
+bounds.  ``ConcreteState`` itself (delays, assignments, equality,
+hashing, zone tests and pickling) is compared with
+``ReferenceConcreteState``, the ``Fraction`` dataclass it replaced.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from repro.game.strategy import federation_delay_candidates, zone_delay_interval
 from repro.gen import generate_instance
 from repro.gen.zones import random_federation, random_zone
 from repro.semantics.state import ConcreteState
-from repro.semantics.system import System
+from repro.semantics.system import DelayInterval, System
 from repro.ta import NetworkBuilder
 
 from tests import fraction_reference as ref
@@ -222,6 +225,13 @@ def test_system_delay_queries_match_reference(family, seed):
                     system, state, move
                 ), (state, move)
                 assert system.fire(state, move) == ref.fire(system, state, move)
+            for directions in (None, ("output", "internal")):
+                assert system.move_options(
+                    state, directions=directions
+                ) == ref.move_options(system, state, directions=directions)
+                assert system.enabled_now(
+                    state, directions=directions
+                ) == ref.enabled_now(system, state, directions=directions)
             # A delay whose denominator is new to the state.
             d = Fraction(rng.randint(1, 30), rng.choice([7, 11, 13, 29]))
             later = state.delayed(d)
@@ -240,6 +250,32 @@ def test_system_delay_queries_match_reference(family, seed):
             assert later.in_zone(inv) == ref.contains(inv, later.clocks)
 
 
+def test_move_options_follow_the_variables_and_strict_guards():
+    """The memoized enumeration is per variable state (an update leaving
+    its range blocks the move), and a strict lower guard met exactly is
+    enabled after any positive delay but not now."""
+    net = NetworkBuilder("vars")
+    net.clock("x")
+    net.int_var("v", 0, 1)
+    a = net.automaton("A")
+    a.location("s", initial=True)
+    a.edge("s", "s", guard="x > 1", assign="v := v + 1")
+    system = System(net.build())
+    base = system.initial_concrete()
+    at_one = ConcreteState(base.locs, (0,), (0, Fraction(1)))
+    full = ConcreteState(base.locs, (1,), (0, Fraction(1)))
+    for state in (at_one, full, at_one):
+        assert system.move_options(state) == ref.move_options(system, state)
+        assert system.enabled_now(state) == ref.enabled_now(system, state)
+    ((move, interval),) = system.move_options(at_one)
+    assert interval.lo == 0 and interval.lo_strict
+    assert system.enabled_now(at_one) == [] and system.move_options(full) == []
+    later = at_one.delayed(Fraction(1, 9))
+    assert system.enabled_now(later) == [
+        (move, DelayInterval(Fraction(0), False, None, False))
+    ]
+
+
 def test_invariant_ties_keep_the_strict_bound():
     """Two invariant bounds with the same slack: the strict one wins, on
     ``max_delay`` and on ``delay_ok`` exactly at the limit."""
@@ -256,3 +292,127 @@ def test_invariant_ties_keep_the_strict_bound():
     assert system.delay_ok(state, Fraction(13, 7))
     later = ConcreteState(base.locs, base.vars, (0, Fraction(4, 3), Fraction(7, 3)))
     assert system.max_delay(later) == (Fraction(5, 3), True)
+
+
+# ----------------------------------------------------------------------
+# ConcreteState (integer numerators) against the Fraction dataclass
+# ----------------------------------------------------------------------
+
+#: Clock values and delays with denominators 1..10.
+RATIONALS = st.builds(Fraction, st.integers(0, 40), st.integers(1, 10))
+VALUATIONS = st.lists(RATIONALS, min_size=1, max_size=4).map(
+    lambda values: (Fraction(0), *values)
+)
+LOCS, VARS = (0,), ()
+
+
+def both(clocks, locs=LOCS, vars=VARS):
+    return (
+        ConcreteState(locs, vars, clocks),
+        ref.ReferenceConcreteState(locs, vars, tuple(clocks)),
+    )
+
+
+def assert_same(state, reference):
+    assert state.locs == reference.locs and state.vars == reference.vars
+    assert state.clocks == reference.clocks
+    # The integer form is the reduced one, whatever route built it.
+    assert state.scaled == scale(reference.clocks)
+
+
+def reset_system() -> System:
+    """One clock reset to 0 and one set to a constant, into a location
+    whose invariant the assignment can violate."""
+    net = NetworkBuilder("resets")
+    net.clock("x", "y")
+    a = net.automaton("A")
+    a.location("s", initial=True, invariant="y <= 9")
+    a.location("t", invariant="x <= 4")
+    a.edge("s", "t", guard="x >= 1", assign="x := 0")
+    a.edge("s", "t", guard="y < 7", assign="x := 3, y := 0")
+    a.edge("s", "t", assign="y := 2")
+    return System(net.build())
+
+
+class TestConcreteStateReference:
+    @settings(max_examples=300, deadline=None)
+    @given(VALUATIONS, st.lists(RATIONALS, max_size=4))
+    def test_delayed(self, clocks, delays):
+        state, reference = both(clocks)
+        for d in delays:
+            state, reference = state.delayed(d), reference.delayed(d)
+            assert_same(state, reference)
+            assert state == ConcreteState(LOCS, VARS, reference.clocks)
+
+    def test_delayed_rejects_negative_and_keeps_zero(self):
+        state, _ = both((0, Fraction(1, 3)))
+        assert state.delayed(0) is state
+        with pytest.raises(ValueError):
+            state.delayed(Fraction(-1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+                 min_size=2, max_size=2),
+        st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+                 min_size=2, max_size=2),
+        st.sampled_from([(LOCS, VARS), ((1,), VARS), (LOCS, (1,))]),
+    )
+    def test_equality_and_hash(self, a, b, other):
+        clocks_a, clocks_b = (0, *a), (0, *b)
+        state_a, ref_a = both(clocks_a)
+        state_b, ref_b = both(clocks_b, *other)
+        assert (state_a == state_b) == (ref_a == ref_b)
+        if state_a == state_b:
+            assert hash(state_a) == hash(state_b)
+        # Ints and Fractions name the same state.
+        spelled = ConcreteState(
+            LOCS, VARS, (0, *(int(v) if v.denominator == 1 else v for v in a))
+        )
+        assert spelled == state_a and hash(spelled) == hash(state_a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALUATIONS)
+    def test_clocks(self, clocks):
+        state, reference = both(clocks)
+        assert_same(state, reference)
+        assert state.clocks is state.clocks
+        assert all(type(c) is Fraction for c in state.clocks)
+        with pytest.raises(AttributeError):
+            state.locs = (1,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, VALUATIONS)
+    def test_in_zone(self, seed, clocks):
+        rng = random.Random(seed)
+        state, reference = both(clocks)
+        zone = random_zone(rng, len(clocks))
+        assert state.in_zone(zone) == reference.in_zone(zone)
+        inside = zone.sample_random(rng)
+        if inside is not None:
+            state, reference = both(tuple(inside))
+            assert state.in_zone(zone) and reference.in_zone(zone)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RATIONALS, min_size=2, max_size=2), st.lists(RATIONALS, max_size=2))
+    def test_fire_with_assignments(self, values, delays):
+        system = reset_system()
+        base = system.initial_concrete()
+        state, reference = both((0, *values), base.locs, base.vars)
+        for d in delays:
+            state, reference = state.delayed(d), reference.delayed(d)
+        for move in system.moves_from(state.locs, state.vars):
+            got = system.fire(state, move)
+            want = ref.fire(system, reference, move)
+            assert (got is None) == (want is None), move
+            if got is not None:
+                assert_same(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(VALUATIONS, RATIONALS)
+    def test_pickle_round_trip(self, clocks, d):
+        for state in (ConcreteState(LOCS, VARS, clocks),
+                      ConcreteState(LOCS, VARS, clocks).delayed(d)):
+            back = pickle.loads(pickle.dumps(state))
+            assert back == state and hash(back) == hash(state)
+            assert back.scaled == state.scaled and back.clocks == state.clocks

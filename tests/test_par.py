@@ -11,17 +11,33 @@ campaign.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.gen import run_campaign
 from repro.gen.cli import VOLATILE_REPORT_KEYS, main as cli_main
+from repro.gen import differential
 from repro.gen.differential import DiffConfig
 from repro.models.smartlight import smartlight_network, smartlight_plant
 from repro.par import auto_jobs, parse_jobs, resolve_jobs, steal_map
 from repro.testing import MutantSpec, MutationCampaign
 from repro.util import counters
+
+
+def planted_zone_failure(monkeypatch) -> str:
+    """Make every zone-trial run fail once more, with a detail drawn from
+    its random stream; forked pool workers inherit the patch."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted failure reaches pool workers only by fork")
+    original = differential.check_zone_algebra
+
+    def check(rng, trials):
+        return original(rng, trials=trials) + [f"planted {rng.random()!r}"]
+
+    monkeypatch.setattr(differential, "check_zone_algebra", check)
+    return "planted "
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +250,49 @@ class TestCampaignDeterminism:
             blobs.append(json.dumps(stable_payload(report), sort_keys=True))
         assert blobs[0] == blobs[1]
 
+
+    def test_zone_trials_identical_for_jobs_1_2_4(self, monkeypatch):
+        """Pooled, the zone-algebra trials are one more task; their
+        failures and trial count equal the serial run's.  A failure drawn
+        from the trials' own random stream is planted before the pool
+        forks, so the stream and the failure path are both compared."""
+        planted = planted_zone_failure(monkeypatch)
+        zone = []
+        for jobs in (1, 2, 4):
+            summary = run_campaign(
+                count=3, seed=31, checks=["semantics"], zone_trials=6,
+                shrink=False, jobs=jobs,
+            )
+            assert not summary.ok
+            zone.append((summary.zone_failures, summary.zone_trials))
+        assert zone[0][1] == 6 and zone[0][0][-1].startswith(planted)
+        assert zone[0] == zone[1] == zone[2]
+
+    def test_partial_run_skips_the_zone_task(self, monkeypatch, tmp_path):
+        """A ``stop_after`` partial run neither runs nor reports the zone
+        trials, serial or pooled."""
+        planted_zone_failure(monkeypatch)
+        ran = tmp_path / "zone-trials-ran"
+        planted = differential.check_zone_algebra
+
+        def check(rng, trials):
+            ran.touch()
+            return planted(rng, trials)
+
+        monkeypatch.setattr(differential, "check_zone_algebra", check)
+        partial = []
+        for jobs in (1, 2):
+            summary = run_campaign(
+                count=4, seed=31, checks=["semantics"], zone_trials=6,
+                shrink=False, jobs=jobs, stop_after=2,
+            )
+            assert summary.partial and summary.pending == 2
+            assert (summary.zone_failures, summary.zone_trials) == ([], 0)
+            partial.append(
+                [dict(r.to_dict(), coverage=None) for r in summary.reports]
+            )
+        assert partial[0] == partial[1]
+        assert not ran.exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_campaign_sharded(self, jobs):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from repro.gen.networks import DEFAULT_FAMILIES, generate_instance
+from repro.semantics import compose
 from repro.semantics.system import System
 from repro.server import (
     IUTClient,
@@ -45,6 +46,7 @@ from repro.testing import (
     SimulatedImplementation,
     execute_test,
 )
+from repro.util import counters
 
 
 def sync(coro):
@@ -711,6 +713,35 @@ class TestAdmissionControl:
         # Two sessions over the same spec do identical work: equal
         # profiles prove no cross-session leakage under interleaving.
         assert frames[0]["profile"] == frames[1]["profile"]
+
+    def test_estimated_sessions_keep_the_step_table_bounded(self, monkeypatch):
+        """Sessions on one bundle share its plant's estimator step table
+        for the life of the server; it stays under its bound."""
+        monkeypatch.setattr(compose, "STEP_TABLE_BOUND", 4)
+        spec = {"family": "chain", "seed": 0}
+        instance = generate_instance(0, "chain")
+
+        async def go():
+            server = TestServer(ServerConfig())
+            await server.start()
+            try:
+                host, port = server.address
+                sizes = []
+                for seed in range(8):
+                    imp = make_imp(instance, RandomPolicy(seed))
+                    async with await IUTClient.connect(host, port) as client:
+                        frame = await client.run_session(imp, spec)
+                    assert frame["type"] == "verdict"
+                    table = server.resolver.resolve(spec).plant.estimate_steps
+                    sizes.append(len(table))
+                return sizes
+            finally:
+                await server.close()
+
+        evicted = counters.snapshot().get("estimate.steps_evicted", 0)
+        sizes = sync(go())
+        assert 0 < max(sizes) <= 4
+        assert counters.snapshot().get("estimate.steps_evicted", 0) > evicted
 
 
 class TestRunRemoteTest:
